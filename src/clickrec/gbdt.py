@@ -6,6 +6,17 @@ loss), greedily choosing the split that maximizes the weighted squared
 mean-difference gain.  Leaf values are residual means, so the per-tree line
 search is absorbed into the leaves and a global shrinkage factor plays the
 role of the per-iteration weight.
+
+Training is exact greedy search over presorted columns, the column-block
+scheme of XGBoost (Chen & Guestrin, KDD 2016, section 4.1).  ``fit`` sorts
+every column once.  A tree node owns one segment of those sort orders, and a
+split partitions the segment stably, so a node's rows stay sorted by every
+feature with ties in row order.  One cumulative sum over all features then
+scores every split position of a node.
+
+A tree is stored as preorder parallel arrays (``Tree``), the layout the
+plain-text model file serialises.  ``predict`` walks blocks of rows through
+all trees at once, one level per step.
 """
 
 from __future__ import annotations
@@ -14,19 +25,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_BLOCK = 256  # rows per predict step; bounds the (rows, trees) work arrays
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-    gain: float = 0.0  # split improvement, summed into feature importance
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+class Tree:
+    """One regression tree as preorder parallel arrays; node 0 is the root.
+
+    A split node sends a row to ``left`` when ``x[feature] <= threshold`` and
+    to ``right`` otherwise.  A leaf has feature and children -1 and holds the
+    leaf ``value``; split nodes keep value 0.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "depth")
+
+    def __init__(self, feature, threshold, left, right, value):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=np.float64)
+        level = [0] * len(self.feature)
+        for i in np.flatnonzero(self.feature >= 0):  # preorder: parents first
+            level[self.left[i]] = level[self.right[i]] = level[i] + 1
+        self.depth = max(level)  # splits on the longest root-to-leaf path
 
 
 @dataclass
@@ -51,11 +72,10 @@ class TrainConfig:
 @dataclass
 class Ensemble:
     base: float
-    trees: list[tuple[TreeNode, float]] = field(default_factory=list)
+    trees: list[tuple[Tree, float]] = field(default_factory=list)
     feature_names: list[str] = field(default_factory=list)
     importance: dict[str, float] = field(default_factory=dict)  # max-normalized to 100
     train_mse: list[float] = field(default_factory=list)
-    n_trees: int = 0
     shrinkage: float = 0.1
 
 
@@ -64,85 +84,153 @@ def split_gain(w_l: float, mean_l: float, w_r: float, mean_r: float) -> float:
     return w_l * w_r / (w_l + w_r) * (mean_l - mean_r) ** 2
 
 
-def _best_split(X: np.ndarray, r: np.ndarray, min_leaf: int):
-    """Best (gain, feature, threshold) over midpoint thresholds, or None.
+class _Grower:
+    """The columns of X sorted once, and the buffers every tree of a fit reuses.
 
-    Tie-break: lowest feature index, then smallest threshold (strict-greater
-    comparison while scanning features in order; within one feature the first
-    maximal gain has the smallest threshold because values are sorted).
+    ``order[f]`` lists the rows by X[:, f] (stable, so ties keep row order)
+    and ``order[d]`` lists them by row; ``rank[f, row]`` is the dense rank of
+    X[row, f] in its column, so two rows hold equal values iff their ranks
+    are equal.  A tree's root reads ``order``; every other node reads and
+    partitions its own segment ``[s, e)`` of ``work``.  Segments of nodes
+    still waiting to be grown are disjoint.
     """
-    n = len(r)
-    best = None
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        rs = r[order]
-        csum = np.cumsum(rs)
-        total = csum[-1]
-        nl = np.arange(1, n)
-        valid = xs[:-1] != xs[1:]
-        if min_leaf > 1:
-            valid &= (nl >= min_leaf) & (n - nl >= min_leaf)
-        if not valid.any():
-            continue
-        ml = csum[:-1] / nl
-        mr = (total - csum[:-1]) / (n - nl)
-        gains = nl * (n - nl) / n * (ml - mr) ** 2
-        gains = np.where(valid, gains, -np.inf)
-        i = int(np.argmax(gains))
-        g = float(gains[i])
-        if g <= 0.0:
-            continue
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        thr = lo + (hi - lo) / 2.0
-        if not (lo <= thr < hi):
-            thr = lo  # adjacent floats: route left iff value <= lo
-        if best is None or g > best[0]:
-            best = (g, f, thr)
-    return best
 
+    def __init__(self, X: np.ndarray, cfg: TrainConfig):
+        n, d = X.shape
+        self.X = X
+        self.cfg = cfg
+        self.order = np.empty((d + 1, n), dtype=np.int32)
+        self.rank = np.empty((d, n), dtype=np.int32)
+        for f in range(d):
+            o = np.argsort(X[:, f], kind="stable")
+            xs = X[o, f]
+            self.order[f] = o
+            self.rank[f, o[0]] = 0
+            self.rank[f, o[1:]] = np.cumsum(xs[1:] != xs[:-1])
+        self.order[d] = np.arange(n)
+        self.work = np.empty_like(self.order)
+        self.go_left = np.zeros(n, dtype=bool)
+        self.csum = np.empty(d * n)  # a node's cumulative sums of r
+        self.seg_rank = np.empty(d * n, dtype=np.int32)  # rank along a node's sort orders
 
-def _build_tree(
-    X: np.ndarray, r: np.ndarray, depth: int, cfg: TrainConfig
-) -> TreeNode:
-    node = TreeNode(value=float(r.mean()))
-    if cfg.max_depth is not None and depth >= cfg.max_depth:
-        return node
-    if len(r) < 2 * cfg.min_leaf or np.all(r == r[0]):
-        return node
-    found = _best_split(X, r, cfg.min_leaf)
-    if found is None:
-        return node
-    gain, f, thr = found
-    mask = X[:, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.gain = gain
-    node.left = _build_tree(X[mask], r[mask], depth + 1, cfg)
-    node.right = _build_tree(X[~mask], r[~mask], depth + 1, cfg)
-    return node
+    def _leaf(self, depth: int, rows: np.ndarray, r: np.ndarray):
+        """(rows, value) when a node of these rows must be a leaf, else None.
 
+        ``rows`` are ascending, so the leaf value sums r in row order.
+        """
+        cfg = self.cfg
+        r_node = r[rows]
+        if (
+            (cfg.max_depth is not None and depth >= cfg.max_depth)
+            or len(rows) < 2 * cfg.min_leaf
+            or np.all(r_node == r_node[0])
+        ):
+            return rows, float(r_node.mean())
+        return None
 
-def _eval_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X))
-    stack = [(root, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+    def _best_split(self, seg: np.ndarray, r: np.ndarray):
+        """Best (gain, feature, last left position) of a node, or None.
 
+        Gains are scored only where the value changes and both sides keep
+        min_leaf rows.  The first maximum in (feature, position) order wins
+        ties: the lowest feature, then the smallest threshold.
+        """
+        d, m = seg.shape[0] - 1, seg.shape[1]
+        lo, hi = self.cfg.min_leaf - 1, m - self.cfg.min_leaf  # positions [lo, hi)
+        csum = self.csum[: d * m].reshape(d, m)
+        seg_rank = self.seg_rank[: d * m].reshape(d, m)
+        for f in range(d):  # per feature, so take's index copy stays small
+            rows = seg[f].astype(np.intp)
+            # mode="clip" only skips take's output buffering: the rows are valid.
+            np.take(r, rows, out=csum[f], mode="clip")
+            np.take(self.rank[f], rows, out=seg_rank[f], mode="clip")
+        np.cumsum(csum, axis=1, out=csum)  # sequential, so csum[:, -1] is each total
+        changes = seg_rank[:, lo + 1 : hi + 1] != seg_rank[:, lo:hi]
+        f, i = np.divmod(np.flatnonzero(changes), hi - lo)
+        if not len(f):
+            return None
+        p = lo + i
+        cs = csum.ravel()[f * m + p]
+        total = csum.ravel()[f * m + m - 1]
+        nl = p + 1
+        ml = cs / nl
+        mr = (total - cs) / (m - nl)
+        gains = nl * (m - nl) / m * (ml - mr) ** 2
+        best = int(np.argmax(gains))
+        g = float(gains[best])
+        if not g > 0.0:
+            return None
+        return g, int(f[best]), int(p[best])
 
-def _collect_gains(root: TreeNode, raw: np.ndarray) -> None:
-    if root.is_leaf:
-        return
-    raw[root.feature] += root.gain
-    _collect_gains(root.left, raw)
-    _collect_gains(root.right, raw)
+    def grow(self, r: np.ndarray) -> tuple[Tree, list[float], np.ndarray]:
+        """Fit one tree to the residuals r.
+
+        Returns the tree, each node's split gain (0 for leaves) and the
+        node of the leaf every row ends in.
+        """
+        d = self.order.shape[0] - 1
+        X, go_left, work = self.X, self.go_left, self.work
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        value: list[float] = []
+        gain: list[float] = []
+        leaf_of = np.empty(len(r), dtype=np.intp)
+        # (start, end, depth, parent whose right child this is or -1,
+        #  (rows, value) for a node already known to be a leaf, else None)
+        stack = [(0, len(r), 0, -1, self._leaf(0, self.order[d], r))]
+        while stack:
+            s, e, depth, parent, leaf = stack.pop()
+            node = len(feature)
+            if parent >= 0:
+                right[parent] = node
+            seg = (self.order if node == 0 else work)[:, s:e]
+            found = None if leaf else self._best_split(seg, r)
+            if found is None:
+                rows, v = leaf or (seg[d], float(r[seg[d]].mean()))
+                leaf_of[rows] = node
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                value.append(v)
+                gain.append(0.0)
+                continue
+            g, f, p = found
+            lo_v, hi_v = float(X[seg[f, p], f]), float(X[seg[f, p + 1], f])
+            thr = lo_v + (hi_v - lo_v) / 2.0
+            if not (lo_v <= thr < hi_v):
+                thr = lo_v  # adjacent floats: route left iff value <= lo
+            feature.append(f)
+            threshold.append(thr)
+            left.append(node + 1)
+            right.append(-1)  # set when the right child is reached
+            value.append(0.0)
+            gain.append(g)
+
+            nl = p + 1  # the left child is the first nl rows in feature f's order
+            go_left[seg[f, :nl]] = True
+            by_row = seg[d]
+            to_left = go_left[by_row]
+            left_rows, right_rows = by_row[to_left], by_row[~to_left]
+            left_leaf = self._leaf(depth + 1, left_rows, r)
+            right_leaf = self._leaf(depth + 1, right_rows, r)
+            if left_leaf is None or right_leaf is None:
+                # Stable partition of every sort order into the segments of
+                # the children that will split.  Both halves are copied out
+                # before either is written, since seg may be a view of work.
+                in_left = go_left[seg]
+                left_half = None if left_leaf else seg[in_left]
+                right_half = None if right_leaf else seg[~in_left]
+                if left_half is not None:
+                    work[:, s : s + nl] = left_half.reshape(d + 1, nl)
+                if right_half is not None:
+                    work[:, s + nl : e] = right_half.reshape(d + 1, e - s - nl)
+            go_left[left_rows] = False
+            stack.append((s + nl, e, depth + 1, node, right_leaf))
+            stack.append((s, s + nl, depth + 1, -1, left_leaf))
+        return Tree(feature, threshold, left, right, value), gain, leaf_of
 
 
 def fit(
@@ -167,16 +255,17 @@ def fit(
         raise ValueError("X and y length mismatch")
     if len(y) < 2:
         raise ValueError("need at least 2 samples")
+    if np.isnan(X).any() or not np.isfinite(y).all():
+        raise ValueError("X must not contain NaN and y must be finite")
     names = feature_names or [f"f{i}" for i in range(X.shape[1])]
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length mismatch")
 
     model = Ensemble(
-        base=float(y.mean()),
-        feature_names=list(names),
-        n_trees=cfg.n_trees,
-        shrinkage=cfg.shrinkage,
+        base=float(y.mean()), feature_names=list(names), shrinkage=cfg.shrinkage
     )
+    grower = _Grower(X, cfg)
+    raw = np.zeros(X.shape[1])
     pred = np.full(len(y), model.base)
     if valid is not None:
         Xv = np.asarray(valid[0], dtype=np.float64)
@@ -189,15 +278,18 @@ def fit(
         if np.all(r == 0.0):
             model.train_mse.append(0.0)
             break
-        root = _build_tree(X, r, 0, cfg)
-        if root.is_leaf and root.value == 0.0:
+        tree, gains, leaf_of = grower.grow(r)
+        if tree.depth == 0 and tree.value[0] == 0.0:
             model.train_mse.append(float(np.mean(r**2)))
             break
-        model.trees.append((root, cfg.shrinkage))
-        pred = pred + cfg.shrinkage * _eval_tree(root, X)
+        model.trees.append((tree, cfg.shrinkage))
+        for f, g in zip(tree.feature, gains):
+            if f >= 0:
+                raw[f] += g
+        pred = pred + cfg.shrinkage * tree.value[leaf_of]
         model.train_mse.append(float(np.mean((y - pred) ** 2)))
         if valid is not None and cfg.early_stop_patience is not None:
-            pred_v = pred_v + cfg.shrinkage * _eval_tree(root, Xv)
+            pred_v = pred_v + cfg.shrinkage * _leaf_values(_Forest([tree]), Xv)[:, 0]
             mse_v = float(np.mean((yv - pred_v) ** 2))
             if mse_v < best_v - 1e-12:
                 best_v = mse_v
@@ -207,9 +299,6 @@ def fit(
                 if stall >= cfg.early_stop_patience:
                     break
 
-    raw = np.zeros(X.shape[1])
-    for root, _ in model.trees:
-        _collect_gains(root, raw)
     peak = raw.max()
     if peak > 0:
         model.importance = {
@@ -218,6 +307,43 @@ def fit(
     else:
         model.importance = {n: 0.0 for n in names}
     return model
+
+
+class _Forest:
+    """Trees concatenated into one node array, for walking them together.
+
+    ``child[2 * i]`` and ``child[2 * i + 1]`` are node i's left and right
+    children in the concatenation.  A leaf is its own child, so a row that
+    reaches a leaf early stays there while the deeper trees finish.
+    """
+
+    def __init__(self, trees: list[Tree]):
+        sizes = [len(t.feature) for t in trees]
+        self.roots = np.cumsum([0] + sizes[:-1])
+        self.feature = np.concatenate([t.feature for t in trees])
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.value = np.concatenate([t.value for t in trees])
+        kids = np.stack(
+            [np.concatenate([t.left for t in trees]), np.concatenate([t.right for t in trees])],
+            axis=1,
+        )
+        kids += np.repeat(self.roots, sizes)[:, None]
+        leaves = np.flatnonzero(self.feature < 0)
+        kids[leaves] = leaves[:, None]
+        self.child = kids.ravel()
+        self.levels = max(t.depth for t in trees)
+
+
+def _leaf_values(forest: _Forest, X: np.ndarray) -> np.ndarray:
+    """(rows, trees) values of the leaf each row of X reaches in each tree."""
+    node = np.broadcast_to(forest.roots, (len(X), len(forest.roots)))
+    row_start = (np.arange(len(X)) * X.shape[1])[:, None]
+    flat = X.ravel()
+    for _ in range(forest.levels):
+        # At a leaf, feature -1 reads some other cell; the self-loop ignores it.
+        go_right = ~(flat[row_start + forest.feature[node]] <= forest.threshold[node])
+        node = forest.child[2 * node + go_right]
+    return forest.value[node]
 
 
 def predict(model: Ensemble, x) -> float | np.ndarray:
@@ -231,8 +357,17 @@ def predict(model: Ensemble, x) -> float | np.ndarray:
             f"expected {len(model.feature_names)} features, got {arr.shape[1]}"
         )
     out = np.full(len(arr), model.base)
-    for root, w in model.trees:
-        out += w * _eval_tree(root, arr)
+    if model.trees and len(arr):
+        forest = _Forest([t for t, _ in model.trees])
+        weights = np.array([w for _, w in model.trees])
+        for s in range(0, len(arr), _BLOCK):
+            block = out[s : s + _BLOCK]
+            terms = np.empty((len(block), len(weights) + 1))
+            terms[:, 0] = block
+            np.multiply(weights, _leaf_values(forest, arr[s : s + _BLOCK]), out=terms[:, 1:])
+            # cumsum adds the trees one after another, exactly as
+            # out += w * v per tree would; a pairwise sum would not.
+            block[:] = np.cumsum(terms, axis=1)[:, -1]
     return float(out[0]) if single else out
 
 
@@ -262,19 +397,6 @@ def rank(
     return scored
 
 
-def _walk_preorder(root: TreeNode):
-    order = []
-
-    def rec(node):
-        order.append(node)
-        if not node.is_leaf:
-            rec(node.left)
-            rec(node.right)
-
-    rec(root)
-    return order
-
-
 def save_model(model: Ensemble, path: str) -> None:
     """Write the plain-text model file; floats use repr for exact round-trip."""
     lines = [
@@ -283,18 +405,21 @@ def save_model(model: Ensemble, path: str) -> None:
         f"base\t{model.base!r}",
         "features\t" + "\t".join(model.feature_names),
     ]
-    for t, (root, w) in enumerate(model.trees):
-        nodes = _walk_preorder(root)
-        ids = {id(n): i for i, n in enumerate(nodes)}
-        lines.append(f"tree\t{t}\t{w!r}\t{len(nodes)}")
-        for i, n in enumerate(nodes):
-            if n.is_leaf:
-                lines.append(f"{i}\tleaf\t{n.value!r}\t-\t-\t-")
+    for t, (tree, w) in enumerate(model.trees):
+        lines.append(f"tree\t{t}\t{w!r}\t{len(tree.feature)}")
+        for i, (f, thr, lt, rt, v) in enumerate(
+            zip(
+                tree.feature.tolist(),
+                tree.threshold.tolist(),
+                tree.left.tolist(),
+                tree.right.tolist(),
+                tree.value.tolist(),
+            )
+        ):
+            if f < 0:
+                lines.append(f"{i}\tleaf\t{v!r}\t-\t-\t-")
             else:
-                lines.append(
-                    f"{i}\tsplit\t{n.feature}\t{n.threshold!r}"
-                    f"\t{ids[id(n.left)]}\t{ids[id(n.right)]}"
-                )
+                lines.append(f"{i}\tsplit\t{f}\t{thr!r}\t{lt}\t{rt}")
     lines.append("importance")
     for name in model.feature_names:
         lines.append(f"{name}\t{model.importance.get(name, 0.0)!r}")
@@ -303,34 +428,74 @@ def save_model(model: Ensemble, path: str) -> None:
 
 
 def load_model(path: str) -> Ensemble:
+    """Read a model file; a malformed one raises ValueError("path:line: reason")."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    it = iter(lines)
-    n_trees = int(next(it).split("\t")[1])
-    shrinkage = float(next(it).split("\t")[1])
-    base = float(next(it).split("\t")[1])
-    names = next(it).split("\t")[1:]
-    model = Ensemble(
-        base=base, feature_names=names, n_trees=n_trees, shrinkage=shrinkage
-    )
-    for _ in range(n_trees):
-        _, _t, w_s, count_s = next(it).split("\t")
-        raw: list[tuple] = []
-        for _ in range(int(count_s)):
-            parts = next(it).split("\t")
-            raw.append(parts)
-        nodes = [TreeNode() for _ in raw]
-        for parts, node in zip(raw, nodes):
+        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+    end = lines[-1][0] + 1 if lines else 1  # the line number past the last line
+    pos, lineno = 0, end
+
+    def fail(reason: str):
+        raise ValueError(f"{path}:{lineno}: {reason}")
+
+    def fields(n: int | None = None, key: str | None = None) -> list[str]:
+        """The next line's tab-separated fields, checked for count and key."""
+        nonlocal pos, lineno
+        if pos == len(lines):
+            lineno = end
+            fail("unexpected end of file")
+        lineno, text = lines[pos]
+        pos += 1
+        parts = text.split("\t")
+        if key is not None and parts[0] != key:
+            fail(f"expected {key!r}, found {parts[0]!r}")
+        if n is not None and len(parts) != n:
+            fail(f"expected {n} fields, found {len(parts)}")
+        return parts
+
+    def number(kind, text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            fail(f"bad {kind.__name__} {text!r}")
+
+    n_trees = number(int, fields(2, "n_trees")[1])
+    header = lineno
+    shrinkage = number(float, fields(2, "shrinkage")[1])
+    base = number(float, fields(2, "base")[1])
+    names = fields(key="features")[1:]
+    model = Ensemble(base=base, feature_names=names, shrinkage=shrinkage)
+    while pos < len(lines) and lines[pos][1].startswith("tree\t"):
+        _, _, w_s, count_s = fields(4)
+        w, count = number(float, w_s), number(int, count_s)
+        if count < 1:
+            fail(f"tree has {count} nodes")
+        arrays: tuple[list, ...] = ([], [], [], [], [])
+        for i in range(count):
+            parts = fields(6)
             if parts[1] == "leaf":
-                node.value = float(parts[2])
+                node = (-1, 0.0, -1, -1, number(float, parts[2]))
+            elif parts[1] == "split":
+                f = number(int, parts[2])
+                if not 0 <= f < len(names):
+                    fail(f"feature index {f} out of range")
+                kids = number(int, parts[4]), number(int, parts[5])
+                for k in kids:
+                    if not i < k < count:
+                        fail(f"child index {k} out of range")
+                node = (f, number(float, parts[3]), *kids, 0.0)
             else:
-                node.feature = int(parts[2])
-                node.threshold = float(parts[3])
-                node.left = nodes[int(parts[4])]
-                node.right = nodes[int(parts[5])]
-        model.trees.append((nodes[0], float(w_s)))
-    assert next(it) == "importance"
-    for line in it:
-        name, val = line.split("\t")
-        model.importance[name] = float(val)
+                fail(f"unknown node kind {parts[1]!r}")
+            for column, v in zip(arrays, node):
+                column.append(v)
+        model.trees.append((Tree(*arrays), w))
+    if len(model.trees) != n_trees:
+        lineno = header
+        fail(f"n_trees is {n_trees} but the file has {len(model.trees)} trees")
+    if pos == len(lines):
+        lineno = end
+        fail("missing importance section")
+    fields(1, "importance")
+    while pos < len(lines):
+        name, val = fields(2)
+        model.importance[name] = number(float, val)
     return model

@@ -163,11 +163,13 @@ def build_dataset(
 
 
 def _method_scores(
-    method: str, rows: list[DatasetRow], norms: dict[str, tuple[float, float]], model
+    method: str,
+    rows: list[DatasetRow],
+    norms: dict[str, tuple[float, float]],
+    learned: dict[int, float],
 ) -> list[float]:
     if method == "GBDT":
-        X = np.array([r.fv.values() for r in rows])
-        return [float(s) for s in gbdt.predict(model, X)]
+        return [learned[id(r)] for r in rows]
     parts = method.split("+")
     scores = []
     for r in rows:
@@ -218,6 +220,8 @@ def run_crossval(
             raw_importance[name] += val
 
         test_cand = [r for r in test_rows if r.kinds]
+        X_cand = np.array([r.fv.values() for r in test_cand]).reshape(-1, len(FEATURE_NAMES))
+        learned = {id(r): float(s) for r, s in zip(test_cand, gbdt.predict(model, X_cand))}
         norms = {}
         for p in SINGLE_METHODS:
             vals = [getattr(r.fv, _SIGNAL_ATTR[p]) for r in test_cand]
@@ -233,7 +237,7 @@ def run_crossval(
             if all(grade(r.target)[1] == 0.0 for r in rows):
                 n_degenerate += 1
             for m in ALL_METHODS:
-                scores = _method_scores(m, rows, norms, model)
+                scores = _method_scores(m, rows, norms, learned)
                 order = sorted(
                     zip(rows, scores), key=lambda t: (-t[1], t[0].q2)
                 )

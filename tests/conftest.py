@@ -1,8 +1,19 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from clickrec.logs import ClickRecord, build_click_stats, clean_log, segment_sessions
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for ``python -m clickrec.cli`` run from any directory."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def random_records(rng: random.Random, n: int, n_users=6, n_queries=8, n_urls=10):

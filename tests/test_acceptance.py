@@ -19,7 +19,7 @@ from clickrec import gbdt, logs, pipeline, synth, taxonomy
 from clickrec.features import click_entropy, levenshtein, llr
 from clickrec.logs import ClickRecord, build_click_stats, segment_sessions
 
-from conftest import random_records
+from conftest import cli_env, random_records
 from test_candidates import oracle_brccq, oracle_csq, oracle_p_cc, oracle_p_cs
 from test_evaluation import GRADES, oracle_ap, oracle_dcg, oracle_ndcg5, ranking
 from test_features import oracle_levenshtein, random_string
@@ -229,6 +229,7 @@ def test_criterion_7_crossval_determinism(tmp_path):
             capture_output=True,
             text=True,
             cwd=tmp_path,
+            env=cli_env(),
         )
         assert r.returncode == 0, r.stderr
         return r

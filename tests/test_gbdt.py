@@ -7,7 +7,7 @@ from clickrec.features import FeatureVector
 from clickrec.gbdt import (
     Ensemble,
     TrainConfig,
-    TreeNode,
+    Tree,
     fit,
     load_model,
     predict,
@@ -26,6 +26,17 @@ def make_fv(**overrides):
     )
     base.update(overrides)
     return FeatureVector(**base)
+
+
+def stump(feature, threshold, left_value, right_value):
+    """Root split on x[feature] <= threshold with two leaves, in preorder."""
+    return Tree(
+        feature=[feature, -1, -1],
+        threshold=[threshold, 0.0, 0.0],
+        left=[1, -1, -1],
+        right=[2, -1, -1],
+        value=[0.0, left_value, right_value],
+    )
 
 
 def random_problem(rng, n=80, d=5):
@@ -63,7 +74,7 @@ class TestFit:
         model = fit(X, y, TrainConfig(n_trees=10, min_leaf=1))
         assert predict(model, X[0]) == 2.5
         assert all(v == 0.0 for v in model.importance.values())
-        assert sum(not root.is_leaf for root, _ in model.trees) == 0
+        assert all((tree.feature < 0).all() for tree, _ in model.trees)
 
     def test_separable_indicator_exact(self):
         rng = np.random.default_rng(1)
@@ -72,12 +83,12 @@ class TestFit:
         cfg = TrainConfig(n_trees=1, shrinkage=1.0, max_depth=1, min_leaf=1)
         model = fit(X, y, cfg)
         assert model.train_mse[-1] < 1e-24
-        (root, w) = model.trees[0]
-        assert root.feature == 0
-        left = y[X[:, 0] <= root.threshold]
-        right = y[X[:, 0] > root.threshold]
-        assert abs(model.base + root.left.value - left.mean()) < 1e-12
-        assert abs(model.base + root.right.value - right.mean()) < 1e-12
+        (tree, w) = model.trees[0]
+        assert tree.feature[0] == 0
+        left = y[X[:, 0] <= tree.threshold[0]]
+        right = y[X[:, 0] > tree.threshold[0]]
+        assert abs(model.base + tree.value[tree.left[0]] - left.mean()) < 1e-12
+        assert abs(model.base + tree.value[tree.right[0]] - right.mean()) < 1e-12
 
     def test_mse_non_increasing(self):
         rng = np.random.default_rng(2)
@@ -119,6 +130,8 @@ class TestFit:
             fit([[1.0, 2.0]], [1.0])  # fewer than 2 samples
         with pytest.raises(ValueError):
             TrainConfig(shrinkage=0.0)
+        with pytest.raises(ValueError):
+            fit([[np.nan], [1.0]], [1.0, 2.0])  # no split order for NaN
 
     def test_early_stop(self):
         rng = np.random.default_rng(7)
@@ -134,9 +147,7 @@ class TestPredict:
         assert predict(model, [0.0, 0.0]) == 1.25
 
     def test_one_stump(self):
-        root = TreeNode(feature=0, threshold=0.5,
-                        left=TreeNode(value=-1.0), right=TreeNode(value=1.0))
-        model = Ensemble(base=0.0, trees=[(root, 0.1)], feature_names=["x"])
+        model = Ensemble(base=0.0, trees=[(stump(0, 0.5, -1.0, 1.0), 0.1)], feature_names=["x"])
         assert predict(model, [0.2]) == -0.1
         assert predict(model, [0.8]) == 0.1
 
@@ -174,10 +185,8 @@ class TestRank:
     def _model(self):
         # score = bcos
         idx = 17  # BCos position in FeatureVector.values()
-        root = TreeNode(feature=idx, threshold=0.5,
-                        left=TreeNode(value=0.0), right=TreeNode(value=1.0))
         from clickrec.features import FEATURE_NAMES
-        return Ensemble(base=0.0, trees=[(root, 1.0)], feature_names=FEATURE_NAMES)
+        return Ensemble(base=0.0, trees=[(stump(idx, 0.5, 0.0, 1.0), 1.0)], feature_names=FEATURE_NAMES)
 
     def test_empty(self):
         assert rank(self._model(), "q", []) == []
@@ -197,3 +206,62 @@ class TestRank:
         cands = [("bb", make_fv(bcos=0.9)), ("aa", make_fv(bcos=0.9))]
         out = rank(self._model(), "q", cands)
         assert [q for q, _ in out] == ["aa", "bb"]
+
+
+class TestMalformedModel:
+    @pytest.fixture
+    def lines(self, tmp_path):
+        X, y = random_problem(np.random.default_rng(11))
+        model = fit(X, y, TrainConfig(n_trees=3, max_depth=2))
+        save_model(model, str(tmp_path / "good.txt"))
+        return (tmp_path / "good.txt").read_text().splitlines()
+
+    def load(self, tmp_path, lines):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return load_model(str(path))
+
+    def first(self, lines, kind):
+        return next(i for i, ln in enumerate(lines) if ln.split("\t")[1:2] == [kind])
+
+    def test_truncated_file(self, tmp_path, lines):
+        cut = self.first(lines, "leaf")
+        with pytest.raises(ValueError, match=rf"model.txt:{cut + 1}: unexpected end of file"):
+            self.load(tmp_path, lines[:cut])
+
+    def test_unknown_node_kind(self, tmp_path, lines):
+        i = self.first(lines, "leaf")
+        lines[i] = lines[i].replace("\tleaf\t", "\tbush\t")
+        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: unknown node kind 'bush'"):
+            self.load(tmp_path, lines)
+
+    def test_child_index_out_of_range(self, tmp_path, lines):
+        i = self.first(lines, "split")
+        parts = lines[i].split("\t")
+        parts[5] = "99"
+        lines[i] = "\t".join(parts)
+        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: child index 99 out of range"):
+            self.load(tmp_path, lines)
+
+    def test_tree_count_differs_from_header(self, tmp_path, lines):
+        lines[0] = "n_trees\t4"
+        with pytest.raises(ValueError, match=r"model.txt:1: n_trees is 4 but the file has 3 trees"):
+            self.load(tmp_path, lines)
+
+    def test_missing_importance_section(self, tmp_path, lines):
+        lines = lines[: lines.index("importance")]
+        with pytest.raises(ValueError, match=rf"model.txt:{len(lines) + 1}: missing importance section"):
+            self.load(tmp_path, lines)
+
+    def test_cli_rank_reports_error(self, tmp_path, lines, capsys):
+        from clickrec import cli
+
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines[:-4]).replace("\tleaf\t", "\tbush\t") + "\n")
+        code = cli.main(
+            ["--out", str(tmp_path), "rank", "--model", str(path), "--features", "x", "--q1", "q"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}:") and "unknown node kind" in err
+        assert "Traceback" not in err

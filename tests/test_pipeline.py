@@ -5,6 +5,7 @@ import pytest
 
 from clickrec import candidates as cand
 from clickrec import gbdt, logs, pipeline, synth, taxonomy
+from conftest import cli_env
 
 
 SMALL = dict(n_topics=16, n_users=30, n_events=6000, seed=5)
@@ -168,6 +169,7 @@ class TestCLI:
             capture_output=True,
             text=True,
             cwd=cwd,
+            env=cli_env(),
         )
 
     def test_end_to_end_smoke(self, tmp_path):

@@ -2,7 +2,8 @@
 
 Each extractor returns the related query set for an input query plus a
 strength probability.  All three are pure functions of immutable count
-tables / sessions and can run in parallel across input queries.
+tables (ClickStats, SessionStats) and can run in parallel across input
+queries.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ class FacetLexicon:
     """Facet directives: words that terminate many distinct frequent queries."""
 
     facets: dict[str, int] = field(default_factory=dict)  # word -> distinct queries
-    min_distinct: int = 5
-    min_query_freq: int = 10
 
 
 @dataclass
@@ -59,12 +58,6 @@ def build_session_stats(sessions: list[Session]) -> SessionStats:
             st.successor_totals[b] = st.successor_totals.get(b, 0) + 1
             st.total_pairs += 1
     return st
-
-
-def _as_session_stats(sessions) -> SessionStats:
-    if isinstance(sessions, SessionStats):
-        return sessions
-    return build_session_stats(sessions)
 
 
 def brccq(q: str, stats: ClickStats) -> set[str]:
@@ -129,7 +122,7 @@ def detect_facets(
     facets = {
         w: len(qs) for w, qs in sorted(enders.items()) if len(qs) >= min_distinct
     }
-    return FacetLexicon(facets, min_distinct, min_query_freq)
+    return FacetLexicon(facets)
 
 
 def ctq(q1: str, lex: FacetLexicon, stats: ClickStats) -> set[str]:
@@ -151,15 +144,13 @@ def p_ct(q1: str, q2: str, lex: FacetLexicon, stats: ClickStats) -> float:
     return stats.cnt_q[q2] / denom
 
 
-def csq(q1: str, sessions) -> set[str]:
+def csq(q1: str, st: SessionStats) -> set[str]:
     """Queries immediately following q1 in some session (q1 itself excluded)."""
-    st = _as_session_stats(sessions)
     return {q2 for q2 in st.successors.get(q1, ()) if q2 != q1}
 
 
-def p_cs(q1: str, q2: str, sessions) -> float:
+def p_cs(q1: str, q2: str, st: SessionStats) -> float:
     """Co-session probability: adjacent q1->q2 count over q1's event count."""
-    st = _as_session_stats(sessions)
     occ = st.occurrences.get(q1, 0)
     if occ == 0:
         return 0.0
@@ -169,7 +160,7 @@ def p_cs(q1: str, q2: str, sessions) -> float:
 def generate_all(
     q1: str,
     stats: ClickStats,
-    sessions,
+    st: SessionStats,
     lex: FacetLexicon,
 ) -> list[CandidatePair]:
     """Union of the three extractors, one CandidatePair per (q2, kind).
@@ -177,7 +168,6 @@ def generate_all(
     Self-pairs are removed.  Order is deterministic: kind, then strength
     descending, then q2.
     """
-    st = _as_session_stats(sessions)
     pairs: list[CandidatePair] = []
     if q1 in stats.uc:
         for q2 in brccq(q1, stats):

@@ -8,45 +8,54 @@ produced by the corresponding modules.  A config file is plain-text
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import candidates as cand
-from . import evaluation as ev
 from . import features as feat
 from . import gbdt, pipeline, synth, taxonomy
 from . import logs as logmod
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+# Config value parsers by field annotation; both config classes use
+# ``from __future__ import annotations``, so annotations are strings.
+_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "list[str]": lambda val: [v for v in val.split(",") if v],
+}
+_CONFIG_KEYS = {
+    f.name for cls in (synth.SynthConfig, gbdt.TrainConfig) for f in dataclasses.fields(cls)
+}
+
+
+def _apply(cfg, path: str | None):
+    """Apply a ``key=value`` config file to cfg, one key at a time.
+
+    Each key is set with dataclasses.replace, so the config's own checks
+    see every value.  Keys of the other config class are skipped; any other
+    bad line raises ValueError("<path>:<line>: <reason>").
+    """
     if not path:
-        return {}
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
-
-
-def _apply(cfg, overrides: dict[str, str]):
-    for key, val in overrides.items():
-        if not hasattr(cfg, key):
+        return cfg
+    types = {f.name: f.type for f in dataclasses.fields(cfg)}
+    for lineno, line in enumerate(_read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        cur = getattr(cfg, key)
-        if isinstance(cur, bool):
-            setattr(cfg, key, val.lower() in ("1", "true", "yes"))
-        elif isinstance(cur, int):
-            setattr(cfg, key, int(val))
-        elif isinstance(cur, float):
-            setattr(cfg, key, float(val))
-        elif isinstance(cur, list):
-            setattr(cfg, key, [v for v in val.split(",") if v])
-        else:
-            setattr(cfg, key, val)
+        key, eq, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        try:
+            if not eq:
+                raise ValueError(f"expected key=value, got {line!r}")
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in types:
+                cfg = dataclasses.replace(cfg, **{key: _PARSERS[types[key]](val)})
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 
@@ -57,8 +66,20 @@ def _write(path: str, lines: list[str]) -> None:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_features(path: str):
+    """parse_feature_matrix on a file; errors name the file and the line."""
+    lines = _read_lines(path)
+    try:
+        return feat.parse_feature_matrix(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{exc}") from None
 
 
 def _prepare(log_path: str):
@@ -77,7 +98,7 @@ def _assignments(stats, taxonomy_path: str):
 
 
 def cmd_synth(args) -> int:
-    cfg = _apply(synth.SynthConfig(), _read_config(args.config))
+    cfg = _apply(synth.SynthConfig(), args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     clicks, tax = synth.synth_logs(cfg)
@@ -152,18 +173,15 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _train_config(args) -> gbdt.TrainConfig:
-    return _apply(gbdt.TrainConfig(), _read_config(args.config))
-
-
 def cmd_train(args) -> int:
-    rows = feat.parse_feature_matrix(_read_lines(args.features))
+    cfg = _apply(gbdt.TrainConfig(), args.config)
+    rows = _read_features(args.features)
     labeled = [(fv.values(), fv.sim) for _, _, _, fv in rows if fv.sim is not None]
-    if not labeled:
-        raise ValueError("no labeled rows (Sim column empty) in feature matrix")
+    if len(labeled) < 2:
+        raise ValueError(f"{args.features}: need at least 2 labeled rows (Sim column set)")
     X = [v for v, _ in labeled]
     y = [s for _, s in labeled]
-    model = gbdt.fit(X, y, _train_config(args), feature_names=feat.FEATURE_NAMES)
+    model = gbdt.fit(X, y, cfg, feature_names=feat.FEATURE_NAMES)
     os.makedirs(args.out, exist_ok=True)
     gbdt.save_model(model, os.path.join(args.out, "model.txt"))
     print(f"trained {len(model.trees)} trees, final MSE {model.train_mse[-1]:.6g}")
@@ -172,35 +190,16 @@ def cmd_train(args) -> int:
 
 def cmd_rank(args) -> int:
     model = gbdt.load_model(args.model)
-    rows = feat.parse_feature_matrix(_read_lines(args.features))
+    rows = _read_features(args.features)
     cands = [(q2, fv) for q1, q2, _, fv in rows if q1 == args.q1]
     for q2, score in gbdt.rank(model, args.q1, cands):
         print(f"{q2}\t{score:.12g}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    """Metrics for pre-ranked `q1<TAB>q2<TAB>sim` rows (grouped per q1)."""
-    grouped: dict[str, list[tuple[str, float]]] = {}
-    order: list[str] = []
-    for line in _read_lines(args.rankings):
-        if not line.strip():
-            continue
-        q1, q2, sim_s = line.split("\t")
-        if q1 not in grouped:
-            grouped[q1] = []
-            order.append(q1)
-        grouped[q1].append((q2, taxonomy.grade(float(sim_s))[1]))
-    rankings = [ev.GradedRanking.from_grades(q1, grouped[q1]) for q1 in order]
-    ndcg = sum(ev.ndcg5(r) for r in rankings) / len(rankings)
-    mapv = ev.mean_average_precision(rankings)
-    print(f"overall\t{ndcg:.6f}\t{mapv:.6f}")
-    return 0
-
-
 def cmd_crossval(args) -> int:
-    dataset = _build_dataset(args)
-    report = pipeline.run_crossval(dataset, _train_config(args))
+    cfg = _apply(gbdt.TrainConfig(), args.config)
+    report = pipeline.run_crossval(_build_dataset(args), cfg)
     _write(os.path.join(args.out, "report.tsv"), report.lines())
     for m in pipeline.ALL_METHODS:
         n, a = report.metrics[m]
@@ -235,8 +234,6 @@ def main(argv=None) -> int:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--q1", required=True)
-    p = sub.add_parser("eval", help="score pre-ranked q1/q2/sim rows")
-    p.add_argument("--rankings", required=True)
     p = sub.add_parser("crossval", help="end-to-end two-fold cross-validation")
     p.add_argument("--log", required=True)
     p.add_argument("--taxonomy", required=True)
@@ -251,7 +248,6 @@ def main(argv=None) -> int:
         "features": cmd_features,
         "train": cmd_train,
         "rank": cmd_rank,
-        "eval": cmd_eval,
         "crossval": cmd_crossval,
     }
     try:

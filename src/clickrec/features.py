@@ -7,13 +7,11 @@ bag cosines, click entropies and session co-occurrence statistics.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .candidates import (
     FacetLexicon,
     SessionStats,
-    _as_session_stats,
     brccq,
     ctq,
     p_cc,
@@ -22,88 +20,53 @@ from .candidates import (
 )
 from .logs import ClickStats
 
-FEATURE_NAMES = [
-    "P_cc",
-    "P_ct",
-    "P_cs",
-    "Freq.q1",
-    "Freq.q2",
-    "Freq.topic",
-    "Len.q1",
-    "Len.q2",
-    "CLen.q1",
-    "CLen.q2",
-    "delta.Len",
-    "delta.Len.Rel",
-    "delta.CLen",
-    "delta.CLen.Rel",
-    "mb.Leven",
-    "Leven",
-    "CCos",
-    "BCos",
-    "Ent.q1",
-    "Ent.q2",
-    "delta.Ent",
-    "Next.Ent",
-    "LLR",
+# The 23 ranking features in feature-matrix column order, one row each:
+# (column name, FeatureVector attribute, type).  Every other spelling of the
+# feature list (names, vector fields, matrix header and parsing) derives
+# from this table.
+FEATURES = [
+    ("P_cc", "p_cc", float),
+    ("P_ct", "p_ct", float),
+    ("P_cs", "p_cs", float),
+    ("Freq.q1", "freq_q1", int),
+    ("Freq.q2", "freq_q2", int),
+    ("Freq.topic", "freq_topic", int),
+    ("Len.q1", "len_q1", int),
+    ("Len.q2", "len_q2", int),
+    ("CLen.q1", "clen_q1", int),
+    ("CLen.q2", "clen_q2", int),
+    ("delta.Len", "delta_len", int),
+    ("delta.Len.Rel", "delta_len_rel", float),
+    ("delta.CLen", "delta_clen", int),
+    ("delta.CLen.Rel", "delta_clen_rel", float),
+    ("mb.Leven", "mb_leven", int),
+    ("Leven", "leven", int),
+    ("CCos", "ccos", float),
+    ("BCos", "bcos", float),
+    ("Ent.q1", "ent_q1", float),
+    ("Ent.q2", "ent_q2", float),
+    ("delta.Ent", "delta_ent", float),
+    ("Next.Ent", "next_ent", float),
+    ("LLR", "llr", float),
 ]
+FEATURE_NAMES = [name for name, _, _ in FEATURES]
 TARGET_NAME = "Sim"
+_COLUMNS = ["q1", "q2", "kind", *FEATURE_NAMES, TARGET_NAME]
+_TYPES = [typ for _, _, typ in FEATURES]
+_N_FEATURES = len(FEATURES)
 
 
-@dataclass
-class FeatureVector:
-    p_cc: float
-    p_ct: float
-    p_cs: float
-    freq_q1: int
-    freq_q2: int
-    freq_topic: int
-    len_q1: int
-    len_q2: int
-    clen_q1: int
-    clen_q2: int
-    delta_len: int
-    delta_len_rel: float
-    delta_clen: int
-    delta_clen_rel: float
-    mb_leven: int
-    leven: int
-    ccos: float
-    bcos: float
-    ent_q1: float
-    ent_q2: float
-    delta_ent: float
-    next_ent: float
-    llr: float
-    sim: float | None = None  # training target, absent at ranking time
+class FeatureVector(
+    namedtuple("FeatureVector", [attr for _, attr, _ in FEATURES] + ["sim"], defaults=[None])
+):
+    """The features of one (q1, q2) pair, then ``sim``: the training target,
+    absent (None) at ranking time."""
 
-    def values(self) -> list[float]:
+    __slots__ = ()
+
+    def values(self) -> tuple:
         """Feature values in FEATURE_NAMES order (target excluded)."""
-        return [
-            self.p_cc,
-            self.p_ct,
-            self.p_cs,
-            float(self.freq_q1),
-            float(self.freq_q2),
-            float(self.freq_topic),
-            float(self.len_q1),
-            float(self.len_q2),
-            float(self.clen_q1),
-            float(self.clen_q2),
-            float(self.delta_len),
-            self.delta_len_rel,
-            float(self.delta_clen),
-            self.delta_clen_rel,
-            float(self.mb_leven),
-            float(self.leven),
-            self.ccos,
-            self.bcos,
-            self.ent_q1,
-            self.ent_q2,
-            self.delta_ent,
-            self.next_ent,
-            self.llr,
-        ]
+        return self[:_N_FEATURES]
 
 
 def _entropy(counts) -> float:
@@ -126,22 +89,20 @@ def click_entropy(q: str, stats: ClickStats) -> float:
     return _entropy([stats.cnt_uq[(u, q)] for u in sorted(urls)])
 
 
-def next_query_entropy(q1: str, sessions) -> float:
+def next_query_entropy(q1: str, st: SessionStats) -> float:
     """Entropy (bits) of the immediate-successor distribution of q1."""
-    st = _as_session_stats(sessions)
     succ = st.successors.get(q1)
     if not succ:
         return 0.0
     return _entropy([succ[k] for k in sorted(succ)])
 
 
-def llr(q1: str, q2: str, sessions) -> float:
+def llr(q1: str, q2: str, st: SessionStats) -> float:
     """Dunning G-squared of observing q2 right after q1 in a session.
 
     The 2x2 table is over all session-adjacent ordered pairs: rows split on
     the predecessor being q1, columns on the successor being q2.
     """
-    st = _as_session_stats(sessions)
     n = st.total_pairs
     if n == 0:
         raise ValueError("no session-adjacent pairs observed")
@@ -211,7 +172,7 @@ def build_features(
     q1: str,
     q2: str,
     stats: ClickStats,
-    sessions,
+    st: SessionStats,
     lex: FacetLexicon,
     sim: float | None = None,
 ) -> FeatureVector:
@@ -222,7 +183,6 @@ def build_features(
     """
     if q1 not in stats.cnt_q:
         raise KeyError(f"unknown query: {q1!r}")
-    st = _as_session_stats(sessions)
 
     in_cc = q2 in brccq(q1, stats)
     expansions = ctq(q1, lex, stats)
@@ -269,8 +229,7 @@ def build_features(
 
 def feature_matrix_lines(rows: list[tuple[str, str, str, FeatureVector]]) -> list[str]:
     """TSV dump: header, then q1/q2/kind keys followed by numeric columns."""
-    header = "q1\tq2\tkind\t" + "\t".join(FEATURE_NAMES + [TARGET_NAME])
-    lines = [header]
+    lines = ["\t".join(_COLUMNS)]
     for q1, q2, kind, fv in rows:
         nums = [f"{v:.12g}" for v in fv.values()]
         nums.append("-" if fv.sim is None else f"{fv.sim:.12g}")
@@ -279,32 +238,31 @@ def feature_matrix_lines(rows: list[tuple[str, str, str, FeatureVector]]) -> lis
 
 
 def parse_feature_matrix(lines) -> list[tuple[str, str, str, FeatureVector]]:
-    """Inverse of feature_matrix_lines."""
+    """Inverse of feature_matrix_lines.
+
+    A malformed matrix raises ValueError("<line>: <reason>"), counting
+    lines from 1; every value must be a finite number.
+    """
     it = iter(lines)
-    header = next(it).rstrip("\n").split("\t")
-    expected = ["q1", "q2", "kind"] + FEATURE_NAMES + [TARGET_NAME]
-    if header != expected:
-        raise ValueError("unexpected feature matrix header")
-    int_fields = {
-        "freq_q1", "freq_q2", "freq_topic", "len_q1", "len_q2",
-        "clen_q1", "clen_q2", "delta_len", "delta_clen", "mb_leven", "leven",
-    }
-    field_order = [
-        "p_cc", "p_ct", "p_cs", "freq_q1", "freq_q2", "freq_topic",
-        "len_q1", "len_q2", "clen_q1", "clen_q2", "delta_len", "delta_len_rel",
-        "delta_clen", "delta_clen_rel", "mb_leven", "leven", "ccos", "bcos",
-        "ent_q1", "ent_q2", "delta_ent", "next_ent", "llr",
-    ]
+    header = next(it, None)
+    if header is None:
+        raise ValueError("1: empty file, expected the feature matrix header")
+    if header.rstrip("\n").split("\t") != _COLUMNS:
+        raise ValueError("1: unexpected feature matrix header")
     rows = []
-    for line in it:
+    for lineno, line in enumerate(it, 2):
         if not line.strip():
             continue
         parts = line.rstrip("\n").split("\t")
-        q1, q2, kind = parts[:3]
-        kwargs = {}
-        for name, raw in zip(field_order, parts[3:]):
-            kwargs[name] = int(float(raw)) if name in int_fields else float(raw)
-        sim_raw = parts[3 + len(field_order)]
-        kwargs["sim"] = None if sim_raw == "-" else float(sim_raw)
-        rows.append((q1, q2, kind, FeatureVector(**kwargs)))
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"{lineno}: expected {len(_COLUMNS)} fields, got {len(parts)}")
+        try:
+            nums = [float(raw) for raw in parts[3:-1]]
+            sim = None if parts[-1] == "-" else float(parts[-1])
+        except ValueError as exc:
+            raise ValueError(f"{lineno}: {exc}") from None
+        if not all(map(math.isfinite, nums)) or (sim is not None and not math.isfinite(sim)):
+            raise ValueError(f"{lineno}: non-finite value")
+        fv = FeatureVector(*[typ(v) for typ, v in zip(_TYPES, nums)], sim)
+        rows.append((parts[0], parts[1], parts[2], fv))
     return rows

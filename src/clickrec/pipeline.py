@@ -5,15 +5,15 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import candidates as cand
 from . import evaluation as ev
 from . import gbdt
-from .candidates import CandidatePair, FacetLexicon, SessionStats, build_session_stats
-from .features import FeatureVector, build_features
+from .candidates import CandidatePair, FacetLexicon, build_session_stats
+from .features import FEATURE_NAMES, FeatureVector, build_features
 from .logs import ClickStats, Session
 from .taxonomy import CategoryAssignment, grade, query_similarity
 
@@ -21,16 +21,13 @@ SINGLE_METHODS = ["P_cc", "P_ct", "P_cs"]
 COMBO_METHODS = ["P_cc+P_ct", "P_cc+P_cs", "P_ct+P_cs", "P_cc+P_ct+P_cs"]
 ALL_METHODS = SINGLE_METHODS + COMBO_METHODS + ["GBDT"]
 
-_SIGNAL_ATTR = {"P_cc": "p_cc", "P_ct": "p_ct", "P_cs": "p_cs"}
-
 
 @dataclass
 class DatasetRow:
     q1: str
     q2: str
     kinds: frozenset[str]  # empty for random negative pairs
-    fv: FeatureVector
-    target: float
+    fv: FeatureVector  # fv.sim is the target
 
 
 @dataclass
@@ -86,7 +83,7 @@ def generate_candidates(
 def build_dataset(
     pairs: list[CandidatePair],
     stats: ClickStats,
-    sessions,
+    sessions: list[Session],
     lex: FacetLexicon,
     assignments: dict[str, CategoryAssignment],
     clusters: dict[str, int],
@@ -102,7 +99,7 @@ def build_dataset(
     """
     if neg_ratio < 0:
         raise ValueError("neg_ratio must be >= 0")
-    st = build_session_stats(sessions) if not isinstance(sessions, SessionStats) else sessions
+    st = build_session_stats(sessions)
 
     def categorized(q: str) -> bool:
         a = assignments.get(q)
@@ -125,7 +122,7 @@ def build_dataset(
         if sim is None:
             continue
         fv = build_features(q1, q2, stats, st, lex, sim=sim)
-        rows.append(DatasetRow(q1, q2, frozenset(kinds), fv, sim))
+        rows.append(DatasetRow(q1, q2, frozenset(kinds), fv))
         taken.add((q1, q2))
 
     pool = sorted(q for q in stats.cnt_q if categorized(q))
@@ -154,7 +151,7 @@ def build_dataset(
         if sim is None:
             continue
         fv = build_features(q1, q2, stats, st, lex, sim=sim)
-        negatives.append(DatasetRow(q1, q2, frozenset(), fv, sim))
+        negatives.append(DatasetRow(q1, q2, frozenset(), fv))
         taken.add((q1, q2))
     rows.extend(negatives)
 
@@ -175,7 +172,7 @@ def _method_scores(
     for r in rows:
         s = 0.0
         for p in parts:
-            v = getattr(r.fv, _SIGNAL_ATTR[p])
+            v = r.fv[FEATURE_NAMES.index(p)]
             if len(parts) > 1:
                 lo, hi = norms[p]
                 v = (v - lo) / (hi - lo) if hi > lo else 0.0
@@ -192,8 +189,6 @@ def run_crossval(
     Besides the learned model, the single-signal rankings and unweighted
     sums of min-max-normalized signals are evaluated on the same folds.
     """
-    from .features import FEATURE_NAMES
-
     cfg = cfg or gbdt.TrainConfig()
     for f in (0, 1):
         if not any(dataset.folds[r.q1] == f for r in dataset.rows):
@@ -214,7 +209,7 @@ def run_crossval(
             raise ValueError("degenerate fold")
 
         X = np.array([r.fv.values() for r in train_rows])
-        y = np.array([r.target for r in train_rows])
+        y = np.array([r.fv.sim for r in train_rows])
         model = gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES)
         for name, val in model.importance.items():
             raw_importance[name] += val
@@ -224,7 +219,8 @@ def run_crossval(
         learned = {id(r): float(s) for r, s in zip(test_cand, gbdt.predict(model, X_cand))}
         norms = {}
         for p in SINGLE_METHODS:
-            vals = [getattr(r.fv, _SIGNAL_ATTR[p]) for r in test_cand]
+            col = FEATURE_NAMES.index(p)
+            vals = [r.fv[col] for r in test_cand]
             norms[p] = (min(vals), max(vals)) if vals else (0.0, 0.0)
 
         by_q1: dict[str, list[DatasetRow]] = {}
@@ -234,14 +230,14 @@ def run_crossval(
         for q1 in sorted(by_q1):
             rows = sorted(by_q1[q1], key=lambda r: r.q2)
             n_queries += 1
-            if all(grade(r.target)[1] == 0.0 for r in rows):
+            if all(grade(r.fv.sim)[1] == 0.0 for r in rows):
                 n_degenerate += 1
             for m in ALL_METHODS:
                 scores = _method_scores(m, rows, norms, learned)
                 order = sorted(
                     zip(rows, scores), key=lambda t: (-t[1], t[0].q2)
                 )
-                graded = [(r.q2, grade(r.target)[1]) for r, _ in order]
+                graded = [(r.q2, grade(r.fv.sim)[1]) for r, _ in order]
                 gr = ev.GradedRanking.from_grades(q1, graded)
                 rankings[m].append(gr)
                 per_query_ndcg[m].append(ev.ndcg5(gr))

@@ -107,7 +107,7 @@ def test_criterion_3_feature_oracles():
             for q in seq:
                 t += 10
                 out.append(ClickRecord(t, f"u{i}", q, "http://x", 1))
-        return segment_sessions(out, 300)
+        return cand.build_session_stats(segment_sessions(out, 300))
 
     # exactly proportional table: q2 follows q1 and others at the same rate
     proportional = sessions_from(

@@ -250,7 +250,7 @@ def _sessions_from_queries(seqs):
         for q in seq:
             t += 10
             recs.append(ClickRecord(t, f"u{i}", q, "http://x", 1))
-    return segment_sessions(recs, 300)
+    return build_session_stats(segment_sessions(recs, 300))
 
 
 class TestCsqPcs:
@@ -303,13 +303,14 @@ class TestGenerateAll:
     def test_unknown_query_empty(self, small_world):
         _, _, stats, sessions = small_world
         lex = detect_facets(stats)
-        assert generate_all("never seen", stats, sessions, lex) == []
+        assert generate_all("never seen", stats, build_session_stats(sessions), lex) == []
 
     def test_matches_oracle_union(self, small_world):
         _, _, stats, sessions = small_world
         lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
+        st = build_session_stats(sessions)
         for q1 in stats.cnt_q:
-            pairs = generate_all(q1, stats, sessions, lex)
+            pairs = generate_all(q1, stats, st, lex)
             by_kind = {}
             for p in pairs:
                 by_kind.setdefault(p.kind, set()).add(p.q2)
@@ -322,7 +323,8 @@ class TestGenerateAll:
         _, _, stats, sessions = small_world
         lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
         q1 = sorted(stats.cnt_q)[0]
-        pairs = generate_all(q1, stats, sessions, lex)
-        assert pairs == generate_all(q1, stats, sessions, lex)
+        st = build_session_stats(sessions)
+        pairs = generate_all(q1, stats, st, lex)
+        assert pairs == generate_all(q1, stats, st, lex)
         for line in dump_candidates(pairs):
             assert len(line.split("\t")) == 4

@@ -1,0 +1,209 @@
+"""Malformed feature matrices and config files through ``clickrec.cli.main``.
+
+Every bad input must give ``error: <path>:...`` on stderr and exit 1, never
+a traceback.
+"""
+
+import contextlib
+import io
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clickrec import cli
+from clickrec.features import FEATURES, FeatureVector, feature_matrix_lines
+
+# Training keys, then synth keys, which a training config may also hold.
+# n_trees comes last so that no edit can append digits of a later value to
+# it, which keeps every fuzzed training run short.
+CONFIG = """\
+# GBDT training
+shrinkage=0.5
+max_depth=2
+min_leaf=1
+# synth keys
+facet_vocab=a,b
+n_topics=16
+n_trees=3
+"""
+
+
+def matrix_lines(n_rows=8):
+    rng = random.Random(3)
+    rows = []
+    for i in range(n_rows):
+        values = [rng.randint(0, 9) if typ is int else rng.random() for _, _, typ in FEATURES]
+        fv = FeatureVector(*values, sim=rng.choice([0.0, 1 / 3, 2 / 3, 1.0]))
+        rows.append(("a" if i % 2 else "b", f"q{i}", "co_click", fv))
+    return feature_matrix_lines(rows)
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """A valid config, feature matrix and model in a module-wide directory."""
+    d = tmp_path_factory.mktemp("cli")
+    (d / "train.cfg").write_text(CONFIG)
+    (d / "features.tsv").write_text("\n".join(matrix_lines()) + "\n")
+    code, err = run("--config", d / "train.cfg", "--out", d / "model", "train",
+                    "--features", d / "features.tsv")
+    assert code == 0, err
+    return d
+
+
+def train(base, features, config=None):
+    cfg = ["--config", config] if config else []
+    return run(*cfg, "--out", base / "trained", "train", "--features", features)
+
+
+def rank(base, features):
+    return run("--out", base / "ranked", "rank", "--model", base / "model" / "model.txt",
+               "--features", features, "--q1", "a")
+
+
+def set_field(row, col, value):
+    """matrix_lines() with field col of line row replaced, or dropped if None."""
+    lines = matrix_lines()
+    parts = lines[row].split("\t")
+    if value is None:
+        del parts[col]
+    else:
+        parts[col] = value
+    lines[row] = "\t".join(parts)
+    return lines
+
+
+class TestFeatureMatrixErrors:
+    @pytest.mark.parametrize("command", [train, rank])
+    @pytest.mark.parametrize(
+        "lines, where",
+        [
+            ([], "1: empty file"),
+            (set_field(0, 3, "p_cc"), "1: unexpected feature matrix header"),
+            (set_field(2, -1, None), "3: expected 27 fields, got 26"),
+            (set_field(3, 5, "abc"), "4: could not convert string to float: 'abc'"),
+            (set_field(2, -1, "inf"), "3: non-finite value"),
+        ],
+    )
+    def test_error_names_file_and_line(self, base, tmp_path, command, lines, where):
+        path = tmp_path / "bad.tsv"
+        path.write_text("".join(ln + "\n" for ln in lines))
+        code, err = command(base, path)
+        assert code == 1
+        assert err.startswith(f"error: {path}:{where}"), err
+        assert "Traceback" not in err
+
+    def test_one_labeled_row(self, base, tmp_path):
+        path = tmp_path / "unlabeled.tsv"
+        path.write_text("".join(ln + "\n" for ln in set_field(2, -1, "-")[:3]))
+        code, err = train(base, path)
+        assert code == 1
+        assert err.startswith(f"error: {path}: need at least 2 labeled rows")
+
+
+    def test_not_utf8(self, base, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(matrix_lines()[0].encode() + b"\n\xff\n")
+        code, err = train(base, path)
+        assert code == 1
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode"), err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("n_tres=5", "unknown config key 'n_tres'"),
+            ("n_trees", "expected key=value"),
+            ("n_trees=many", "invalid literal for int()"),
+            ("n_trees=0", "n_trees must be >= 1"),
+            ("shrinkage=0", "shrinkage must be in (0, 1]"),
+        ],
+    )
+    def test_train_config(self, base, tmp_path, line, reason):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG + line + "\n")
+        code, err = train(base, base / "features.tsv", cfg)
+        assert code == 1
+        assert err.startswith(f"error: {cfg}:{CONFIG.count(chr(10)) + 1}: {reason}"), err
+
+    def test_synth_config_checked(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("n_trees=5\nn_topics=0\n")
+        code, err = run("--config", cfg, "--out", tmp_path / "out", "synth")
+        assert code == 1
+        assert err.startswith(f"error: {cfg}:2: n_topics must be >= 1"), err
+
+    def test_keys_of_the_other_config_allowed(self, base):
+        code, err = train(base, base / "features.tsv", base / "train.cfg")
+        assert code == 0, err
+
+
+# Inserted config text has no digits, so an edit cannot make a number large
+# enough to slow a training run down; feature values may grow freely.
+FEATURE_CHARS = "0123456789.-+eE\t\n abcfin"
+FEATURE_TOKENS = ["nan", "inf", "-inf", "1e999", "-", "", "abc"]
+CONFIG_CHARS = "=#\t\n .-_eEabcdfgiklmnoprstuvx"
+CONFIG_TOKENS = ["nan", "inf", "0", "-1", "", "x"]
+
+
+def edits(alphabet, tokens):
+    """Field replacements by tokens, character edits and a cut (see mutate).
+
+    Deletions reach a few hundred characters, so whole matrix rows go too.
+    """
+    field = st.tuples(st.integers(min_value=0), st.integers(min_value=0), st.sampled_from(tokens))
+    edit = st.tuples(
+        st.integers(min_value=0), st.integers(0, 8) | st.integers(0, 600), st.text(alphabet, max_size=4)
+    )
+    return st.tuples(
+        st.lists(field, max_size=2), st.lists(edit, max_size=3), st.none() | st.integers(min_value=0)
+    )
+
+
+def mutate(text, sep, mutation):
+    """Replace (line, field, token) fields split on sep, apply (position,
+    deleted chars, inserted text) edits, then cut the text."""
+    fields, changes, cut = mutation
+    lines = text.split("\n")
+    for row, col, token in fields:
+        row %= len(lines)
+        parts = lines[row].split(sep)
+        parts[col % len(parts)] = token
+        lines[row] = sep.join(parts)
+    text = "\n".join(lines)
+    for pos, n_del, ins in changes:
+        pos %= len(text) + 1
+        text = text[:pos] + ins + text[pos + n_del :]
+    return text if cut is None else text[: cut % (len(text) + 1)]
+
+
+def clean_outcome(code, err, path):
+    return code == 0 or (code == 1 and err.startswith(f"error: {path}:"))
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(edits(FEATURE_CHARS, FEATURE_TOKENS))
+    def test_mutated_feature_matrix(self, base, mutation):
+        path = base / "mutated.tsv"
+        path.write_text(mutate((base / "features.tsv").read_text(), "\t", mutation))
+        for command in (train, rank):
+            code, err = command(base, path)
+            assert clean_outcome(code, err, path), err
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits(CONFIG_CHARS, CONFIG_TOKENS))
+    def test_mutated_config(self, base, mutation):
+        path = base / "mutated.cfg"
+        path.write_text(mutate(CONFIG, "=", mutation))
+        code, err = train(base, base / "features.tsv", path)
+        assert clean_outcome(code, err, path), err

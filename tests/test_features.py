@@ -71,7 +71,7 @@ def _sessions(seqs):
         for q in seq:
             t += 10
             recs.append(ClickRecord(t, f"u{i}", q, "http://x", 1))
-    return segment_sessions(recs, 300)
+    return build_session_stats(segment_sessions(recs, 300))
 
 
 class TestClickEntropy:
@@ -141,8 +141,7 @@ class TestLLR:
             seqs = [
                 [rng.choice("abcd"), rng.choice("abcd")] for _ in range(rng.randint(3, 20))
             ]
-            sessions = _sessions(seqs)
-            st = build_session_stats(sessions)
+            st = _sessions(seqs)
             for q1 in "abcd":
                 for q2 in "abcd":
                     k11 = st.pair_counts.get((q1, q2), 0)
@@ -266,9 +265,8 @@ class TestBuildFeatures:
         assert fv.delta_len == 0 and fv.delta_clen == 0
 
     def test_field_by_field_recomputation(self):
-        stats, sessions, lex = self._context()
-        fv = build_features("curry", "curry recipe", stats, sessions, lex, sim=1.0)
-        st = build_session_stats(sessions)
+        stats, st, lex = self._context()
+        fv = build_features("curry", "curry recipe", stats, st, lex, sim=1.0)
         assert fv.p_ct == stats.cnt_q["curry recipe"] / (
             stats.cnt_q["curry"] + stats.cnt_q["curry recipe"]
         )

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from clickrec.features import FeatureVector
+from clickrec.features import FEATURE_NAMES, FeatureVector
 from clickrec.gbdt import (
     Ensemble,
     TrainConfig,
@@ -184,8 +184,7 @@ class TestSerialization:
 class TestRank:
     def _model(self):
         # score = bcos
-        idx = 17  # BCos position in FeatureVector.values()
-        from clickrec.features import FEATURE_NAMES
+        idx = FEATURE_NAMES.index("BCos")
         return Ensemble(base=0.0, trees=[(stump(idx, 0.5, 0.0, 1.0), 1.0)], feature_names=FEATURE_NAMES)
 
     def test_empty(self):

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from clickrec import candidates as cand
-from clickrec import gbdt, logs, pipeline, synth, taxonomy
+from clickrec import features, gbdt, logs, pipeline, synth, taxonomy
 from conftest import cli_env
 
 
@@ -100,7 +100,7 @@ class TestDataset:
 
     def test_all_rows_categorized_targets(self, dataset):
         for r in dataset.rows:
-            assert 0.0 <= r.target <= 1.0
+            assert 0.0 <= r.fv.sim <= 1.0
             assert r.q1 != r.q2
 
     def test_no_variant_mates(self, world, dataset):
@@ -120,6 +120,14 @@ class TestDataset:
             pairs, stats, sessions, lex, assignments, clusters, neg_ratio=0.0
         )
         assert all(r.kinds for r in ds.rows)
+
+    def test_feature_matrix_round_trip(self, dataset):
+        rows = [(r.q1, r.q2, "+".join(sorted(r.kinds)) or "-", r.fv) for r in dataset.rows]
+        lines = features.feature_matrix_lines(rows)
+        assert features.feature_matrix_lines(features.parse_feature_matrix(lines)) == lines
+        types = [typ for _, _, typ in features.FEATURES]
+        for r in dataset.rows:
+            assert [type(v) for v in r.fv.values()] == types
 
     def test_neg_ratio_one_doubles(self, dataset):
         n_pos = sum(1 for r in dataset.rows if r.kinds)

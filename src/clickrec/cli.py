@@ -73,18 +73,27 @@ def _read_lines(path: str) -> list[str]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_features(path: str):
-    """parse_feature_matrix on a file; errors name the file and the line."""
+def _parse_file(path: str, parse):
+    """parse(lines of the file); its "<line>: <reason>" errors name the file."""
     lines = _read_lines(path)
     try:
-        return feat.parse_feature_matrix(lines)
+        return parse(lines)
     except ValueError as exc:
         raise ValueError(f"{path}:{exc}") from None
 
 
+def _parse_log(path: str):
+    """parse_log on a file; its error, which has no line, names the file."""
+    lines = _read_lines(path)
+    try:
+        return logmod.parse_log(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _prepare(log_path: str):
     """Parse + clean a log and build every shared structure."""
-    parsed = logmod.parse_log(_read_lines(log_path))
+    parsed = _parse_log(log_path)
     records = logmod.clean_log(parsed.records)
     stats = logmod.build_click_stats(records)
     sessions = logmod.segment_sessions(parsed.records)
@@ -93,7 +102,7 @@ def _prepare(log_path: str):
 
 
 def _assignments(stats, taxonomy_path: str):
-    index = taxonomy.load_taxonomy(_read_lines(taxonomy_path))
+    index = _parse_file(taxonomy_path, taxonomy.load_taxonomy)
     return {q: taxonomy.assign_category(q, index) for q in stats.queries}
 
 
@@ -109,7 +118,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    parsed = logmod.parse_log(_read_lines(args.log))
+    parsed = _parse_log(args.log)
     records = logmod.clean_log(parsed.records)
     sessions = logmod.segment_sessions(parsed.records)
     _write(os.path.join(args.out, "cleaned.tsv"), logmod.serialize_records(records))
@@ -175,7 +184,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply(gbdt.TrainConfig(), args.config)
-    rows = _read_features(args.features)
+    rows = _parse_file(args.features, feat.parse_feature_matrix)
     labeled = [(fv.values(), fv.sim) for _, _, _, fv in rows if fv.sim is not None]
     if len(labeled) < 2:
         raise ValueError(f"{args.features}: need at least 2 labeled rows (Sim column set)")
@@ -190,7 +199,11 @@ def cmd_train(args) -> int:
 
 def cmd_rank(args) -> int:
     model = gbdt.load_model(args.model)
-    rows = _read_features(args.features)
+    if model.feature_names != feat.FEATURE_NAMES:
+        raise ValueError(
+            f"{args.model}: the model's features are not the feature matrix columns"
+        )
+    rows = _parse_file(args.features, feat.parse_feature_matrix)
     cands = [(q2, fv) for q1, q2, _, fv in rows if q1 == args.q1]
     for q2, score in gbdt.rank(model, args.q1, cands):
         print(f"{q2}\t{score:.12g}")

@@ -56,7 +56,6 @@ class TrainConfig:
     shrinkage: float = 0.1
     max_depth: int | None = 4  # None = unlimited
     min_leaf: int = 10
-    early_stop_patience: int | None = None  # validation MSE plateau, off by default
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -72,7 +71,7 @@ class TrainConfig:
 @dataclass
 class Ensemble:
     base: float
-    trees: list[tuple[Tree, float]] = field(default_factory=list)
+    trees: list[Tree] = field(default_factory=list)  # each weighted by shrinkage
     feature_names: list[str] = field(default_factory=list)
     importance: dict[str, float] = field(default_factory=dict)  # max-normalized to 100
     train_mse: list[float] = field(default_factory=list)
@@ -234,18 +233,9 @@ class _Grower:
 
 
 def fit(
-    X,
-    y,
-    cfg: TrainConfig | None = None,
-    feature_names: list[str] | None = None,
-    valid: tuple | None = None,
+    X, y, cfg: TrainConfig | None = None, feature_names: list[str] | None = None
 ) -> Ensemble:
-    """Train the boosted ensemble; records per-iteration training MSE.
-
-    With early_stop_patience set and a (X_valid, y_valid) pair given,
-    boosting stops once validation MSE fails to improve for that many
-    consecutive iterations.
-    """
+    """Train the boosted ensemble; records per-iteration training MSE."""
     cfg = cfg or TrainConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -267,12 +257,6 @@ def fit(
     grower = _Grower(X, cfg)
     raw = np.zeros(X.shape[1])
     pred = np.full(len(y), model.base)
-    if valid is not None:
-        Xv = np.asarray(valid[0], dtype=np.float64)
-        yv = np.asarray(valid[1], dtype=np.float64)
-        pred_v = np.full(len(yv), model.base)
-        best_v = float(np.mean((yv - pred_v) ** 2))
-        stall = 0
     for _ in range(cfg.n_trees):
         r = y - pred
         if np.all(r == 0.0):
@@ -282,22 +266,12 @@ def fit(
         if tree.depth == 0 and tree.value[0] == 0.0:
             model.train_mse.append(float(np.mean(r**2)))
             break
-        model.trees.append((tree, cfg.shrinkage))
+        model.trees.append(tree)
         for f, g in zip(tree.feature, gains):
             if f >= 0:
                 raw[f] += g
         pred = pred + cfg.shrinkage * tree.value[leaf_of]
         model.train_mse.append(float(np.mean((y - pred) ** 2)))
-        if valid is not None and cfg.early_stop_patience is not None:
-            pred_v = pred_v + cfg.shrinkage * _leaf_values(_Forest([tree]), Xv)[:, 0]
-            mse_v = float(np.mean((yv - pred_v) ** 2))
-            if mse_v < best_v - 1e-12:
-                best_v = mse_v
-                stall = 0
-            else:
-                stall += 1
-                if stall >= cfg.early_stop_patience:
-                    break
 
     peak = raw.max()
     if peak > 0:
@@ -358,15 +332,15 @@ def predict(model: Ensemble, x) -> float | np.ndarray:
         )
     out = np.full(len(arr), model.base)
     if model.trees and len(arr):
-        forest = _Forest([t for t, _ in model.trees])
-        weights = np.array([w for _, w in model.trees])
+        forest = _Forest(model.trees)
         for s in range(0, len(arr), _BLOCK):
             block = out[s : s + _BLOCK]
-            terms = np.empty((len(block), len(weights) + 1))
+            terms = np.empty((len(block), len(model.trees) + 1))
             terms[:, 0] = block
-            np.multiply(weights, _leaf_values(forest, arr[s : s + _BLOCK]), out=terms[:, 1:])
+            values = _leaf_values(forest, arr[s : s + _BLOCK])
+            np.multiply(model.shrinkage, values, out=terms[:, 1:])
             # cumsum adds the trees one after another, exactly as
-            # out += w * v per tree would; a pairwise sum would not.
+            # out += shrinkage * v per tree would; a pairwise sum would not.
             block[:] = np.cumsum(terms, axis=1)[:, -1]
     return float(out[0]) if single else out
 
@@ -405,8 +379,8 @@ def save_model(model: Ensemble, path: str) -> None:
         f"base\t{model.base!r}",
         "features\t" + "\t".join(model.feature_names),
     ]
-    for t, (tree, w) in enumerate(model.trees):
-        lines.append(f"tree\t{t}\t{w!r}\t{len(tree.feature)}")
+    for t, tree in enumerate(model.trees):
+        lines.append(f"tree\t{t}\t{model.shrinkage!r}\t{len(tree.feature)}")
         for i, (f, thr, lt, rt, v) in enumerate(
             zip(
                 tree.feature.tolist(),
@@ -467,9 +441,12 @@ def load_model(path: str) -> Ensemble:
     while pos < len(lines) and lines[pos][1].startswith("tree\t"):
         _, _, w_s, count_s = fields(4)
         w, count = number(float, w_s), number(int, count_s)
+        if w != shrinkage:
+            fail(f"tree weight {w!r} differs from shrinkage {shrinkage!r}")
         if count < 1:
             fail(f"tree has {count} nodes")
         arrays: tuple[list, ...] = ([], [], [], [], [])
+        claimed: set[int] = set()  # nodes already some split's child
         for i in range(count):
             parts = fields(6)
             if parts[1] == "leaf":
@@ -482,12 +459,15 @@ def load_model(path: str) -> Ensemble:
                 for k in kids:
                     if not i < k < count:
                         fail(f"child index {k} out of range")
+                    if k in claimed:
+                        fail(f"node {k} has two parents")
+                    claimed.add(k)
                 node = (f, number(float, parts[3]), *kids, 0.0)
             else:
                 fail(f"unknown node kind {parts[1]!r}")
             for column, v in zip(arrays, node):
                 column.append(v)
-        model.trees.append((Tree(*arrays), w))
+        model.trees.append(Tree(*arrays))
     if len(model.trees) != n_trees:
         lineno = header
         fail(f"n_trees is {n_trees} but the file has {len(model.trees)} trees")

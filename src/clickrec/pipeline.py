@@ -159,35 +159,13 @@ def build_dataset(
     return Dataset(rows, folds)
 
 
-def _method_scores(
-    method: str,
-    rows: list[DatasetRow],
-    norms: dict[str, tuple[float, float]],
-    learned: dict[int, float],
-) -> list[float]:
-    if method == "GBDT":
-        return [learned[id(r)] for r in rows]
-    parts = method.split("+")
-    scores = []
-    for r in rows:
-        s = 0.0
-        for p in parts:
-            v = r.fv[FEATURE_NAMES.index(p)]
-            if len(parts) > 1:
-                lo, hi = norms[p]
-                v = (v - lo) / (hi - lo) if hi > lo else 0.0
-            s += v
-        scores.append(s)
-    return scores
-
-
-def run_crossval(
-    dataset: Dataset, cfg: gbdt.TrainConfig | None = None, curve_points: int = 11
-) -> CrossvalReport:
+def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig | None = None) -> CrossvalReport:
     """Two-fold CV: train on one fold, rank candidate rows of the other.
 
     Besides the learned model, the single-signal rankings and unweighted
     sums of min-max-normalized signals are evaluated on the same folds.
+    Each method is one score per test candidate; a query's candidates are
+    ranked by (-score, q2).
     """
     cfg = cfg or gbdt.TrainConfig()
     for f in (0, 1):
@@ -195,53 +173,44 @@ def run_crossval(
             raise ValueError(f"fold {f} is empty")
 
     per_query_ndcg: dict[str, list[float]] = {m: [] for m in ALL_METHODS}
-    per_query_ap: dict[str, list[float]] = {m: [] for m in ALL_METHODS}
     rankings: dict[str, list[ev.GradedRanking]] = {m: [] for m in ALL_METHODS}
     raw_importance = {n: 0.0 for n in FEATURE_NAMES}
     n_degenerate = 0
-    n_queries = 0
 
     for train_fold in (0, 1):
-        test_fold = 1 - train_fold
         train_rows = [r for r in dataset.rows if dataset.folds[r.q1] == train_fold]
-        test_rows = [r for r in dataset.rows if dataset.folds[r.q1] == test_fold]
-        if not train_rows or not test_rows:
-            raise ValueError("degenerate fold")
-
         X = np.array([r.fv.values() for r in train_rows])
         y = np.array([r.fv.sim for r in train_rows])
         model = gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES)
         for name, val in model.importance.items():
             raw_importance[name] += val
 
-        test_cand = [r for r in test_rows if r.kinds]
+        test_cand = [r for r in dataset.rows if r.kinds and dataset.folds[r.q1] != train_fold]
         X_cand = np.array([r.fv.values() for r in test_cand]).reshape(-1, len(FEATURE_NAMES))
-        learned = {id(r): float(s) for r, s in zip(test_cand, gbdt.predict(model, X_cand))}
-        norms = {}
+        scores = {"GBDT": gbdt.predict(model, X_cand)}
+        normed = {}
         for p in SINGLE_METHODS:
-            col = FEATURE_NAMES.index(p)
-            vals = [r.fv[col] for r in test_cand]
-            norms[p] = (min(vals), max(vals)) if vals else (0.0, 0.0)
+            col = X_cand[:, FEATURE_NAMES.index(p)]
+            scores[p] = col
+            lo, hi = (col.min(), col.max()) if len(col) else (0.0, 0.0)
+            normed[p] = (col - lo) / (hi - lo) if hi > lo else np.zeros(len(col))
+        for m in COMBO_METHODS:
+            scores[m] = sum((normed[p] for p in m.split("+")), np.zeros(len(test_cand)))
+        scores = {m: col.tolist() for m, col in scores.items()}
+        grades = [grade(r.fv.sim)[1] for r in test_cand]
 
-        by_q1: dict[str, list[DatasetRow]] = {}
-        for r in test_cand:
-            by_q1.setdefault(r.q1, []).append(r)
-
+        by_q1: dict[str, list[int]] = {}
+        for i, r in enumerate(test_cand):
+            by_q1.setdefault(r.q1, []).append(i)
         for q1 in sorted(by_q1):
-            rows = sorted(by_q1[q1], key=lambda r: r.q2)
-            n_queries += 1
-            if all(grade(r.fv.sim)[1] == 0.0 for r in rows):
-                n_degenerate += 1
             for m in ALL_METHODS:
-                scores = _method_scores(m, rows, norms, learned)
-                order = sorted(
-                    zip(rows, scores), key=lambda t: (-t[1], t[0].q2)
-                )
-                graded = [(r.q2, grade(r.fv.sim)[1]) for r, _ in order]
+                score = scores[m]
+                order = sorted(by_q1[q1], key=lambda i: (-score[i], test_cand[i].q2))
+                graded = [(test_cand[i].q2, grades[i]) for i in order]
                 gr = ev.GradedRanking.from_grades(q1, graded)
                 rankings[m].append(gr)
                 per_query_ndcg[m].append(ev.ndcg5(gr))
-                per_query_ap[m].append(ev.average_precision(gr))
+            n_degenerate += gr.degenerate  # every method ranks the same items
 
     metrics = {
         m: (
@@ -264,14 +233,12 @@ def run_crossval(
         n: (100.0 * v / peak if peak > 0 else 0.0)
         for n, v in raw_importance.items()
     }
-    curves = {
-        m: ev.precision_recall_curve(rankings[m], curve_points) for m in ALL_METHODS
-    }
+    curves = {m: ev.precision_recall_curve(rankings[m]) for m in ALL_METHODS}
     return CrossvalReport(
         metrics=metrics,
         wilcoxon=wilcoxon,
         importance=importance,
         curves=curves,
-        n_queries=n_queries,
+        n_queries=len(rankings["GBDT"]),
         n_degenerate=n_degenerate,
     )

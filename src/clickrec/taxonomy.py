@@ -45,13 +45,22 @@ class CategoryAssignment:
 
 
 def load_taxonomy(lines) -> list[CategorizedSite]:
-    """Read `url<TAB>title<TAB>description<TAB>category_path` records."""
+    """Read `url<TAB>title<TAB>description<TAB>category_path` records.
+
+    A malformed record raises ValueError("<line>: <reason>").
+    """
     sites = []
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        url, title, desc, cat = line.rstrip("\n").split("\t")
-        sites.append(CategorizedSite(url, title, desc, parse_path(cat)))
+        parts = line.rstrip("\n").split("\t")
+        try:
+            if len(parts) != 4:
+                raise ValueError(f"expected 4 fields, got {len(parts)}")
+            url, title, desc, cat = parts
+            sites.append(CategorizedSite(url, title, desc, parse_path(cat)))
+        except ValueError as exc:
+            raise ValueError(f"{lineno}: {exc}") from None
     return sites
 
 

@@ -4,8 +4,10 @@ This is the recursive ``TreeNode`` implementation that ``clickrec.gbdt``
 used before presorted training and flat-array trees.  It re-sorts every
 column at every node, so it is slow, but it is the specification the fast
 trainer must match bit for bit: same splits, leaf values, gains,
-importances, training MSE, predictions and model-file bytes.  Only the
-``Ensemble.n_trees`` argument was dropped, as that field no longer exists.
+importances, training MSE, predictions and model-file bytes.  Since then the
+``Ensemble.n_trees`` argument, early stopping on a validation pair and
+per-tree weights were dropped, as ``clickrec.gbdt`` no longer has them;
+every tree is weighted by ``Ensemble.shrinkage``.
 """
 
 from __future__ import annotations
@@ -117,14 +119,8 @@ def fit(
     y,
     cfg: TrainConfig | None = None,
     feature_names: list[str] | None = None,
-    valid: tuple | None = None,
 ) -> Ensemble:
-    """Train the boosted ensemble; records per-iteration training MSE.
-
-    With early_stop_patience set and a (X_valid, y_valid) pair given,
-    boosting stops once validation MSE fails to improve for that many
-    consecutive iterations.
-    """
+    """Train the boosted ensemble; records per-iteration training MSE."""
     cfg = cfg or TrainConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -144,12 +140,6 @@ def fit(
         shrinkage=cfg.shrinkage,
     )
     pred = np.full(len(y), model.base)
-    if valid is not None:
-        Xv = np.asarray(valid[0], dtype=np.float64)
-        yv = np.asarray(valid[1], dtype=np.float64)
-        pred_v = np.full(len(yv), model.base)
-        best_v = float(np.mean((yv - pred_v) ** 2))
-        stall = 0
     for _ in range(cfg.n_trees):
         r = y - pred
         if np.all(r == 0.0):
@@ -159,22 +149,12 @@ def fit(
         if root.is_leaf and root.value == 0.0:
             model.train_mse.append(float(np.mean(r**2)))
             break
-        model.trees.append((root, cfg.shrinkage))
+        model.trees.append(root)
         pred = pred + cfg.shrinkage * _eval_tree(root, X)
         model.train_mse.append(float(np.mean((y - pred) ** 2)))
-        if valid is not None and cfg.early_stop_patience is not None:
-            pred_v = pred_v + cfg.shrinkage * _eval_tree(root, Xv)
-            mse_v = float(np.mean((yv - pred_v) ** 2))
-            if mse_v < best_v - 1e-12:
-                best_v = mse_v
-                stall = 0
-            else:
-                stall += 1
-                if stall >= cfg.early_stop_patience:
-                    break
 
     raw = np.zeros(X.shape[1])
-    for root, _ in model.trees:
+    for root in model.trees:
         _collect_gains(root, raw)
     peak = raw.max()
     if peak > 0:
@@ -197,8 +177,8 @@ def predict(model: Ensemble, x) -> float | np.ndarray:
             f"expected {len(model.feature_names)} features, got {arr.shape[1]}"
         )
     out = np.full(len(arr), model.base)
-    for root, w in model.trees:
-        out += w * _eval_tree(root, arr)
+    for root in model.trees:
+        out += model.shrinkage * _eval_tree(root, arr)
     return float(out[0]) if single else out
 
 
@@ -223,10 +203,10 @@ def save_model(model: Ensemble, path: str) -> None:
         f"base\t{model.base!r}",
         "features\t" + "\t".join(model.feature_names),
     ]
-    for t, (root, w) in enumerate(model.trees):
+    for t, root in enumerate(model.trees):
         nodes = _walk_preorder(root)
         ids = {id(n): i for i, n in enumerate(nodes)}
-        lines.append(f"tree\t{t}\t{w!r}\t{len(nodes)}")
+        lines.append(f"tree\t{t}\t{model.shrinkage!r}\t{len(nodes)}")
         for i, n in enumerate(nodes):
             if n.is_leaf:
                 lines.append(f"{i}\tleaf\t{n.value!r}\t-\t-\t-")

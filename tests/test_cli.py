@@ -1,4 +1,4 @@
-"""Malformed feature matrices and config files through ``clickrec.cli.main``.
+"""Malformed input files and config files through ``clickrec.cli.main``.
 
 Every bad input must give ``error: <path>:...`` on stderr and exit 1, never
 a traceback.
@@ -64,8 +64,8 @@ def train(base, features, config=None):
     return run(*cfg, "--out", base / "trained", "train", "--features", features)
 
 
-def rank(base, features):
-    return run("--out", base / "ranked", "rank", "--model", base / "model" / "model.txt",
+def rank(base, features, model=None):
+    return run("--out", base / "ranked", "rank", "--model", model or base / "model" / "model.txt",
                "--features", features, "--q1", "a")
 
 
@@ -122,6 +122,7 @@ class TestConfigErrors:
         "line, reason",
         [
             ("n_tres=5", "unknown config key 'n_tres'"),
+            ("early_stop_patience=3", "unknown config key 'early_stop_patience'"),
             ("n_trees", "expected key=value"),
             ("n_trees=many", "invalid literal for int()"),
             ("n_trees=0", "n_trees must be >= 1"),
@@ -147,12 +148,71 @@ class TestConfigErrors:
         assert code == 0, err
 
 
+class TestModelErrors:
+    @pytest.fixture
+    def lines(self, base):
+        return (base / "model" / "model.txt").read_text().splitlines()
+
+    def rank_with(self, base, tmp_path, lines):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return (path, *rank(base, base / "features.tsv", path))
+
+    def test_tree_weight_differs_from_shrinkage(self, base, tmp_path, lines):
+        i = [n for n, ln in enumerate(lines) if ln.startswith("tree\t")][1]
+        parts = lines[i].split("\t")
+        parts[2] = "0.25"
+        lines[i] = "\t".join(parts)
+        path, code, err = self.rank_with(base, tmp_path, lines)
+        assert code == 1
+        assert err.startswith(f"error: {path}:{i + 1}: tree weight 0.25 differs from shrinkage 0.5")
+
+    def test_features_differ_from_matrix_columns(self, base, tmp_path, lines):
+        lines[3] += "\textra"
+        path, code, err = self.rank_with(base, tmp_path, lines)
+        assert code == 1
+        assert err.startswith(f"error: {path}: the model's features are not the feature"), err
+
+
+CLICKS = "100\tu1\tcurry\thttp://a\t1\n"
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("http://x\ttitle\tdesc", "expected 4 fields, got 3"),
+            ("http://x\ttitle\tdesc\tFood\textra", "expected 4 fields, got 5"),
+            ("http://x\ttitle\tdesc\ta//b", "bad category path: 'a//b'"),
+        ],
+    )
+    def test_taxonomy(self, tmp_path, line, reason):
+        log, tax = tmp_path / "clicks.tsv", tmp_path / "taxonomy.tsv"
+        log.write_text(CLICKS)
+        tax.write_text(f"http://a\tcurry\trecipes\tFood/Cooking\n\n{line}\n")
+        code, err = run("--out", tmp_path / "out", "assign", "--log", log, "--taxonomy", tax)
+        assert code == 1
+        assert err.startswith(f"error: {tax}:3: {reason}"), err
+
+    @pytest.mark.parametrize("command", ["ingest", "candidates"])
+    def test_not_a_click_log(self, tmp_path, command):
+        log = tmp_path / "clicks.tsv"
+        log.write_text(CLICKS + "not a click\nnor this\n")
+        code, err = run("--out", tmp_path / "out", command, "--log", log)
+        assert code == 1
+        assert err.startswith(
+            f"error: {log}: 2 of 3 lines malformed; input does not look like a click log"
+        ), err
+
+
 # Inserted config text has no digits, so an edit cannot make a number large
 # enough to slow a training run down; feature values may grow freely.
 FEATURE_CHARS = "0123456789.-+eE\t\n abcfin"
 FEATURE_TOKENS = ["nan", "inf", "-inf", "1e999", "-", "", "abc"]
 CONFIG_CHARS = "=#\t\n .-_eEabcdfgiklmnoprstuvx"
 CONFIG_TOKENS = ["nan", "inf", "0", "-1", "", "x"]
+MODEL_CHARS = "0123456789.-+eE\t\n abcefilnprst"
+MODEL_TOKENS = ["nan", "inf", "-1", "0", "99", "", "leaf", "split", "tree", "importance", "x"]
 
 
 def edits(alphabet, tokens):
@@ -206,4 +266,12 @@ class TestFuzz:
         path = base / "mutated.cfg"
         path.write_text(mutate(CONFIG, "=", mutation))
         code, err = train(base, base / "features.tsv", path)
+        assert clean_outcome(code, err, path), err
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits(MODEL_CHARS, MODEL_TOKENS))
+    def test_mutated_model(self, base, mutation):
+        path = base / "mutated_model.txt"
+        path.write_text(mutate((base / "model" / "model.txt").read_text(), "\t", mutation))
+        code, err = rank(base, base / "features.tsv", path)
         assert clean_outcome(code, err, path), err

@@ -256,3 +256,33 @@ class TestWilcoxon:
     def test_too_few_differences(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1, 2, 3, 4, 5], [0, 0, 0, 0, 0])
+
+    def test_exact_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(107)
+        for _ in range(80):
+            # 6 to 25 tie-free nonzero differences, plus a few zero ones
+            n, zeros = rng.randint(6, 25), rng.randint(0, 3)
+            a = [rng.gauss(0.0, 1.0) for _ in range(n + zeros)]
+            b = [rng.gauss(0.0, 1.0) for _ in range(n)] + a[n:]
+            ref = stats.wilcoxon(a, b, zero_method="wilcox", method="exact")
+            stat, p = wilcoxon_signed_rank(a, b)
+            assert stat == ref.statistic
+            assert p == pytest.approx(ref.pvalue, rel=1e-9)
+
+    def test_normal_approximation_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(109)
+        checked = 0
+        while checked < 80:
+            # small integers: many tied and zero differences
+            n = rng.randint(30, 90)
+            a = [float(rng.randint(0, 5)) for _ in range(n)]
+            b = [float(rng.randint(0, 5)) for _ in range(n)]
+            if sum(x != y for x, y in zip(a, b)) <= 25:
+                continue
+            ref = stats.wilcoxon(a, b, zero_method="wilcox", method="approx", correction=True)
+            stat, p = wilcoxon_signed_rank(a, b)
+            assert stat == ref.statistic
+            assert p == pytest.approx(ref.pvalue, rel=1e-9)
+            checked += 1

@@ -74,7 +74,7 @@ class TestFit:
         model = fit(X, y, TrainConfig(n_trees=10, min_leaf=1))
         assert predict(model, X[0]) == 2.5
         assert all(v == 0.0 for v in model.importance.values())
-        assert all((tree.feature < 0).all() for tree, _ in model.trees)
+        assert all((tree.feature < 0).all() for tree in model.trees)
 
     def test_separable_indicator_exact(self):
         rng = np.random.default_rng(1)
@@ -83,7 +83,7 @@ class TestFit:
         cfg = TrainConfig(n_trees=1, shrinkage=1.0, max_depth=1, min_leaf=1)
         model = fit(X, y, cfg)
         assert model.train_mse[-1] < 1e-24
-        (tree, w) = model.trees[0]
+        tree = model.trees[0]
         assert tree.feature[0] == 0
         left = y[X[:, 0] <= tree.threshold[0]]
         right = y[X[:, 0] > tree.threshold[0]]
@@ -133,13 +133,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([[np.nan], [1.0]], [1.0, 2.0])  # no split order for NaN
 
-    def test_early_stop(self):
-        rng = np.random.default_rng(7)
-        X, y = random_problem(rng, n=120)
-        cfg = TrainConfig(n_trees=200, shrinkage=0.5, early_stop_patience=3)
-        model = fit(X[:80], y[:80], cfg, valid=(X[80:], y[80:]))
-        assert len(model.trees) < 200
-
 
 class TestPredict:
     def test_zero_tree_model_is_base(self):
@@ -147,7 +140,9 @@ class TestPredict:
         assert predict(model, [0.0, 0.0]) == 1.25
 
     def test_one_stump(self):
-        model = Ensemble(base=0.0, trees=[(stump(0, 0.5, -1.0, 1.0), 0.1)], feature_names=["x"])
+        model = Ensemble(
+            base=0.0, trees=[stump(0, 0.5, -1.0, 1.0)], feature_names=["x"], shrinkage=0.1
+        )
         assert predict(model, [0.2]) == -0.1
         assert predict(model, [0.8]) == 0.1
 
@@ -185,7 +180,9 @@ class TestRank:
     def _model(self):
         # score = bcos
         idx = FEATURE_NAMES.index("BCos")
-        return Ensemble(base=0.0, trees=[(stump(idx, 0.5, 0.0, 1.0), 1.0)], feature_names=FEATURE_NAMES)
+        return Ensemble(
+            base=0.0, trees=[stump(idx, 0.5, 0.0, 1.0)], feature_names=FEATURE_NAMES, shrinkage=1.0
+        )
 
     def test_empty(self):
         assert rank(self._model(), "q", []) == []
@@ -240,6 +237,16 @@ class TestMalformedModel:
         parts[5] = "99"
         lines[i] = "\t".join(parts)
         with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: child index 99 out of range"):
+            self.load(tmp_path, lines)
+
+    def test_node_with_two_parents(self, tmp_path, lines):
+        # A node reached from two splits has no one depth, so the level-by-
+        # level walk could stop a row at a split node.
+        i = self.first(lines, "split")
+        parts = lines[i].split("\t")
+        parts[4] = parts[5]
+        lines[i] = "\t".join(parts)
+        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: node {parts[5]} has two parents"):
             self.load(tmp_path, lines)
 
     def test_tree_count_differs_from_header(self, tmp_path, lines):

@@ -44,9 +44,9 @@ def make_problem(seed: int, n: int, kinds: list[str], dup: int, y_kind: str):
     return X, y
 
 
-def assert_same(X, y, cfg, tmp_path, valid=None, probe=None):
-    new = gbdt.fit(X, y, cfg, valid=valid)
-    old = ref.fit(X, y, cfg, valid=valid)
+def assert_same(X, y, cfg, tmp_path, probe=None):
+    new = gbdt.fit(X, y, cfg)
+    old = ref.fit(X, y, cfg)
     p_new, p_old = tmp_path / "new.txt", tmp_path / "old.txt"
     gbdt.save_model(new, str(p_new))
     ref.save_model(old, str(p_old))
@@ -84,22 +84,6 @@ def test_fit_matches_reference(
     )
     probe = make_problem(seed + 1, 30, kinds, 0, y_kind)[0]
     assert_same(X, y, cfg, tmp_path_factory.mktemp("eq"), probe=probe)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    kinds=st.lists(KINDS, min_size=1, max_size=4),
-    patience=st.integers(1, 3),
-    min_leaf=st.integers(1, 5),
-)
-def test_early_stopping_matches_reference(tmp_path_factory, seed, kinds, patience, min_leaf):
-    X, y = make_problem(seed, 80, kinds, 10, "float")
-    Xv, yv = make_problem(seed + 7, 40, kinds, 0, "float")
-    cfg = gbdt.TrainConfig(
-        n_trees=40, shrinkage=0.5, min_leaf=min_leaf, early_stop_patience=patience
-    )
-    assert_same(X, y, cfg, tmp_path_factory.mktemp("es"), valid=(Xv, yv), probe=Xv)
 
 
 def test_deep_trees_on_larger_problem(tmp_path):

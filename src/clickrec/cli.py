@@ -22,7 +22,7 @@ from . import logs as logmod
 # ``from __future__ import annotations``, so annotations are strings.
 _PARSERS = {
     "int": int,
-    "int | None": int,
+    "int | None": lambda val: None if val in ("", "None") else int(val),
     "float": float,
     "list[str]": lambda val: [v for v in val.split(",") if v],
 }

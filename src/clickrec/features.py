@@ -1,13 +1,16 @@
 """Per-pair feature computation for the supervised ranker.
 
 Covers relation strengths, frequency and length statistics, edit distances,
-bag cosines, click entropies and session co-occurrence statistics.
+bag cosines, click entropies and session co-occurrence statistics.  A
+FeatureContext computes what depends on one query once, so build_features
+does only the work that depends on both.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from typing import NamedTuple
 
 from .candidates import (
     FacetLexicon,
@@ -16,7 +19,6 @@ from .candidates import (
     ctq,
     p_cc,
     p_cs,
-    p_ct,
 )
 from .logs import ClickStats
 
@@ -97,18 +99,9 @@ def next_query_entropy(q1: str, st: SessionStats) -> float:
     return _entropy([succ[k] for k in sorted(succ)])
 
 
-def llr(q1: str, q2: str, st: SessionStats) -> float:
-    """Dunning G-squared of observing q2 right after q1 in a session.
-
-    The 2x2 table is over all session-adjacent ordered pairs: rows split on
-    the predecessor being q1, columns on the successor being q2.
-    """
-    n = st.total_pairs
-    if n == 0:
-        raise ValueError("no session-adjacent pairs observed")
-    k11 = st.pair_counts.get((q1, q2), 0)
-    row1 = sum(st.successors.get(q1, {}).values())
-    col1 = st.successor_totals.get(q2, 0)
+def _g2(k11: int, row1: int, col1: int, n: int) -> float:
+    """Dunning G-squared of a 2x2 table from its k11 cell, first row and
+    first column sums and total."""
     k12 = row1 - k11
     k21 = col1 - k11
     k22 = n - k11 - k12 - k21
@@ -125,104 +118,203 @@ def llr(q1: str, q2: str, st: SessionStats) -> float:
     return max(2.0 * g2, 0.0)
 
 
+def llr(q1: str, q2: str, st: SessionStats) -> float:
+    """Dunning G-squared of observing q2 right after q1 in a session.
+
+    The 2x2 table is over all session-adjacent ordered pairs: rows split on
+    the predecessor being q1, columns on the successor being q2.
+    """
+    n = st.total_pairs
+    if n == 0:
+        raise ValueError("no session-adjacent pairs observed")
+    k11 = st.pair_counts.get((q1, q2), 0)
+    row1 = sum(st.successors.get(q1, {}).values())
+    return _g2(k11, row1, st.successor_totals.get(q2, 0), n)
+
+
+def _edit_distance(a, b) -> int:
+    """Unit-cost edit distance between two sequences (str or bytes).
+
+    Myers' bit-vector algorithm in Hyyrö's formulation (Myers, JACM 1999;
+    Hyyrö 2001): the longer sequence is the pattern, each Python int holds
+    one column of vertical deltas, and one step per element of the shorter
+    sequence updates the whole column.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(a)
+    if not b:
+        return m
+    peq: dict = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | 1 << i
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
+
+
 def levenshtein(a: str, b: str, unit: str = "codepoint") -> int:
     """Unit-cost edit distance over code points or UTF-8 bytes."""
     if unit == "byte":
-        sa: bytes | str = a.encode("utf-8")
-        sb: bytes | str = b.encode("utf-8")
-    elif unit == "codepoint":
-        sa, sb = a, b
+        return _edit_distance(a.encode("utf-8"), b.encode("utf-8"))
+    if unit == "codepoint":
+        return _edit_distance(a, b)
+    raise ValueError(f"unknown unit: {unit!r}")
+
+
+class _Bag(NamedTuple):
+    counts: Counter
+    items: tuple  # sorted (unit, count) pairs
+    norm: float
+
+
+def _bag(s: str, unit: str) -> _Bag:
+    if unit == "chunk":
+        counts = Counter(s.split())
+    elif unit == "char-bigram":
+        compact = "".join(s.split())
+        counts = Counter(compact[i : i + 2] for i in range(len(compact) - 1))
     else:
         raise ValueError(f"unknown unit: {unit!r}")
-    if len(sa) < len(sb):
-        sa, sb = sb, sa
-    prev = list(range(len(sb) + 1))
-    for i, ca in enumerate(sa, 1):
-        cur = [i]
-        for j, cb in enumerate(sb, 1):
-            cost = 0 if ca == cb else 1
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-        prev = cur
-    return prev[-1]
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    return _Bag(counts, tuple(sorted(counts.items())), norm)
 
 
-def _bag(s: str, unit: str) -> Counter:
-    if unit == "chunk":
-        return Counter(s.split())
-    if unit == "char-bigram":
-        compact = "".join(s.split())
-        return Counter(compact[i : i + 2] for i in range(len(compact) - 1))
-    raise ValueError(f"unknown unit: {unit!r}")
+def _cosine(a: _Bag, b: _Bag) -> float:
+    if not a.items or not b.items:
+        return 0.0
+    # Equal bags are exactly 1.0; dot / (norm * norm) can round below it.
+    if a.items == b.items:
+        return 1.0
+    bc = b.counts
+    dot = sum(c * bc[k] for k, c in a.items if k in bc)
+    return dot / (a.norm * b.norm)
 
 
 def bag_cosine(a: str, b: str, unit: str = "chunk") -> float:
     """Cosine between unit-count vectors; 0 when either bag is empty."""
-    ba, bb = _bag(a, unit), _bag(b, unit)
-    if not ba or not bb:
-        return 0.0
-    if ba == bb:
-        return 1.0
-    dot = sum(c * bb[k] for k, c in sorted(ba.items()) if k in bb)
-    na = math.sqrt(sum(c * c for c in ba.values()))
-    nb = math.sqrt(sum(c * c for c in bb.values()))
-    return dot / (na * nb)
+    return _cosine(_bag(a, unit), _bag(b, unit))
+
+
+class _Query(NamedTuple):
+    """What build_features needs of one query, whichever side it is on."""
+
+    cnt: int
+    brccq: set[str]
+    ctq: set[str]
+    freq_topic: int  # cnt plus the counts of the ctq expansions
+    len: int
+    clen: int
+    ent: float  # click entropy, 0.0 for a query without clicks
+    next_ent: float
+    successor_sum: int  # the first row sum of llr's table
+    chunks: _Bag
+    bigrams: _Bag
+    utf8: bytes
+    isascii: bool
+
+
+class FeatureContext:
+    """Per-query feature inputs, computed the first time a query is met.
+
+    One context serves every pair built over the same count tables, so
+    build_features does only the work that depends on both queries.
+    """
+
+    def __init__(self, stats: ClickStats, st: SessionStats, lex: FacetLexicon):
+        self.stats = stats
+        self.st = st
+        self.lex = lex
+        self._queries: dict[str, _Query] = {}
+
+    def query(self, q: str) -> _Query:
+        info = self._queries.get(q)
+        if info is None:
+            info = self._queries[q] = self._describe(q)
+        return info
+
+    def _describe(self, q: str) -> _Query:
+        stats = self.stats
+        cnt = stats.cnt_q.get(q, 0)
+        expansions = ctq(q, self.lex, stats)
+        return _Query(
+            cnt=cnt,
+            brccq=brccq(q, stats),
+            ctq=expansions,
+            freq_topic=cnt + sum(stats.cnt_q[e] for e in expansions),
+            len=len(q),
+            clen=len(q.split()),
+            ent=click_entropy(q, stats) if q in stats.uc else 0.0,
+            next_ent=next_query_entropy(q, self.st),
+            successor_sum=sum(self.st.successors.get(q, {}).values()),
+            chunks=_bag(q, "chunk"),
+            bigrams=_bag(q, "char-bigram"),
+            utf8=q.encode("utf-8"),
+            isascii=q.isascii(),
+        )
 
 
 def build_features(
-    q1: str,
-    q2: str,
-    stats: ClickStats,
-    st: SessionStats,
-    lex: FacetLexicon,
-    sim: float | None = None,
+    q1: str, q2: str, ctx: FeatureContext, sim: float | None = None
 ) -> FeatureVector:
     """Assemble the full feature vector for a (q1, q2) pair.
 
     Relation strengths are 0 when the pair is not in that relation; textual
     features are always populated.
     """
-    if q1 not in stats.cnt_q:
+    stats, st = ctx.stats, ctx.st
+    if q1 not in stats.cnt_q or q1 not in stats.uc:
         raise KeyError(f"unknown query: {q1!r}")
+    a, b = ctx.query(q1), ctx.query(q2)
 
-    in_cc = q2 in brccq(q1, stats)
-    expansions = ctq(q1, lex, stats)
-    f_pcc = p_cc(q1, q2, stats) if in_cc else 0.0
-    f_pct = p_ct(q1, q2, lex, stats) if q2 in expansions else 0.0
-    f_pcs = p_cs(q1, q2, st)
-
-    freq_q1 = stats.cnt_q.get(q1, 0)
-    freq_q2 = stats.cnt_q.get(q2, 0)
-    freq_topic = freq_q1 + sum(stats.cnt_q[e] for e in expansions)
-
-    len_q1, len_q2 = len(q1), len(q2)
-    clen_q1, clen_q2 = len(q1.split()), len(q2.split())
-    ent_q1 = click_entropy(q1, stats)
-    ent_q2 = click_entropy(q2, stats) if q2 in stats.uc else 0.0
+    mb_leven = _edit_distance(q1, q2)
+    # An ASCII string's UTF-8 bytes are its code points.
+    leven = mb_leven if a.isascii and b.isascii else _edit_distance(a.utf8, b.utf8)
+    n = st.total_pairs
+    if n:
+        k11 = st.pair_counts.get((q1, q2), 0)
+        f_llr = _g2(k11, a.successor_sum, st.successor_totals.get(q2, 0), n)
+    else:
+        f_llr = 0.0
 
     return FeatureVector(
-        p_cc=f_pcc,
-        p_ct=f_pct,
-        p_cs=f_pcs,
-        freq_q1=freq_q1,
-        freq_q2=freq_q2,
-        freq_topic=freq_topic,
-        len_q1=len_q1,
-        len_q2=len_q2,
-        clen_q1=clen_q1,
-        clen_q2=clen_q2,
-        delta_len=len_q2 - len_q1,
-        delta_len_rel=(len_q2 - len_q1) / len_q1,
-        delta_clen=clen_q2 - clen_q1,
-        delta_clen_rel=(clen_q2 - clen_q1) / clen_q1,
-        mb_leven=levenshtein(q1, q2, "codepoint"),
-        leven=levenshtein(q1, q2, "byte"),
-        ccos=bag_cosine(q1, q2, "chunk"),
-        bcos=bag_cosine(q1, q2, "char-bigram"),
-        ent_q1=ent_q1,
-        ent_q2=ent_q2,
-        delta_ent=ent_q1 - ent_q2,
-        next_ent=next_query_entropy(q1, st),
-        llr=llr(q1, q2, st) if st.total_pairs else 0.0,
+        p_cc=p_cc(q1, q2, stats) if q2 in a.brccq else 0.0,
+        p_ct=b.cnt / a.freq_topic if q2 in a.ctq else 0.0,
+        p_cs=p_cs(q1, q2, st),
+        freq_q1=a.cnt,
+        freq_q2=b.cnt,
+        freq_topic=a.freq_topic,
+        len_q1=a.len,
+        len_q2=b.len,
+        clen_q1=a.clen,
+        clen_q2=b.clen,
+        delta_len=b.len - a.len,
+        delta_len_rel=(b.len - a.len) / a.len,
+        delta_clen=b.clen - a.clen,
+        delta_clen_rel=(b.clen - a.clen) / a.clen,
+        mb_leven=mb_leven,
+        leven=leven,
+        ccos=_cosine(a.chunks, b.chunks),
+        bcos=_cosine(a.bigrams, b.bigrams),
+        ent_q1=a.ent,
+        ent_q2=b.ent,
+        delta_ent=a.ent - b.ent,
+        next_ent=a.next_ent,
+        llr=f_llr,
         sim=sim,
     )
 

@@ -13,7 +13,7 @@ from . import candidates as cand
 from . import evaluation as ev
 from . import gbdt
 from .candidates import CandidatePair, FacetLexicon, build_session_stats
-from .features import FEATURE_NAMES, FeatureVector, build_features
+from .features import FEATURE_NAMES, FeatureContext, FeatureVector, build_features
 from .logs import ClickStats, Session
 from .taxonomy import CategoryAssignment, grade, query_similarity
 
@@ -99,7 +99,7 @@ def build_dataset(
     """
     if neg_ratio < 0:
         raise ValueError("neg_ratio must be >= 0")
-    st = build_session_stats(sessions)
+    ctx = FeatureContext(stats, build_session_stats(sessions), lex)
 
     def categorized(q: str) -> bool:
         a = assignments.get(q)
@@ -121,7 +121,7 @@ def build_dataset(
         sim = query_similarity(q1, q2, assignments)
         if sim is None:
             continue
-        fv = build_features(q1, q2, stats, st, lex, sim=sim)
+        fv = build_features(q1, q2, ctx, sim=sim)
         rows.append(DatasetRow(q1, q2, frozenset(kinds), fv))
         taken.add((q1, q2))
 
@@ -150,7 +150,7 @@ def build_dataset(
         sim = query_similarity(q1, q2, assignments)
         if sim is None:
             continue
-        fv = build_features(q1, q2, stats, st, lex, sim=sim)
+        fv = build_features(q1, q2, ctx, sim=sim)
         negatives.append(DatasetRow(q1, q2, frozenset(), fv))
         taken.add((q1, q2))
     rows.extend(negatives)

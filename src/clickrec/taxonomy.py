@@ -8,7 +8,6 @@ site's title + description, and each match votes for the site's category.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .logs import ClickStats
@@ -107,7 +106,7 @@ def sim_substring(d1: CategoryPath, d2: CategoryPath) -> float:
     """Common component count (multiset intersection) over the max depth."""
     if not d1 or not d2:
         raise ValueError("category paths must be non-empty")
-    common = sum((Counter(d1) & Counter(d2)).values())
+    common = sum(min(d1.count(c), d2.count(c)) for c in set(d1))
     return common / max(len(d1), len(d2))
 
 

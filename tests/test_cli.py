@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clickrec import cli
+from clickrec import cli, gbdt, synth
 from clickrec.features import FEATURES, FeatureVector, feature_matrix_lines
 
 # Training keys, then synth keys, which a training config may also hold.
@@ -148,6 +148,32 @@ class TestConfigErrors:
         assert code == 0, err
 
 
+class TestUnlimitedDepth:
+    """``max_depth=None`` and ``max_depth=`` both mean no depth limit."""
+
+    def depths(self, base, tmp_path, line):
+        cfg = tmp_path / "depth.cfg"
+        cfg.write_text(f"{line}\nn_trees=2\nmin_leaf=1\nshrinkage=1\n")
+        features = tmp_path / "features.tsv"
+        features.write_text("\n".join(matrix_lines(64)) + "\n")
+        code, err = train(base, features, cfg)
+        assert code == 0, err
+        model = gbdt.load_model(str(base / "trained" / "model.txt"))
+        return [tree.depth for tree in model.trees]
+
+    @pytest.mark.parametrize("line", ["max_depth=None", "max_depth="])
+    def test_trains_unlimited_depth(self, base, tmp_path, line):
+        assert max(self.depths(base, tmp_path, "max_depth=4")) == 4
+        assert max(self.depths(base, tmp_path, line)) > 4
+
+    def test_zero_still_rejected(self, base, tmp_path):
+        cfg = tmp_path / "depth.cfg"
+        cfg.write_text("max_depth=0\n")
+        code, err = train(base, base / "features.tsv", cfg)
+        assert code == 1
+        assert err.startswith(f"error: {cfg}:1: max_depth must be >= 1"), err
+
+
 class TestModelErrors:
     @pytest.fixture
     def lines(self, base):
@@ -213,6 +239,10 @@ CONFIG_CHARS = "=#\t\n .-_eEabcdfgiklmnoprstuvx"
 CONFIG_TOKENS = ["nan", "inf", "0", "-1", "", "x"]
 MODEL_CHARS = "0123456789.-+eE\t\n abcefilnprst"
 MODEL_TOKENS = ["nan", "inf", "-1", "0", "99", "", "leaf", "split", "tree", "importance", "x"]
+LOG_CHARS = "0123456789.-+\t\n :/_abcehlmoptux\u00e9\u3042"
+LOG_TOKENS = ["", "0", "-1", "99999999999999999999", "1_0", "x", " ", "\u0663"]
+TAXONOMY_CHARS = "\t\n /:._abcdeghlmoprstux\u00e9"
+TAXONOMY_TOKENS = ["", "/", "a//b", " / ", "x", "sec0/group00/t000"]
 
 
 def edits(alphabet, tokens):
@@ -250,6 +280,16 @@ def clean_outcome(code, err, path):
     return code == 0 or (code == 1 and err.startswith(f"error: {path}:"))
 
 
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A small synthetic click log and taxonomy."""
+    d = tmp_path_factory.mktemp("corpus")
+    clicks, tax = synth.synth_logs(synth.SynthConfig(n_topics=4, n_users=5, n_events=120, seed=3))
+    (d / "clicks.tsv").write_text("\n".join(clicks) + "\n")
+    (d / "taxonomy.tsv").write_text("\n".join(tax) + "\n")
+    return d
+
+
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(edits(FEATURE_CHARS, FEATURE_TOKENS))
@@ -274,4 +314,21 @@ class TestFuzz:
         path = base / "mutated_model.txt"
         path.write_text(mutate((base / "model" / "model.txt").read_text(), "\t", mutation))
         code, err = rank(base, base / "features.tsv", path)
+        assert clean_outcome(code, err, path), err
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits(LOG_CHARS, LOG_TOKENS))
+    def test_mutated_click_log(self, corpus, mutation):
+        path = corpus / "mutated_clicks.tsv"
+        path.write_text(mutate((corpus / "clicks.tsv").read_text(), "\t", mutation), encoding="utf-8")
+        code, err = run("--out", corpus / "ingested", "ingest", "--log", path)
+        assert clean_outcome(code, err, path), err
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits(TAXONOMY_CHARS, TAXONOMY_TOKENS))
+    def test_mutated_taxonomy(self, corpus, mutation):
+        path = corpus / "mutated_taxonomy.tsv"
+        path.write_text(mutate((corpus / "taxonomy.tsv").read_text(), "\t", mutation), encoding="utf-8")
+        code, err = run("--out", corpus / "assigned", "assign", "--log", corpus / "clicks.tsv",
+                        "--taxonomy", path)
         assert clean_outcome(code, err, path), err

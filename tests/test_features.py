@@ -6,6 +6,7 @@ import pytest
 from clickrec.candidates import build_session_stats, detect_facets
 from clickrec.features import (
     FEATURE_NAMES,
+    FeatureContext,
     bag_cosine,
     build_features,
     click_entropy,
@@ -203,6 +204,53 @@ class TestLevenshtein:
             assert levenshtein(a, b, "codepoint") == levenshtein(a, b, "byte")
 
 
+EDGE_LENGTHS = [0, 1, 63, 64, 65, 200]
+MIXED = "ab \u00e9\u0101\u3042\u3044"  # 1-, 2- and 3-byte UTF-8 characters
+
+
+def edited(rng, s, alphabet, n_edits):
+    """s after n_edits random insertions, deletions and substitutions."""
+    chars = list(s)
+    for _ in range(n_edits):
+        op = rng.randrange(3) if chars else 0
+        i = rng.randrange(len(chars) + (op == 0))
+        if op == 0:
+            chars.insert(i, rng.choice(alphabet))
+        elif op == 1:
+            del chars[i]
+        else:
+            chars[i] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+class TestLevenshteinLong:
+    """Strings longer than one 64-bit word, in both units."""
+
+    def assert_oracle(self, a, b):
+        assert levenshtein(a, b, "codepoint") == oracle_levenshtein(a, b)
+        assert levenshtein(a, b, "byte") == oracle_levenshtein(a.encode("utf-8"), b.encode("utf-8"))
+
+    @pytest.mark.parametrize("alphabet", ["ab", MIXED])
+    @pytest.mark.parametrize("la", EDGE_LENGTHS)
+    def test_word_boundary_lengths(self, alphabet, la):
+        rng = random.Random(59 + la)
+        a = "".join(rng.choice(alphabet) for _ in range(la))
+        for lb in EDGE_LENGTHS:
+            self.assert_oracle(a, "".join(rng.choice(alphabet) for _ in range(lb)))
+        for n_edits in (1, 3, 20):
+            self.assert_oracle(a, edited(rng, a, alphabet, n_edits))
+
+    @pytest.mark.parametrize("n_bytes", [63, 64, 65])
+    def test_utf8_word_boundaries(self, n_bytes):
+        # 3-byte characters, then 2-byte ones, then ASCII up to n_bytes
+        a = "\u3042" * 10 + "\u00e9" * 10 + "x" * (n_bytes - 50)
+        assert len(a.encode("utf-8")) == n_bytes
+        rng = random.Random(n_bytes)
+        for n_edits in (0, 1, 2, 10):
+            self.assert_oracle(a, edited(rng, a, MIXED, n_edits))
+            self.assert_oracle(a[::-1], edited(rng, a, MIXED, n_edits))
+
+
 class TestBagCosine:
     def test_identical(self):
         assert bag_cosine("curry rice", "curry rice", "chunk") == 1.0
@@ -259,14 +307,14 @@ class TestBuildFeatures:
 
     def test_diagnostic_self_pair(self):
         stats, sessions, lex = self._context()
-        fv = build_features("curry", "curry", stats, sessions, lex)
+        fv = build_features("curry", "curry", FeatureContext(stats, sessions, lex))
         assert fv.leven == fv.mb_leven == 0
         assert fv.ccos == 1.0 and fv.bcos == 1.0
         assert fv.delta_len == 0 and fv.delta_clen == 0
 
     def test_field_by_field_recomputation(self):
         stats, st, lex = self._context()
-        fv = build_features("curry", "curry recipe", stats, st, lex, sim=1.0)
+        fv = build_features("curry", "curry recipe", FeatureContext(stats, st, lex), sim=1.0)
         assert fv.p_ct == stats.cnt_q["curry recipe"] / (
             stats.cnt_q["curry"] + stats.cnt_q["curry recipe"]
         )
@@ -289,13 +337,13 @@ class TestBuildFeatures:
 
     def test_unrelated_pair_strengths_zero(self):
         stats, sessions, lex = self._context()
-        fv = build_features("curry", "totally different", stats, sessions, lex)
+        fv = build_features("curry", "totally different", FeatureContext(stats, sessions, lex))
         assert fv.p_cc == fv.p_ct == fv.p_cs == 0.0
         assert fv.leven > 0 and fv.freq_q2 == 0
 
     def test_matrix_round_trip(self):
         stats, sessions, lex = self._context()
-        fv = build_features("curry", "curry recipe", stats, sessions, lex, sim=0.5)
+        fv = build_features("curry", "curry recipe", FeatureContext(stats, sessions, lex), sim=0.5)
         rows = [("curry", "curry recipe", "co_topic", fv)]
         lines = feature_matrix_lines(rows)
         assert lines[0].split("\t")[3:] == FEATURE_NAMES + ["Sim"]

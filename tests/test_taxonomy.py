@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -67,6 +68,13 @@ class TestSimSubstring:
             assert 0.0 <= sp <= ss <= 1.0
             assert ss == sim_substring(d2, d1)
             assert sp == sim_prefix(d2, d1)
+
+    def test_matches_counter_intersection(self):
+        rng = random.Random(29)
+        for _ in range(2000):
+            d1, d2 = random_path(rng, vocab="abc", max_depth=8), random_path(rng, vocab="abc", max_depth=8)
+            common = sum((Counter(d1) & Counter(d2)).values())
+            assert sim_substring(d1, d2) == common / max(len(d1), len(d2))
 
     def test_equals_one_iff_same_multiset(self):
         assert sim_substring(("a", "b"), ("b", "a")) == 1.0

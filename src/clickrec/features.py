@@ -1,9 +1,10 @@
 """Per-pair feature computation for the supervised ranker.
 
-Covers relation strengths, frequency and length statistics, edit distances,
-bag cosines, click entropies and session co-occurrence statistics.  A
-FeatureContext computes what depends on one query once, so build_features
-does only the work that depends on both.
+Covers frequency and length statistics, edit distances, bag cosines, click
+entropies and session co-occurrence statistics; the three relation
+strengths come from the candidate pairs.  A FeatureContext computes what
+depends on one query once, so build_features does only the work that
+depends on both.
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ import math
 from collections import Counter, namedtuple
 from typing import NamedTuple
 
-from .candidates import (
-    FacetLexicon,
-    SessionStats,
-    brccq,
-    ctq,
-    p_cc,
-    p_cs,
-)
+from .candidates import CO_CLICK, CO_SESSION, CO_TOPIC, FacetLexicon, SessionStats, ctq
 from .logs import ClickStats
 
 # The 23 ranking features in feature-matrix column order, one row each:
@@ -214,8 +208,6 @@ class _Query(NamedTuple):
     """What build_features needs of one query, whichever side it is on."""
 
     cnt: int
-    brccq: set[str]
-    ctq: set[str]
     freq_topic: int  # cnt plus the counts of the ctq expansions
     len: int
     clen: int
@@ -250,12 +242,9 @@ class FeatureContext:
     def _describe(self, q: str) -> _Query:
         stats = self.stats
         cnt = stats.cnt_q.get(q, 0)
-        expansions = ctq(q, self.lex, stats)
         return _Query(
             cnt=cnt,
-            brccq=brccq(q, stats),
-            ctq=expansions,
-            freq_topic=cnt + sum(stats.cnt_q[e] for e in expansions),
+            freq_topic=cnt + sum(stats.cnt_q[e] for e in ctq(q, self.lex, stats)),
             len=len(q),
             clen=len(q.split()),
             ent=click_entropy(q, stats) if q in stats.uc else 0.0,
@@ -269,11 +258,16 @@ class FeatureContext:
 
 
 def build_features(
-    q1: str, q2: str, ctx: FeatureContext, sim: float | None = None
+    q1: str,
+    q2: str,
+    ctx: FeatureContext,
+    strengths: dict[str, float],
+    sim: float | None = None,
 ) -> FeatureVector:
     """Assemble the full feature vector for a (q1, q2) pair.
 
-    Relation strengths are 0 when the pair is not in that relation; textual
+    strengths maps a candidate kind to the pair's strength in that relation
+    (CandidatePair.strength); a kind it lacks has strength 0.  The other
     features are always populated.
     """
     stats, st = ctx.stats, ctx.st
@@ -292,9 +286,9 @@ def build_features(
         f_llr = 0.0
 
     return FeatureVector(
-        p_cc=p_cc(q1, q2, stats) if q2 in a.brccq else 0.0,
-        p_ct=b.cnt / a.freq_topic if q2 in a.ctq else 0.0,
-        p_cs=p_cs(q1, q2, st),
+        p_cc=strengths.get(CO_CLICK, 0.0),
+        p_ct=strengths.get(CO_TOPIC, 0.0),
+        p_cs=strengths.get(CO_SESSION, 0.0),
         freq_q1=a.cnt,
         freq_q2=b.cnt,
         freq_topic=a.freq_topic,

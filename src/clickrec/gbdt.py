@@ -403,8 +403,11 @@ def save_model(model: Ensemble, path: str) -> None:
 
 def load_model(path: str) -> Ensemble:
     """Read a model file; a malformed one raises ValueError("path:line: reason")."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     end = lines[-1][0] + 1 if lines else 1  # the line number past the last line
     pos, lineno = 0, end
 

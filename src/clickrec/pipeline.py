@@ -92,68 +92,67 @@ def build_dataset(
 ) -> Dataset:
     """Join candidates into feature rows and add random negative pairs.
 
+    pairs must be generate_candidates(stats, sessions, lex): a row's P_cc,
+    P_ct and P_cs are the strengths its pairs carry, 0 for a kind it lacks.
     Rows are dropped when either query lacks a voted category or when q2 is
     a trivial variant of q1.  Negatives are drawn uniformly from categorized
     queries, excluding self pairs, existing pairs and variant mates; their
     target is their true computed category similarity.
     """
-    if neg_ratio < 0:
-        raise ValueError("neg_ratio must be >= 0")
+    if not (math.isfinite(neg_ratio) and neg_ratio >= 0):
+        raise ValueError("neg_ratio must be a finite number >= 0")
     ctx = FeatureContext(stats, build_session_stats(sessions), lex)
 
     def categorized(q: str) -> bool:
         a = assignments.get(q)
         return a is not None and bool(a.votes)
 
-    grouped: dict[tuple[str, str], set[str]] = {}
-    for p in pairs:
-        grouped.setdefault((p.q1, p.q2), set()).add(p.kind)
-
     rows: list[DatasetRow] = []
     taken: set[tuple[str, str]] = set()
-    for (q1, q2), kinds in sorted(grouped.items()):
-        if q1 == q2:
-            continue
-        if not categorized(q1) or not categorized(q2):
-            continue
+
+    def add_row(q1: str, q2: str, strengths: dict[str, float]) -> None:
+        """Add the (q1, q2) row unless a filter drops it."""
+        if q1 == q2 or (q1, q2) in taken or not (categorized(q1) and categorized(q2)):
+            return
         if clusters.get(q1) is not None and clusters.get(q1) == clusters.get(q2):
-            continue
-        sim = query_similarity(q1, q2, assignments)
-        if sim is None:
-            continue
-        fv = build_features(q1, q2, ctx, sim=sim)
-        rows.append(DatasetRow(q1, q2, frozenset(kinds), fv))
+            return
+        fv = build_features(q1, q2, ctx, strengths, sim=query_similarity(q1, q2, assignments))
+        rows.append(DatasetRow(q1, q2, frozenset(strengths), fv))
         taken.add((q1, q2))
 
+    grouped: dict[tuple[str, str], dict[str, float]] = {}
+    for p in pairs:
+        grouped.setdefault((p.q1, p.q2), {})[p.kind] = p.strength
+    for (q1, q2), strengths in sorted(grouped.items()):
+        add_row(q1, q2, strengths)
+    n_candidates = len(rows)
+
     pool = sorted(q for q in stats.cnt_q if categorized(q))
-    n_neg = math.ceil(neg_ratio * len(rows))
-    if n_neg > 0 and len(pool) < 2:
+    wanted = neg_ratio * n_candidates
+    if wanted > 0 and len(pool) < 2:
         raise ValueError(
-            f"need at least 2 categorized queries to draw {n_neg} negatives, "
-            f"have {len(pool)}"
+            f"need at least 2 categorized queries to draw negatives, have {len(pool)}"
         )
+    # Ordered pairs of distinct pool queries that no candidate row holds.
+    in_pool = set(pool)
+    free = len(pool) * (len(pool) - 1)
+    free -= sum(q1 in in_pool and q2 in in_pool for q1, q2 in taken)
+    if wanted > free:
+        raise ValueError(
+            f"could not draw {neg_ratio:g} x {n_candidates} negative pairs "
+            f"from {free} free pairs; too few categorized queries"
+        )
+    n_neg = math.ceil(wanted)
     rng = random.Random(seed)
-    negatives: list[DatasetRow] = []
     attempts = 0
-    while len(negatives) < n_neg:
+    while len(rows) < n_candidates + n_neg:
         attempts += 1
         if attempts > 200 * n_neg + 100:
             raise ValueError(
                 f"could not draw {n_neg} negative pairs "
-                f"({len(negatives)} found); too few categorized queries"
+                f"({len(rows) - n_candidates} found); too few categorized queries"
             )
-        q1, q2 = rng.choice(pool), rng.choice(pool)
-        if q1 == q2 or (q1, q2) in taken:
-            continue
-        if clusters.get(q1) is not None and clusters.get(q1) == clusters.get(q2):
-            continue
-        sim = query_similarity(q1, q2, assignments)
-        if sim is None:
-            continue
-        fv = build_features(q1, q2, ctx, sim=sim)
-        negatives.append(DatasetRow(q1, q2, frozenset(), fv))
-        taken.add((q1, q2))
-    rows.extend(negatives)
+        add_row(rng.choice(pool), rng.choice(pool), {})
 
     folds = {q1: fold_of(q1) for q1 in sorted({r.q1 for r in rows})}
     return Dataset(rows, folds)

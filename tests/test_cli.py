@@ -290,7 +290,54 @@ def corpus(tmp_path_factory):
     return d
 
 
+class TestNegRatio:
+    @pytest.mark.parametrize(
+        "ratio, reason",
+        [
+            ("inf", "neg_ratio must be a finite number >= 0"),
+            ("nan", "neg_ratio must be a finite number >= 0"),
+            ("-1", "neg_ratio must be a finite number >= 0"),
+            # More negatives than there are free query pairs fails at once.
+            ("1e9", "could not draw 1e+09 x "),
+        ],
+    )
+    def test_rejected(self, corpus, ratio, reason):
+        code, err = run("--out", corpus / "features", "features", "--log", corpus / "clicks.tsv",
+                        "--taxonomy", corpus / "taxonomy.tsv", f"--neg-ratio={ratio}")
+        assert code == 1
+        assert err.startswith(f"error: {reason}"), err
+        assert "Traceback" not in err
+
+
+# Each makes any UTF-8 text invalid wherever it is inserted: a lone
+# continuation byte, a byte UTF-8 never uses, a 3-byte sequence cut after
+# two bytes and an encoded surrogate.
+INVALID_UTF8 = [b"\x80", b"\xff", "\u3042".encode()[:2], b"\xed\xa0\x80"]
+
+
 class TestFuzz:
+    @pytest.mark.parametrize("name", ["log", "taxonomy", "features", "config", "model"])
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0), st.sampled_from(INVALID_UTF8))
+    def test_invalid_utf8(self, base, corpus, name, pos, bad):
+        valid, commands = {
+            "log": (corpus / "clicks.tsv", [lambda p: run("--out", corpus / "ingested", "ingest", "--log", p)]),
+            "taxonomy": (corpus / "taxonomy.tsv", [
+                lambda p: run("--out", corpus / "assigned", "assign", "--log", corpus / "clicks.tsv",
+                              "--taxonomy", p),
+            ]),
+            "features": (base / "features.tsv", [lambda p: train(base, p), lambda p: rank(base, p)]),
+            "config": (base / "train.cfg", [lambda p: train(base, base / "features.tsv", p)]),
+            "model": (base / "model" / "model.txt", [lambda p: rank(base, base / "features.tsv", p)]),
+        }[name]
+        data = valid.read_bytes()
+        pos %= len(data) + 1
+        path = valid.with_name("invalid_" + valid.name)
+        path.write_bytes(data[:pos] + bad + data[pos:])
+        for command in commands:
+            code, err = command(path)
+            assert code == 1 and err.startswith(f"error: {path}:"), err
+
     @settings(max_examples=150, deadline=None)
     @given(edits(FEATURE_CHARS, FEATURE_TOKENS))
     def test_mutated_feature_matrix(self, base, mutation):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from clickrec.candidates import build_session_stats, detect_facets
+from clickrec.candidates import build_session_stats, detect_facets, generate_all
 from clickrec.features import (
     FEATURE_NAMES,
     FeatureContext,
@@ -305,16 +305,21 @@ class TestBuildFeatures:
         lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
         return stats, sessions, lex
 
+    def _build(self, q1, q2, stats, st, lex, sim=None):
+        """build_features with the strengths generate_all gives (q1, q2)."""
+        strengths = {p.kind: p.strength for p in generate_all(q1, stats, st, lex) if p.q2 == q2}
+        return build_features(q1, q2, FeatureContext(stats, st, lex), strengths, sim=sim)
+
     def test_diagnostic_self_pair(self):
         stats, sessions, lex = self._context()
-        fv = build_features("curry", "curry", FeatureContext(stats, sessions, lex))
+        fv = self._build("curry", "curry", stats, sessions, lex)
         assert fv.leven == fv.mb_leven == 0
         assert fv.ccos == 1.0 and fv.bcos == 1.0
         assert fv.delta_len == 0 and fv.delta_clen == 0
 
     def test_field_by_field_recomputation(self):
         stats, st, lex = self._context()
-        fv = build_features("curry", "curry recipe", FeatureContext(stats, st, lex), sim=1.0)
+        fv = self._build("curry", "curry recipe", stats, st, lex, sim=1.0)
         assert fv.p_ct == stats.cnt_q["curry recipe"] / (
             stats.cnt_q["curry"] + stats.cnt_q["curry recipe"]
         )
@@ -337,13 +342,13 @@ class TestBuildFeatures:
 
     def test_unrelated_pair_strengths_zero(self):
         stats, sessions, lex = self._context()
-        fv = build_features("curry", "totally different", FeatureContext(stats, sessions, lex))
+        fv = self._build("curry", "totally different", stats, sessions, lex)
         assert fv.p_cc == fv.p_ct == fv.p_cs == 0.0
         assert fv.leven > 0 and fv.freq_q2 == 0
 
     def test_matrix_round_trip(self):
         stats, sessions, lex = self._context()
-        fv = build_features("curry", "curry recipe", FeatureContext(stats, sessions, lex), sim=0.5)
+        fv = self._build("curry", "curry recipe", stats, sessions, lex, sim=0.5)
         rows = [("curry", "curry recipe", "co_topic", fv)]
         lines = feature_matrix_lines(rows)
         assert lines[0].split("\t")[3:] == FEATURE_NAMES + ["Sim"]

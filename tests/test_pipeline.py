@@ -135,6 +135,50 @@ class TestDataset:
         assert n_neg == n_pos
 
 
+def three_queries(clicked, clusters, neg_ratio):
+    """build_dataset over queries a, b and c, one URL each, all categorized.
+
+    One session goes a -> b, so (a, b) is the only candidate pair; only the
+    clicked queries are in the click counts, so only they can be drawn.
+    """
+    recs = [
+        logs.ClickRecord(0, "u1", "a", "http://a", 1),
+        logs.ClickRecord(10, "u1", "b", "http://b", 1),
+        logs.ClickRecord(10000, "u2", "c", "http://c", 1),
+    ]
+    stats = logs.build_click_stats([r for r in recs if r.query in clicked])
+    sessions = logs.segment_sessions(recs)
+    lex = cand.FacetLexicon()
+    assignments = {q: taxonomy.CategoryAssignment(q, ("x",), {("x",): 1}) for q in "abc"}
+    pairs = pipeline.generate_candidates(stats, sessions, lex)
+    assert [(p.q1, p.q2) for p in pairs] == [("a", "b")]
+    return pipeline.build_dataset(
+        pairs, stats, sessions, lex, assignments, clusters, neg_ratio=neg_ratio
+    )
+
+
+class TestNegativeSampling:
+    def test_draws_every_free_pair(self):
+        # a and c are variant mates: (b, a), (b, c) and (c, b) are left.
+        ds = three_queries("abc", {"a": 0, "b": 1, "c": 0}, neg_ratio=3)
+        assert sorted((r.q1, r.q2) for r in ds.rows if not r.kinds) == [
+            ("b", "a"), ("b", "c"), ("c", "b")
+        ]
+
+    def test_one_categorized_query(self):
+        with pytest.raises(ValueError, match="need at least 2 categorized queries"):
+            three_queries("a", {}, neg_ratio=1)
+
+    def test_more_than_the_free_pairs(self):
+        # 3 x 2 ordered pairs, less the candidate pair.
+        with pytest.raises(ValueError, match="could not draw 6 x 1 negative pairs from 5 free"):
+            three_queries("abc", {}, neg_ratio=6)
+
+    def test_free_pairs_all_variant_mates(self):
+        with pytest.raises(ValueError, match=r"could not draw 4 negative pairs \(3 found\)"):
+            three_queries("abc", {"a": 0, "b": 1, "c": 0}, neg_ratio=4)
+
+
 @pytest.fixture(scope="module")
 def report(dataset):
     return pipeline.run_crossval(dataset, gbdt.TrainConfig(n_trees=40))

@@ -1,9 +1,8 @@
 """Candidate recommendation extraction: co-click, co-topic, co-session.
 
 Each extractor returns the related query set for an input query plus a
-strength probability.  All three are pure functions of immutable count
-tables (ClickStats, SessionStats) and can run in parallel across input
-queries.
+strength probability.  All three are pure functions of count tables
+(ClickStats, SessionStats) that are built once and then only read.
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ class FacetLexicon:
 class SessionStats:
     """Adjacency counts over ordered consecutive query pairs in sessions."""
 
-    pair_counts: dict[tuple[str, str], int] = field(default_factory=dict)
     occurrences: dict[str, int] = field(default_factory=dict)  # session event count
-    successors: dict[str, dict[str, int]] = field(default_factory=dict)
+    successors: dict[str, dict[str, int]] = field(default_factory=dict)  # q1 -> q2 -> count
     successor_totals: dict[str, int] = field(default_factory=dict)  # column sums
     total_pairs: int = 0
 
@@ -52,7 +50,6 @@ def build_session_stats(sessions: list[Session]) -> SessionStats:
         for q in qs:
             st.occurrences[q] = st.occurrences.get(q, 0) + 1
         for a, b in zip(qs, qs[1:]):
-            st.pair_counts[(a, b)] = st.pair_counts.get((a, b), 0) + 1
             st.successors.setdefault(a, {})
             st.successors[a][b] = st.successors[a].get(b, 0) + 1
             st.successor_totals[b] = st.successor_totals.get(b, 0) + 1
@@ -67,21 +64,9 @@ def brccq(q: str, stats: ClickStats) -> set[str]:
     best rank for that URL (argmin ties are kept); union over URLs, with q
     itself removed.  Unknown q yields the empty set.
     """
-    urls = stats.uc.get(q)
-    if not urls:
-        return set()
     out: set[str] = set()
-    for u in urls:
-        best: int | None = None
-        winners: set[str] = set()
-        for q2 in stats.qc[u]:
-            r = stats.best_rank[(u, q2)]
-            if best is None or r < best:
-                best = r
-                winners = {q2}
-            elif r == best:
-                winners.add(q2)
-        out |= winners
+    for u in stats.uc.get(q, ()):
+        out |= stats.best_queries[u]
     out.discard(q)
     return out
 
@@ -154,7 +139,7 @@ def p_cs(q1: str, q2: str, st: SessionStats) -> float:
     occ = st.occurrences.get(q1, 0)
     if occ == 0:
         return 0.0
-    return st.pair_counts.get((q1, q2), 0) / occ
+    return st.successors.get(q1, {}).get(q2, 0) / occ
 
 
 def generate_all(

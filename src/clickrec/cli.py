@@ -41,7 +41,7 @@ def _apply(cfg, path: str | None):
     if not path:
         return cfg
     types = {f.name: f.type for f in dataclasses.fields(cfg)}
-    for lineno, line in enumerate(_read_lines(path), 1):
+    for lineno, line in enumerate(logmod.read_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -65,17 +65,9 @@ def _write(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _parse_file(path: str, parse):
     """parse(lines of the file); its "<line>: <reason>" errors name the file."""
-    lines = _read_lines(path)
+    lines = logmod.read_lines(path)
     try:
         return parse(lines)
     except ValueError as exc:
@@ -84,7 +76,7 @@ def _parse_file(path: str, parse):
 
 def _parse_log(path: str):
     """parse_log on a file; its error, which has no line, names the file."""
-    lines = _read_lines(path)
+    lines = logmod.read_lines(path)
     try:
         return logmod.parse_log(lines)
     except ValueError as exc:
@@ -94,11 +86,10 @@ def _parse_log(path: str):
 def _prepare(log_path: str):
     """Parse + clean a log and build every shared structure."""
     parsed = _parse_log(log_path)
-    records = logmod.clean_log(parsed.records)
-    stats = logmod.build_click_stats(records)
+    stats = logmod.build_click_stats(logmod.clean_log(parsed.records))
     sessions = logmod.segment_sessions(parsed.records)
     lex = cand.detect_facets(stats)
-    return records, stats, sessions, lex
+    return stats, sessions, lex
 
 
 def _assignments(stats, taxonomy_path: str):
@@ -131,7 +122,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    _, stats, sessions, lex = _prepare(args.log)
+    stats, sessions, lex = _prepare(args.log)
     pairs = pipeline.generate_candidates(stats, sessions, lex)
     _write(os.path.join(args.out, "candidates.tsv"), cand.dump_candidates(pairs))
     print(f"{len(pairs)} candidate pairs")
@@ -139,7 +130,7 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    _, stats, _, _ = _prepare(args.log)
+    stats, _, _ = _prepare(args.log)
     assignments = _assignments(stats, args.taxonomy)
     lines = taxonomy.dump_assignments([assignments[q] for q in stats.queries])
     _write(os.path.join(args.out, "assignments.tsv"), lines)
@@ -148,7 +139,7 @@ def cmd_assign(args) -> int:
 
 
 def _build_dataset(args):
-    _, stats, sessions, lex = _prepare(args.log)
+    stats, sessions, lex = _prepare(args.log)
     pairs = pipeline.generate_candidates(stats, sessions, lex)
     assignments = _assignments(stats, args.taxonomy)
     clusters = taxonomy.cluster_trivial_variants(stats)

@@ -1,59 +1,41 @@
 """Ranking-quality metrics: DCG, NDCG5, AP, MAP, interpolated P-R curves,
-and a paired Wilcoxon signed-rank test."""
+and a paired Wilcoxon signed-rank test.
+
+A ranking is the list of its items' grade scores in ranked order; an item
+is relevant when its grade is at least RELEVANT_MIN_SCORE.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 RELEVANT_MIN_SCORE = 7.0  # "excellent" or better counts as relevant
 
 
-@dataclass
-class GradedRanking:
-    q1: str
-    items: list[tuple[str, float, int]]  # (q2, grade score, binary relevance)
-
-    @classmethod
-    def from_grades(cls, q1: str, graded: list[tuple[str, float]]) -> "GradedRanking":
-        return cls(
-            q1,
-            [(q2, s, 1 if s >= RELEVANT_MIN_SCORE else 0) for q2, s in graded],
-        )
-
-    @property
-    def degenerate(self) -> bool:
-        """No item could ever score: all grades zero."""
-        return all(s == 0.0 for _, s, _ in self.items)
-
-
-def dcg_at(ranking: GradedRanking, R: int) -> float:
+def dcg_at(grades: list[float], R: int) -> float:
     """g_1 + sum_{r=2..R} g_r / log2(r); empty rankings score 0."""
     if R < 1:
         raise ValueError("cutoff must be >= 1")
     total = 0.0
-    for r, (_, g, _) in enumerate(ranking.items[:R], 1):
+    for r, g in enumerate(grades[:R], 1):
         total += g if r == 1 else g / math.log2(r)
     return total
 
 
-def ndcg5(ranking: GradedRanking) -> float:
+def ndcg5(grades: list[float]) -> float:
     """DCG_5 over the ideal (grade-sorted) DCG_5; all-zero grades score 0."""
-    ideal = GradedRanking(
-        ranking.q1, sorted(ranking.items, key=lambda t: -t[1])
-    )
-    denom = dcg_at(ideal, 5)
+    denom = dcg_at(sorted(grades, reverse=True), 5)
     if denom == 0.0:
         return 0.0
-    return dcg_at(ranking, 5) / denom
+    return dcg_at(grades, 5) / denom
 
 
-def average_precision(ranking: GradedRanking) -> float:
+def average_precision(grades: list[float]) -> float:
     """Mean of precision at each relevant position over the full list."""
     hits = 0
     total = 0.0
-    for j, (_, _, rel) in enumerate(ranking.items, 1):
-        if rel:
+    for j, g in enumerate(grades, 1):
+        if g >= RELEVANT_MIN_SCORE:
             hits += 1
             total += hits / j
     if hits == 0:
@@ -61,19 +43,20 @@ def average_precision(ranking: GradedRanking) -> float:
     return total / hits
 
 
-def mean_average_precision(rankings: list[GradedRanking]) -> float:
+def mean_average_precision(rankings: list[list[float]]) -> float:
     if not rankings:
         raise ValueError("empty ranking list")
     return sum(average_precision(r) for r in rankings) / len(rankings)
 
 
-def _interpolated_precision(ranking: GradedRanking, levels: list[float]) -> list[float] | None:
-    n_rel = sum(rel for _, _, rel in ranking.items)
+def _interpolated_precision(grades: list[float], levels: list[float]) -> list[float] | None:
+    rels = [g >= RELEVANT_MIN_SCORE for g in grades]
+    n_rel = sum(rels)
     if n_rel == 0:
         return None
     points = []  # (recall, precision) at each prefix ending in a hit
     hits = 0
-    for j, (_, _, rel) in enumerate(ranking.items, 1):
+    for j, rel in enumerate(rels, 1):
         if rel:
             hits += 1
         points.append((hits / n_rel, hits / j))
@@ -88,7 +71,7 @@ def _interpolated_precision(ranking: GradedRanking, levels: list[float]) -> list
 
 
 def precision_recall_curve(
-    rankings: list[GradedRanking], points: int = 11
+    rankings: list[list[float]], points: int = 11
 ) -> list[tuple[float, float]]:
     """Average interpolated precision at evenly spaced recall levels.
 

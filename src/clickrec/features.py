@@ -121,7 +121,7 @@ def llr(q1: str, q2: str, st: SessionStats) -> float:
     n = st.total_pairs
     if n == 0:
         raise ValueError("no session-adjacent pairs observed")
-    k11 = st.pair_counts.get((q1, q2), 0)
+    k11 = st.successors.get(q1, {}).get(q2, 0)
     row1 = sum(st.successors.get(q1, {}).values())
     return _g2(k11, row1, st.successor_totals.get(q2, 0), n)
 
@@ -280,7 +280,7 @@ def build_features(
     leven = mb_leven if a.isascii and b.isascii else _edit_distance(a.utf8, b.utf8)
     n = st.total_pairs
     if n:
-        k11 = st.pair_counts.get((q1, q2), 0)
+        k11 = st.successors.get(q1, {}).get(q2, 0)
         f_llr = _g2(k11, a.successor_sum, st.successor_totals.get(q2, 0), n)
     else:
         f_llr = 0.0

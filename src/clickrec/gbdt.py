@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .logs import read_lines
+
 _BLOCK = 256  # rows per predict step; bounds the (rows, trees) work arrays
 
 
@@ -152,9 +154,7 @@ class _Grower:
         cs = csum.ravel()[f * m + p]
         total = csum.ravel()[f * m + m - 1]
         nl = p + 1
-        ml = cs / nl
-        mr = (total - cs) / (m - nl)
-        gains = nl * (m - nl) / m * (ml - mr) ** 2
+        gains = split_gain(nl, cs / nl, m - nl, (total - cs) / (m - nl))
         best = int(np.argmax(gains))
         g = float(gains[best])
         if not g > 0.0:
@@ -403,11 +403,7 @@ def save_model(model: Ensemble, path: str) -> None:
 
 def load_model(path: str) -> Ensemble:
     """Read a model file; a malformed one raises ValueError("path:line: reason")."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    lines = [(i, ln) for i, ln in enumerate(read_lines(path), 1) if ln.strip()]
     end = lines[-1][0] + 1 if lines else 1  # the line number past the last line
     pos, lineno = 0, end
 

@@ -38,15 +38,15 @@ class Session:
 
 @dataclass
 class ClickStats:
-    """Immutable count tables shared by every downstream module."""
+    """Count tables over the cleaned records, built once and then only read."""
 
-    cnt_uq: dict[tuple[str, str], int] = field(default_factory=dict)
-    cnt_q: dict[str, int] = field(default_factory=dict)
-    cnt_u: dict[str, int] = field(default_factory=dict)
+    cnt_uq: dict[tuple[str, str], int] = field(default_factory=dict)  # (url, query) -> clicks
+    cnt_q: dict[str, int] = field(default_factory=dict)  # query -> clicks
+    cnt_u: dict[str, int] = field(default_factory=dict)  # url -> clicks
     total: int = 0
     uc: dict[str, set[str]] = field(default_factory=dict)  # query -> clicked URLs
-    qc: dict[str, set[str]] = field(default_factory=dict)  # url -> clicking queries
-    best_rank: dict[tuple[str, str], int] = field(default_factory=dict)
+    # url -> the queries that clicked it at the lowest rank any query did
+    best_queries: dict[str, set[str]] = field(default_factory=dict)
 
     def p_u(self, u: str) -> float:
         return self.cnt_u.get(u, 0) / self.total if self.total else 0.0
@@ -61,6 +61,24 @@ class ClickStats:
     @property
     def queries(self) -> list[str]:
         return sorted(self.cnt_q)
+
+
+def read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, split as str.splitlines splits them.
+
+    Invalid UTF-8 raises ValueError("<path>:<line>: invalid UTF-8 ...").
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # Everything before the first bad byte decodes; with "x" standing in
+        # for that byte, the last line is the one the bad byte is on.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(
+            f"{path}:{line}: invalid UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
+        ) from None
 
 
 def parse_line(line: str) -> ClickRecord | None:
@@ -181,6 +199,7 @@ def dump_sessions(sessions: list[Session]) -> list[str]:
 def build_click_stats(records: list[ClickRecord]) -> ClickStats:
     """Populate all count tables from (already cleaned) records."""
     stats = ClickStats()
+    best: dict[str, int] = {}  # url -> lowest rank clicked
     for r in records:
         key = (r.url, r.query)
         stats.cnt_uq[key] = stats.cnt_uq.get(key, 0) + 1
@@ -188,8 +207,10 @@ def build_click_stats(records: list[ClickRecord]) -> ClickStats:
         stats.cnt_u[r.url] = stats.cnt_u.get(r.url, 0) + 1
         stats.total += 1
         stats.uc.setdefault(r.query, set()).add(r.url)
-        stats.qc.setdefault(r.url, set()).add(r.query)
-        br = stats.best_rank.get(key)
-        if br is None or r.rank < br:
-            stats.best_rank[key] = r.rank
+        low = best.get(r.url)
+        if low is None or r.rank < low:
+            best[r.url] = r.rank
+            stats.best_queries[r.url] = {r.query}
+        elif r.rank == low:
+            stats.best_queries[r.url].add(r.query)
     return stats

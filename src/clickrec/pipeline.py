@@ -172,7 +172,7 @@ def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig | None = None) -> Cross
             raise ValueError(f"fold {f} is empty")
 
     per_query_ndcg: dict[str, list[float]] = {m: [] for m in ALL_METHODS}
-    rankings: dict[str, list[ev.GradedRanking]] = {m: [] for m in ALL_METHODS}
+    rankings: dict[str, list[list[float]]] = {m: [] for m in ALL_METHODS}
     raw_importance = {n: 0.0 for n in FEATURE_NAMES}
     n_degenerate = 0
 
@@ -205,11 +205,11 @@ def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig | None = None) -> Cross
             for m in ALL_METHODS:
                 score = scores[m]
                 order = sorted(by_q1[q1], key=lambda i: (-score[i], test_cand[i].q2))
-                graded = [(test_cand[i].q2, grades[i]) for i in order]
-                gr = ev.GradedRanking.from_grades(q1, graded)
-                rankings[m].append(gr)
-                per_query_ndcg[m].append(ev.ndcg5(gr))
-            n_degenerate += gr.degenerate  # every method ranks the same items
+                ranked = [grades[i] for i in order]
+                rankings[m].append(ranked)
+                per_query_ndcg[m].append(ev.ndcg5(ranked))
+            # With only zero grades, every method's ranking scores 0.
+            n_degenerate += all(grades[i] == 0.0 for i in by_q1[q1])
 
     metrics = {
         m: (

@@ -59,7 +59,7 @@ def llr(q1: str, q2: str, st: SessionStats) -> float:
     n = st.total_pairs
     if n == 0:
         raise ValueError("no session-adjacent pairs observed")
-    k11 = st.pair_counts.get((q1, q2), 0)
+    k11 = st.successors.get(q1, {}).get(q2, 0)
     row1 = sum(st.successors.get(q1, {}).values())
     col1 = st.successor_totals.get(q2, 0)
     k12 = row1 - k11

@@ -22,14 +22,16 @@ from conftest import random_records
 # Brute-force oracles, written against the raw definitions.
 # ---------------------------------------------------------------------------
 
-def oracle_brccq(q, stats):
+def oracle_brccq(q, records):
+    """Queries with the lowest best rank on some URL q clicked, less q."""
+    best = {}  # (url, query) -> best rank
+    for r in records:
+        best[(r.url, r.query)] = min(best.get((r.url, r.query), r.rank), r.rank)
     result = set()
-    for u in stats.uc.get(q, set()):
-        ranks = {q2: stats.best_rank[(u, q2)] for q2 in stats.qc[u]}
-        best = min(ranks.values())
-        for q2, r in ranks.items():
-            if r == best:
-                result.add(q2)
+    for u in {r.url for r in records if r.query == q}:
+        ranks = {q2: rank for (u2, q2), rank in best.items() if u2 == u}
+        low = min(ranks.values())
+        result |= {q2 for q2, rank in ranks.items() if rank == low}
     result.discard(q)
     return result
 
@@ -102,9 +104,10 @@ class TestBrccq:
     def test_matches_oracle_on_random_logs(self):
         rng = random.Random(13)
         for trial in range(10):
-            stats = build_click_stats(random_records(rng, 200))
+            records = random_records(rng, 200)
+            stats = build_click_stats(records)
             for q in stats.cnt_q:
-                assert brccq(q, stats) == oracle_brccq(q, stats)
+                assert brccq(q, stats) == oracle_brccq(q, records)
 
 
 class TestPcc:
@@ -306,7 +309,7 @@ class TestGenerateAll:
         assert generate_all("never seen", stats, build_session_stats(sessions), lex) == []
 
     def test_matches_oracle_union(self, small_world):
-        _, _, stats, sessions = small_world
+        _, cleaned, stats, sessions = small_world
         lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
         st = build_session_stats(sessions)
         for q1 in stats.cnt_q:
@@ -316,7 +319,7 @@ class TestGenerateAll:
                 by_kind.setdefault(p.kind, set()).add(p.q2)
                 assert p.q1 == q1 and p.q2 != q1
                 assert 0.0 <= p.strength <= 1.0 + 1e-12
-            assert by_kind.get("co_click", set()) == oracle_brccq(q1, stats)
+            assert by_kind.get("co_click", set()) == oracle_brccq(q1, cleaned)
             assert by_kind.get("co_session", set()) == oracle_csq(q1, sessions)
 
     def test_deterministic_order_and_dump(self, small_world):

@@ -8,12 +8,13 @@ import contextlib
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickrec import cli, gbdt, synth
-from clickrec.features import FEATURES, FeatureVector, feature_matrix_lines
+from clickrec.features import FEATURE_NAMES, FEATURES, FeatureVector, feature_matrix_lines
 
 # Training keys, then synth keys, which a training config may also hold.
 # n_trees comes last so that no edit can append digits of a later value to
@@ -114,7 +115,7 @@ class TestFeatureMatrixErrors:
         path.write_bytes(matrix_lines()[0].encode() + b"\n\xff\n")
         code, err = train(base, path)
         assert code == 1
-        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode"), err
+        assert err.startswith(f"error: {path}:2: invalid UTF-8: invalid start byte (byte 0xff)"), err
 
 
 class TestConfigErrors:
@@ -331,12 +332,31 @@ class TestFuzz:
             "model": (base / "model" / "model.txt", [lambda p: rank(base, base / "features.tsv", p)]),
         }[name]
         data = valid.read_bytes()
+        assert data.isascii() and b"\r" not in data
         pos %= len(data) + 1
         path = valid.with_name("invalid_" + valid.name)
         path.write_bytes(data[:pos] + bad + data[pos:])
+        line = data[:pos].count(b"\n") + 1
         for command in commands:
             code, err = command(path)
-            assert code == 1 and err.startswith(f"error: {path}:"), err
+            assert code == 1 and err.startswith(f"error: {path}:{line}: invalid UTF-8: "), err
+
+    def test_invalid_utf8_line_past_first_block(self, base, tmp_path):
+        # The bad byte lies far past the first 8 KiB, where an offset within
+        # a decoding block would no longer point at it.
+        rng = np.random.default_rng(5)
+        X, y = rng.random((64, len(FEATURES))), rng.random(64)
+        model = gbdt.fit(X, y, gbdt.TrainConfig(n_trees=100), feature_names=FEATURE_NAMES)
+        valid = tmp_path / "model.txt"
+        gbdt.save_model(model, str(valid))
+        lines = valid.read_bytes().split(b"\n")
+        assert len(b"\n".join(lines[:999])) > 8192
+        lines[999] = b"\xff" + lines[999]
+        path = tmp_path / "invalid.txt"
+        path.write_bytes(b"\n".join(lines))
+        code, err = rank(base, base / "features.tsv", path)
+        assert code == 1
+        assert err.startswith(f"error: {path}:1000: invalid UTF-8: invalid start byte"), err
 
     @settings(max_examples=150, deadline=None)
     @given(edits(FEATURE_CHARS, FEATURE_TOKENS))

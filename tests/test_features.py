@@ -143,12 +143,14 @@ class TestLLR:
                 [rng.choice("abcd"), rng.choice("abcd")] for _ in range(rng.randint(3, 20))
             ]
             st = _sessions(seqs)
+            # Each sequence is one session; a repeated query collapses to one event.
+            pairs = [(a, b) for a, b in seqs if a != b]
+            n = len(pairs)
             for q1 in "abcd":
                 for q2 in "abcd":
-                    k11 = st.pair_counts.get((q1, q2), 0)
-                    row1 = sum(st.successors.get(q1, {}).values())
-                    col1 = st.successor_totals.get(q2, 0)
-                    n = st.total_pairs
+                    k11 = pairs.count((q1, q2))
+                    row1 = sum(a == q1 for a, _ in pairs)
+                    col1 = sum(b == q2 for _, b in pairs)
                     expected = oracle_g2(k11, row1 - k11, col1 - k11, n - row1 - col1 + k11)
                     got = llr(q1, q2, st)
                     assert got >= 0.0

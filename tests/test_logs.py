@@ -145,13 +145,22 @@ class TestBuildClickStats:
         assert stats.cnt_uq[("http://a", "q")] == 3
         assert stats.p_u_given_q("http://a", "q") == 0.75
 
-    def test_best_rank_is_minimum(self):
+    def test_best_queries_keep_every_query_at_the_lowest_rank(self):
         recs = [
             ClickRecord(1, "u1", "q", "http://a", 3),
             ClickRecord(2, "u2", "q", "http://a", 1),
+            ClickRecord(3, "u3", "p", "http://a", 1),
+            ClickRecord(4, "u4", "r", "http://a", 2),
         ]
-        stats = build_click_stats(recs)
-        assert stats.best_rank[("http://a", "q")] == 1
+        assert build_click_stats(recs).best_queries == {"http://a": {"q", "p"}}
+
+    def test_lower_rank_arriving_last_resets_best_queries(self):
+        recs = [
+            ClickRecord(1, "u1", "q", "http://a", 2),
+            ClickRecord(2, "u2", "p", "http://a", 2),
+            ClickRecord(3, "u3", "r", "http://a", 1),
+        ]
+        assert build_click_stats(recs).best_queries == {"http://a": {"r"}}
 
     def test_empty(self):
         stats = build_click_stats([])
@@ -163,9 +172,11 @@ class TestBuildClickStats:
         assert sum(stats.cnt_uq.values()) == stats.total
         for (u, q), c in stats.cnt_uq.items():
             assert c > 0
-            assert u in stats.uc[q] and q in stats.qc[u]
-            assert stats.best_rank[(u, q)] >= 1
-        assert set(stats.best_rank) == set(stats.cnt_uq)
+            assert u in stats.uc[q]
+        assert set(stats.best_queries) == set(stats.cnt_u)
+        for u, winners in stats.best_queries.items():
+            ranks = [r.rank for r in cleaned if r.url == u]
+            assert winners == {r.query for r in cleaned if r.url == u and r.rank == min(ranks)}
 
     def test_conditional_probability_sums_to_one(self, small_world):
         _, _, stats, _ = small_world

@@ -1,0 +1,60 @@
+"""Byte gate: every CLI output on a small fixed corpus keeps its sha256.
+
+The corpus is the one acceptance criterion 7 uses (16 topics, 30 users,
+6,000 events, seed 5) and models have 15 trees.  A change that alters any
+digest below changes what clickrec computes; if that is intended, the new
+digests go in with it and the change says why.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from clickrec import cli
+
+CONFIG = "n_topics=16\nn_users=30\nn_events=6000\nn_trees=15\n"
+
+DIGESTS = {
+    "data/clicks.tsv": "4f069299925f74ef1235a2dd9cb0f352ca370b8dd9bc05a8c882fcec4206007b",
+    "data/taxonomy.tsv": "fdc8139191fb104c0d1944ddd7c3269b9557249b4f8b296708a59fc93ce0c54b",
+    "candidates/candidates.tsv": "2884d379a74ae7a48b82d9c0bd9c720363bdab7f1f87702ebbb11c0abdbdb601",
+    "assign/assignments.tsv": "028412cb9b6a914db58f23f0ea6cc0ba5253f4b7d5a826ce1ea90d5093c39186",
+    "features/features.tsv": "ac6101b9f7074fd199e045648851055e7619988c47d75897db5c8bf5c5fc6a7a",
+    "model/model.txt": "ac0768a79714ae6fb613e42767833aa51390936561647f35e1896aaaa101b707",
+    "rank.txt": "9bea094939742ecba3a718db578d8ff9620ad95a8cadfc46fe37846aac6c90b2",
+    "crossval/report.tsv": "61474de160f4ef5f7184e274006e86528e3040c69d3707f5306d922034c9fb71",
+    "crossval.txt": "4dfabff698caa87809d76875ef0f083ae719d20799ec636fd9f6249b68896a9f",
+}
+
+
+def test_cli_outputs_keep_their_digests(tmp_path):
+    cfg = tmp_path / "corpus.cfg"
+    cfg.write_text(CONFIG)
+
+    def run(out, *argv):
+        """cli.main with the corpus config and seed; returns its stdout."""
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["--config", str(cfg), "--seed", "5", "--out", str(tmp_path / out),
+                             *map(str, argv)])
+        assert code == 0
+        return stdout.getvalue()
+
+    log, taxo = tmp_path / "data" / "clicks.tsv", tmp_path / "data" / "taxonomy.tsv"
+    run("data", "synth")
+    run("candidates", "candidates", "--log", log)
+    run("assign", "assign", "--log", log, "--taxonomy", taxo)
+    run("features", "features", "--log", log, "--taxonomy", taxo)
+    features = tmp_path / "features" / "features.tsv"
+    run("model", "train", "--features", features)
+    (tmp_path / "rank.txt").write_text(
+        run("rank", "rank", "--model", tmp_path / "model" / "model.txt", "--features", features,
+            "--q1", "t000")
+    )
+    (tmp_path / "crossval.txt").write_text(
+        run("crossval", "crossval", "--log", log, "--taxonomy", taxo)
+    )
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS
+    }
+    assert got == DIGESTS

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -204,6 +205,27 @@ class TestCrossval:
         r1 = pipeline.run_crossval(dataset, cfg)
         r2 = pipeline.run_crossval(dataset, cfg)
         assert r1.lines() == r2.lines()
+
+    def test_degenerate_counts_queries_with_only_zero_grades(self):
+        # Four queries per fold, three candidates each.  The first query of
+        # each fold has only sim-0 candidates; every other query has one
+        # sim-0 candidate and two that grade above 0.
+        rng = random.Random(11)
+        rows, folds = [], {}
+        for i in range(8):
+            q1 = f"q{i}"
+            folds[q1] = i % 2
+            sims = [0.0, 0.0, 0.0] if i < 2 else [0.0, 0.2, 0.9]
+            for j, sim in enumerate(sims):
+                values = [rng.randint(0, 9) if typ is int else rng.random()
+                          for _, _, typ in features.FEATURES]
+                fv = features.FeatureVector(*values, sim=sim)
+                rows.append(pipeline.DatasetRow(q1, f"{q1}r{j}", frozenset({"co_click"}), fv))
+        report = pipeline.run_crossval(
+            pipeline.Dataset(rows, folds), gbdt.TrainConfig(n_trees=3, min_leaf=1)
+        )
+        assert report.n_queries == 8
+        assert report.n_degenerate == 2
 
     def test_empty_fold_detected(self, dataset):
         broken = pipeline.Dataset(

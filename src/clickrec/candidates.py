@@ -65,7 +65,7 @@ def brccq(q: str, stats: ClickStats) -> set[str]:
     itself removed.  Unknown q yields the empty set.
     """
     out: set[str] = set()
-    for u in stats.uc.get(q, ()):
+    for u in stats.clicks.get(q, ()):
         out |= stats.best_queries[u]
     out.discard(q)
     return out
@@ -73,19 +73,20 @@ def brccq(q: str, stats: ClickStats) -> set[str]:
 
 def p_cc(q1: str, q2: str, stats: ClickStats) -> float:
     """Co-click probability: sum over q1's URLs of P(u|q1)*P(q2)*P(u|q2)/P(u)."""
-    urls = stats.uc.get(q1)
-    if urls is None:
+    urls1 = stats.clicks.get(q1)
+    if urls1 is None:
         raise KeyError(f"unknown query: {q1!r}")
-    pq2 = stats.p_q(q2)
-    if pq2 == 0.0:
+    urls2 = stats.clicks.get(q2)
+    if urls2 is None:
         return 0.0
-    total = 0.0
-    for u in sorted(urls):
-        pu_q2 = stats.p_u_given_q(u, q2)
-        if pu_q2 == 0.0:
-            continue
-        total += stats.p_u_given_q(u, q1) * pq2 * pu_q2 / stats.p_u(u)
-    return total
+    n1, n2, total = stats.cnt_q[q1], stats.cnt_q[q2], stats.total
+    pq2 = n2 / total
+    out = 0.0
+    for u, k1 in urls1.items():
+        k2 = urls2.get(u)
+        if k2 is not None:
+            out += k1 / n1 * pq2 * (k2 / n2) / (stats.cnt_u[u] / total)
+    return out
 
 
 def detect_facets(
@@ -120,13 +121,16 @@ def ctq(q1: str, lex: FacetLexicon, stats: ClickStats) -> set[str]:
     return out
 
 
+def freq_topic(q1: str, lex: FacetLexicon, stats: ClickStats) -> int:
+    """Freq.topic: cnt(q1) plus the counts of its CTQ expansions."""
+    return stats.cnt_q.get(q1, 0) + sum(stats.cnt_q[e] for e in ctq(q1, lex, stats))
+
+
 def p_ct(q1: str, q2: str, lex: FacetLexicon, stats: ClickStats) -> float:
-    """Co-topic probability: cnt(q2) / (cnt(q1) + sum of CTQ counts)."""
-    expansions = ctq(q1, lex, stats)
-    if q2 not in expansions:
+    """Co-topic probability: cnt(q2) / Freq.topic(q1)."""
+    if q2 not in ctq(q1, lex, stats):
         raise ValueError(f"{q2!r} is not a co-topic expansion of {q1!r}")
-    denom = stats.cnt_q.get(q1, 0) + sum(stats.cnt_q[e] for e in expansions)
-    return stats.cnt_q[q2] / denom
+    return stats.cnt_q[q2] / freq_topic(q1, lex, stats)
 
 
 def csq(q1: str, st: SessionStats) -> set[str]:
@@ -154,12 +158,10 @@ def generate_all(
     descending, then q2.
     """
     pairs: list[CandidatePair] = []
-    if q1 in stats.uc:
-        for q2 in brccq(q1, stats):
-            pairs.append(CandidatePair(q1, q2, CO_CLICK, p_cc(q1, q2, stats)))
+    for q2 in brccq(q1, stats):
+        pairs.append(CandidatePair(q1, q2, CO_CLICK, p_cc(q1, q2, stats)))
     for q2 in ctq(q1, lex, stats):
-        if q2 != q1:
-            pairs.append(CandidatePair(q1, q2, CO_TOPIC, p_ct(q1, q2, lex, stats)))
+        pairs.append(CandidatePair(q1, q2, CO_TOPIC, p_ct(q1, q2, lex, stats)))
     for q2 in csq(q1, st):
         pairs.append(CandidatePair(q1, q2, CO_SESSION, p_cs(q1, q2, st)))
     pairs.sort(key=lambda p: (_KIND_ORDER[p.kind], -p.strength, p.q2))

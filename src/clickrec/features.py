@@ -13,7 +13,7 @@ import math
 from collections import Counter, namedtuple
 from typing import NamedTuple
 
-from .candidates import CO_CLICK, CO_SESSION, CO_TOPIC, FacetLexicon, SessionStats, ctq
+from .candidates import CO_CLICK, CO_SESSION, CO_TOPIC, FacetLexicon, SessionStats, freq_topic
 from .logs import ClickStats
 
 # The 23 ranking features in feature-matrix column order, one row each:
@@ -79,10 +79,10 @@ def _entropy(counts) -> float:
 
 def click_entropy(q: str, stats: ClickStats) -> float:
     """Shannon entropy (bits) of the click distribution over q's URLs."""
-    urls = stats.uc.get(q)
+    urls = stats.clicks.get(q)
     if not urls:
         raise KeyError(f"unknown query: {q!r}")
-    return _entropy([stats.cnt_uq[(u, q)] for u in sorted(urls)])
+    return _entropy(list(urls.values()))
 
 
 def next_query_entropy(q1: str, st: SessionStats) -> float:
@@ -241,13 +241,12 @@ class FeatureContext:
 
     def _describe(self, q: str) -> _Query:
         stats = self.stats
-        cnt = stats.cnt_q.get(q, 0)
         return _Query(
-            cnt=cnt,
-            freq_topic=cnt + sum(stats.cnt_q[e] for e in ctq(q, self.lex, stats)),
+            cnt=stats.cnt_q.get(q, 0),
+            freq_topic=freq_topic(q, self.lex, stats),
             len=len(q),
             clen=len(q.split()),
-            ent=click_entropy(q, stats) if q in stats.uc else 0.0,
+            ent=click_entropy(q, stats) if q in stats.clicks else 0.0,
             next_ent=next_query_entropy(q, self.st),
             successor_sum=sum(self.st.successors.get(q, {}).values()),
             chunks=_bag(q, "chunk"),
@@ -271,7 +270,7 @@ def build_features(
     features are always populated.
     """
     stats, st = ctx.stats, ctx.st
-    if q1 not in stats.cnt_q or q1 not in stats.uc:
+    if q1 not in stats.clicks:
         raise KeyError(f"unknown query: {q1!r}")
     a, b = ctx.query(q1), ctx.query(q2)
 

@@ -38,25 +38,19 @@ class Session:
 
 @dataclass
 class ClickStats:
-    """Count tables over the cleaned records, built once and then only read."""
+    """Count tables over the cleaned records, built once and then only read.
 
-    cnt_uq: dict[tuple[str, str], int] = field(default_factory=dict)  # (url, query) -> clicks
+    Each query's URLs in ``clicks`` are in sorted order.  P_cc, the click
+    entropy and the clustering cosine add floats in that order, so it
+    decides their output bytes.
+    """
+
+    clicks: dict[str, dict[str, int]] = field(default_factory=dict)  # query -> url -> clicks
     cnt_q: dict[str, int] = field(default_factory=dict)  # query -> clicks
     cnt_u: dict[str, int] = field(default_factory=dict)  # url -> clicks
     total: int = 0
-    uc: dict[str, set[str]] = field(default_factory=dict)  # query -> clicked URLs
     # url -> the queries that clicked it at the lowest rank any query did
     best_queries: dict[str, set[str]] = field(default_factory=dict)
-
-    def p_u(self, u: str) -> float:
-        return self.cnt_u.get(u, 0) / self.total if self.total else 0.0
-
-    def p_q(self, q: str) -> float:
-        return self.cnt_q.get(q, 0) / self.total if self.total else 0.0
-
-    def p_u_given_q(self, u: str, q: str) -> float:
-        c = self.cnt_q.get(q, 0)
-        return self.cnt_uq.get((u, q), 0) / c if c else 0.0
 
     @property
     def queries(self) -> list[str]:
@@ -201,16 +195,17 @@ def build_click_stats(records: list[ClickRecord]) -> ClickStats:
     stats = ClickStats()
     best: dict[str, int] = {}  # url -> lowest rank clicked
     for r in records:
-        key = (r.url, r.query)
-        stats.cnt_uq[key] = stats.cnt_uq.get(key, 0) + 1
+        urls = stats.clicks.setdefault(r.query, {})
+        urls[r.url] = urls.get(r.url, 0) + 1
         stats.cnt_q[r.query] = stats.cnt_q.get(r.query, 0) + 1
         stats.cnt_u[r.url] = stats.cnt_u.get(r.url, 0) + 1
         stats.total += 1
-        stats.uc.setdefault(r.query, set()).add(r.url)
         low = best.get(r.url)
         if low is None or r.rank < low:
             best[r.url] = r.rank
             stats.best_queries[r.url] = {r.query}
         elif r.rank == low:
             stats.best_queries[r.url].add(r.query)
+    for q, urls in stats.clicks.items():
+        stats.clicks[q] = dict(sorted(urls.items()))
     return stats

@@ -165,7 +165,7 @@ def cluster_trivial_variants(stats: ClickStats, threshold: float = 0.9) -> dict[
     weights: list[float] = []
     labels: dict[str, int] = {}
     for q in order:
-        vec = {u: float(stats.cnt_uq[(u, q)]) for u in sorted(stats.uc.get(q, ()))}
+        vec = {u: float(c) for u, c in stats.clicks[q].items()}
         joined = None
         for cid, cen in enumerate(centroids):
             if _cosine(vec, cen) >= threshold:

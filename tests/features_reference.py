@@ -40,10 +40,10 @@ def _entropy(counts) -> float:
 
 def click_entropy(q: str, stats: ClickStats) -> float:
     """Shannon entropy (bits) of the click distribution over q's URLs."""
-    urls = stats.uc.get(q)
+    urls = stats.clicks.get(q)
     if not urls:
         raise KeyError(f"unknown query: {q!r}")
-    return _entropy([stats.cnt_uq[(u, q)] for u in sorted(urls)])
+    return _entropy([urls[u] for u in sorted(urls)])
 
 
 def next_query_entropy(q1: str, st: SessionStats) -> float:
@@ -146,7 +146,7 @@ def build_features(
     len_q1, len_q2 = len(q1), len(q2)
     clen_q1, clen_q2 = len(q1.split()), len(q2.split())
     ent_q1 = click_entropy(q1, stats)
-    ent_q2 = click_entropy(q2, stats) if q2 in stats.uc else 0.0
+    ent_q2 = click_entropy(q2, stats) if q2 in stats.clicks else 0.0
 
     return FeatureVector(
         p_cc=f_pcc,

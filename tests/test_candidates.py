@@ -36,17 +36,20 @@ def oracle_brccq(q, records):
     return result
 
 
-def oracle_p_cc(q1, q2, stats):
+def oracle_p_cc(q1, q2, records):
+    """Sum over q1's URLs, in sorted order, of P(u|q1) P(q2) P(u|q2) / P(u),
+    with every count taken from the records."""
+    n = len(records)
+    n1 = sum(1 for r in records if r.query == q1)
+    n2 = sum(1 for r in records if r.query == q2)
     total = 0.0
-    for u in stats.uc.get(q1, set()):
-        p_u_q1 = stats.cnt_uq[(u, q1)] / stats.cnt_q[q1]
-        p_q2 = stats.cnt_q.get(q2, 0) / stats.total
-        c_uq2 = stats.cnt_uq.get((u, q2), 0)
-        if c_uq2 == 0 or p_q2 == 0:
+    for u in sorted({r.url for r in records if r.query == q1}):
+        k1 = sum(1 for r in records if r.url == u and r.query == q1)
+        k2 = sum(1 for r in records if r.url == u and r.query == q2)
+        if k2 == 0:
             continue
-        p_u_q2 = c_uq2 / stats.cnt_q[q2]
-        p_u = stats.cnt_u[u] / stats.total
-        total += p_u_q1 * p_q2 * p_u_q2 / p_u
+        n_u = sum(1 for r in records if r.url == u)
+        total += k1 / n1 * (n2 / n) * (k2 / n2) / (n_u / n)
     return total
 
 
@@ -138,10 +141,11 @@ class TestPcc:
 
     def test_matches_oracle(self):
         rng = random.Random(17)
-        stats = build_click_stats(random_records(rng, 400))
+        records = random_records(rng, 400)
+        stats = build_click_stats(records)
         for q1 in stats.cnt_q:
             for q2 in stats.cnt_q:
-                assert abs(p_cc(q1, q2, stats) - oracle_p_cc(q1, q2, stats)) < 1e-12
+                assert p_cc(q1, q2, stats) == oracle_p_cc(q1, q2, records)
 
     def test_count_scale_invariance(self):
         rng = random.Random(19)

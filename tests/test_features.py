@@ -99,7 +99,7 @@ class TestClickEntropy:
         stats = build_click_stats(random_records(rng, 500))
         for q in stats.cnt_q:
             ent = click_entropy(q, stats)
-            assert -1e-12 <= ent <= math.log2(len(stats.uc[q])) + 1e-12
+            assert -1e-12 <= ent <= math.log2(len(stats.clicks[q])) + 1e-12
 
 
 class TestNextQueryEntropy:

@@ -142,8 +142,7 @@ class TestBuildClickStats:
         ]
         stats = build_click_stats(recs)
         assert stats.cnt_q["q"] == 4
-        assert stats.cnt_uq[("http://a", "q")] == 3
-        assert stats.p_u_given_q("http://a", "q") == 0.75
+        assert stats.clicks["q"] == {"http://a": 3, "http://b": 1}
 
     def test_best_queries_keep_every_query_at_the_lowest_rank(self):
         recs = [
@@ -169,10 +168,15 @@ class TestBuildClickStats:
     def test_tables_consistent(self, small_world):
         _, cleaned, stats, _ = small_world
         assert sum(stats.cnt_q.values()) == stats.total
-        assert sum(stats.cnt_uq.values()) == stats.total
-        for (u, q), c in stats.cnt_uq.items():
-            assert c > 0
-            assert u in stats.uc[q]
+        assert set(stats.clicks) == set(stats.cnt_q)
+        for q, urls in stats.clicks.items():
+            brute = {}
+            for r in cleaned:
+                if r.query == q:
+                    brute[r.url] = brute.get(r.url, 0) + 1
+            assert urls == brute
+            assert list(urls) == sorted(urls)
+            assert sum(urls.values()) == stats.cnt_q[q]
         assert set(stats.best_queries) == set(stats.cnt_u)
         for u, winners in stats.best_queries.items():
             ranks = [r.rank for r in cleaned if r.url == u]
@@ -181,5 +185,5 @@ class TestBuildClickStats:
     def test_conditional_probability_sums_to_one(self, small_world):
         _, _, stats, _ = small_world
         for q in stats.cnt_q:
-            total = sum(stats.p_u_given_q(u, q) for u in stats.uc[q])
+            total = sum(c / stats.cnt_q[q] for c in stats.clicks[q].values())
             assert abs(total - 1.0) < 1e-12

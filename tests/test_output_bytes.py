@@ -17,6 +17,8 @@ CONFIG = "n_topics=16\nn_users=30\nn_events=6000\nn_trees=15\n"
 DIGESTS = {
     "data/clicks.tsv": "4f069299925f74ef1235a2dd9cb0f352ca370b8dd9bc05a8c882fcec4206007b",
     "data/taxonomy.tsv": "fdc8139191fb104c0d1944ddd7c3269b9557249b4f8b296708a59fc93ce0c54b",
+    "ingest/cleaned.tsv": "44b472ffc30fb44216a64d80805e662d4ecaf065a84ba48e1e11197628df84a0",
+    "ingest/sessions.tsv": "5d0f1a93f7b362abe92e4d6c2d687d94c5cacae06d74b7f3d63f17d664af0cb1",
     "candidates/candidates.tsv": "2884d379a74ae7a48b82d9c0bd9c720363bdab7f1f87702ebbb11c0abdbdb601",
     "assign/assignments.tsv": "028412cb9b6a914db58f23f0ea6cc0ba5253f4b7d5a826ce1ea90d5093c39186",
     "features/features.tsv": "ac6101b9f7074fd199e045648851055e7619988c47d75897db5c8bf5c5fc6a7a",
@@ -42,6 +44,7 @@ def test_cli_outputs_keep_their_digests(tmp_path):
 
     log, taxo = tmp_path / "data" / "clicks.tsv", tmp_path / "data" / "taxonomy.tsv"
     run("data", "synth")
+    run("ingest", "ingest", "--log", log)
     run("candidates", "candidates", "--log", log)
     run("assign", "assign", "--log", log, "--taxonomy", taxo)
     run("features", "features", "--log", log, "--taxonomy", taxo)

@@ -27,13 +27,6 @@ class CandidatePair:
 
 
 @dataclass
-class FacetLexicon:
-    """Facet directives: words that terminate many distinct frequent queries."""
-
-    facets: dict[str, int] = field(default_factory=dict)  # word -> distinct queries
-
-
-@dataclass
 class SessionStats:
     """Adjacency counts over ordered consecutive query pairs in sessions."""
 
@@ -91,11 +84,11 @@ def p_cc(q1: str, q2: str, stats: ClickStats) -> float:
 
 def detect_facets(
     stats: ClickStats, min_distinct: int = 5, min_query_freq: int = 10
-) -> FacetLexicon:
-    """Find facet words: final chunks of enough distinct frequent queries.
+) -> frozenset[str]:
+    """Find the facet directives: words that end many distinct frequent queries.
 
     Only queries with cnt(q) >= min_query_freq and at least two chunks
-    qualify; a word enters the lexicon when it ends >= min_distinct of them.
+    qualify; a word is a facet when it ends >= min_distinct of them.
     """
     enders: dict[str, set[str]] = {}
     for q, c in stats.cnt_q.items():
@@ -105,28 +98,25 @@ def detect_facets(
         if len(chunks) < 2:
             continue
         enders.setdefault(chunks[-1], set()).add(q)
-    facets = {
-        w: len(qs) for w, qs in sorted(enders.items()) if len(qs) >= min_distinct
-    }
-    return FacetLexicon(facets)
+    return frozenset(w for w, qs in enders.items() if len(qs) >= min_distinct)
 
 
-def ctq(q1: str, lex: FacetLexicon, stats: ClickStats) -> set[str]:
+def ctq(q1: str, lex: frozenset[str], stats: ClickStats) -> set[str]:
     """Logged co-topic expansions: q1 + " " + facet word."""
     out = set()
-    for w in lex.facets:
+    for w in lex:
         q2 = f"{q1} {w}"
         if stats.cnt_q.get(q2, 0) > 0:
             out.add(q2)
     return out
 
 
-def freq_topic(q1: str, lex: FacetLexicon, stats: ClickStats) -> int:
+def freq_topic(q1: str, lex: frozenset[str], stats: ClickStats) -> int:
     """Freq.topic: cnt(q1) plus the counts of its CTQ expansions."""
     return stats.cnt_q.get(q1, 0) + sum(stats.cnt_q[e] for e in ctq(q1, lex, stats))
 
 
-def p_ct(q1: str, q2: str, lex: FacetLexicon, stats: ClickStats) -> float:
+def p_ct(q1: str, q2: str, lex: frozenset[str], stats: ClickStats) -> float:
     """Co-topic probability: cnt(q2) / Freq.topic(q1)."""
     if q2 not in ctq(q1, lex, stats):
         raise ValueError(f"{q2!r} is not a co-topic expansion of {q1!r}")
@@ -150,7 +140,7 @@ def generate_all(
     q1: str,
     stats: ClickStats,
     st: SessionStats,
-    lex: FacetLexicon,
+    lex: frozenset[str],
 ) -> list[CandidatePair]:
     """Union of the three extractors, one CandidatePair per (q2, kind).
 

@@ -70,17 +70,13 @@ def _interpolated_precision(grades: list[float], levels: list[float]) -> list[fl
     return out
 
 
-def precision_recall_curve(
-    rankings: list[list[float]], points: int = 11
-) -> list[tuple[float, float]]:
-    """Average interpolated precision at evenly spaced recall levels.
+def precision_recall_curve(rankings: list[list[float]]) -> list[tuple[float, float]]:
+    """Average interpolated precision at the 11 recall levels 0, 0.1, ..., 1.
 
     Interpolated precision at recall r is the max precision at any achieved
     recall >= r.  Queries without any relevant item are skipped.
     """
-    if points < 2:
-        raise ValueError("points must be >= 2")
-    levels = [k / (points - 1) for k in range(points)]
+    levels = [k / 10 for k in range(11)]
     rows = [
         p for p in (_interpolated_precision(r, levels) for r in rankings) if p is not None
     ]

@@ -13,7 +13,7 @@ import math
 from collections import Counter, namedtuple
 from typing import NamedTuple
 
-from .candidates import CO_CLICK, CO_SESSION, CO_TOPIC, FacetLexicon, SessionStats, freq_topic
+from .candidates import CO_CLICK, CO_SESSION, CO_TOPIC, SessionStats, freq_topic
 from .logs import ClickStats
 
 # The 23 ranking features in feature-matrix column order, one row each:
@@ -227,7 +227,7 @@ class FeatureContext:
     build_features does only the work that depends on both queries.
     """
 
-    def __init__(self, stats: ClickStats, st: SessionStats, lex: FacetLexicon):
+    def __init__(self, stats: ClickStats, st: SessionStats, lex: frozenset[str]):
         self.stats = stats
         self.st = st
         self.lex = lex

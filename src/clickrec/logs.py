@@ -8,6 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# A user's query events more than this many seconds apart start a new session.
+SESSION_TIMEOUT_S = 300
+
 
 def normalize_query(q: str) -> str:
     """Trim and collapse internal whitespace runs to single spaces."""
@@ -33,7 +36,6 @@ class ParseResult:
 class Session:
     user: str
     queries: list[tuple[int, str]]  # time-ordered (timestamp, query)
-    id: int
 
 
 @dataclass
@@ -57,19 +59,31 @@ class ClickStats:
         return sorted(self.cnt_q)
 
 
+def _split_lines(text: str) -> list[str]:
+    """Split on "\n", "\r\n" and "\r", the newlines text-mode open() reads.
+
+    str.splitlines also splits on characters such as U+2028 and "\x1c",
+    which may occur inside a TSV field.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file, split as str.splitlines splits them.
+    """The lines of a UTF-8 text file, without their line endings.
 
     Invalid UTF-8 raises ValueError("<path>:<line>: invalid UTF-8 ...").
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8").splitlines()
+        return _split_lines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         # Everything before the first bad byte decodes; with "x" standing in
         # for that byte, the last line is the one the bad byte is on.
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line = len(_split_lines(data[: exc.start].decode("utf-8") + "x"))
         raise ValueError(
             f"{path}:{line}: invalid UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
         ) from None
@@ -151,42 +165,37 @@ def clean_log(records: list[ClickRecord]) -> list[ClickRecord]:
     return [r for r in collapsed.values() if pair_count[(r.query, r.url)] >= 2]
 
 
-def segment_sessions(records: list[ClickRecord], timeout_s: int = 300) -> list[Session]:
-    """Split each user's time-ordered query events on gaps > timeout_s.
+def segment_sessions(records: list[ClickRecord]) -> list[Session]:
+    """Split each user's time-ordered query events on gaps > SESSION_TIMEOUT_S.
 
     Consecutive duplicate queries within a session are collapsed to one
     event; non-consecutive repeats are kept.
     """
-    if timeout_s <= 0:
-        raise ValueError("timeout_s must be positive")
     by_user: dict[str, list[ClickRecord]] = {}
     for r in records:
         by_user.setdefault(r.user, []).append(r)
     sessions: list[Session] = []
-    sid = 0
     for user in sorted(by_user):
         events = sorted(by_user[user], key=lambda r: r.timestamp)
         current: list[tuple[int, str]] = []
         prev_ts: int | None = None
         for r in events:
-            if prev_ts is not None and r.timestamp - prev_ts > timeout_s:
-                sessions.append(Session(user, current, sid))
-                sid += 1
+            if prev_ts is not None and r.timestamp - prev_ts > SESSION_TIMEOUT_S:
+                sessions.append(Session(user, current))
                 current = []
             if not current or current[-1][1] != r.query:
                 current.append((r.timestamp, r.query))
             prev_ts = r.timestamp
         if current:
-            sessions.append(Session(user, current, sid))
-            sid += 1
+            sessions.append(Session(user, current))
     return sessions
 
 
 def dump_sessions(sessions: list[Session]) -> list[str]:
     lines = []
-    for s in sessions:
+    for sid, s in enumerate(sessions):
         for ts, q in s.queries:
-            lines.append(f"{s.user}\t{s.id}\t{ts}\t{q}")
+            lines.append(f"{s.user}\t{sid}\t{ts}\t{q}")
     return lines
 
 

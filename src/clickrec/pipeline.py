@@ -12,7 +12,7 @@ import numpy as np
 from . import candidates as cand
 from . import evaluation as ev
 from . import gbdt
-from .candidates import CandidatePair, FacetLexicon, build_session_stats
+from .candidates import CandidatePair, build_session_stats
 from .features import FEATURE_NAMES, FeatureContext, FeatureVector, build_features
 from .logs import ClickStats, Session
 from .taxonomy import CategoryAssignment, grade, query_similarity
@@ -70,7 +70,7 @@ def fold_of(q1: str) -> int:
 
 
 def generate_candidates(
-    stats: ClickStats, sessions: list[Session], lex: FacetLexicon
+    stats: ClickStats, sessions: list[Session], lex: frozenset[str]
 ) -> list[CandidatePair]:
     """Candidate pairs for every logged query, in deterministic order."""
     st = build_session_stats(sessions)
@@ -84,7 +84,7 @@ def build_dataset(
     pairs: list[CandidatePair],
     stats: ClickStats,
     sessions: list[Session],
-    lex: FacetLexicon,
+    lex: frozenset[str],
     assignments: dict[str, CategoryAssignment],
     clusters: dict[str, int],
     neg_ratio: float = 1.0,

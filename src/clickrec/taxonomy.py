@@ -14,6 +14,9 @@ from .logs import ClickStats
 
 CategoryPath = tuple[str, ...]
 
+# Cosine at or above which a query joins a trivial-variant cluster.
+VARIANT_COSINE = 0.9
+
 GRADE_SCORES = {"perfect": 10.0, "excellent": 7.0, "good": 3.0, "fair": 0.5, "poor": 0.0}
 
 
@@ -28,14 +31,6 @@ def path_str(path: CategoryPath) -> str:
     return "/".join(path)
 
 
-@dataclass(frozen=True)
-class CategorizedSite:
-    url: str
-    title: str
-    description: str
-    category: CategoryPath
-
-
 @dataclass
 class CategoryAssignment:
     query: str
@@ -43,10 +38,11 @@ class CategoryAssignment:
     votes: dict[CategoryPath, int] = field(default_factory=dict)
 
 
-def load_taxonomy(lines) -> list[CategorizedSite]:
+def load_taxonomy(lines) -> list[tuple[str, CategoryPath]]:
     """Read `url<TAB>title<TAB>description<TAB>category_path` records.
 
-    A malformed record raises ValueError("<line>: <reason>").
+    Each site becomes ``(f"{title} {description}", category)``; the URL is
+    not kept.  A malformed record raises ValueError("<line>: <reason>").
     """
     sites = []
     for lineno, line in enumerate(lines, 1):
@@ -56,14 +52,14 @@ def load_taxonomy(lines) -> list[CategorizedSite]:
         try:
             if len(parts) != 4:
                 raise ValueError(f"expected 4 fields, got {len(parts)}")
-            url, title, desc, cat = parts
-            sites.append(CategorizedSite(url, title, desc, parse_path(cat)))
+            _, title, desc, cat = parts
+            sites.append((f"{title} {desc}", parse_path(cat)))
         except ValueError as exc:
             raise ValueError(f"{lineno}: {exc}") from None
     return sites
 
 
-def assign_category(q: str, index: list[CategorizedSite]) -> CategoryAssignment:
+def assign_category(q: str, index: list[tuple[str, CategoryPath]]) -> CategoryAssignment:
     """AND-retrieval over title+description, then vote for site categories.
 
     Ties on the vote count go to the lexicographically smallest path string;
@@ -71,10 +67,9 @@ def assign_category(q: str, index: list[CategorizedSite]) -> CategoryAssignment:
     """
     chunks = q.split()
     votes: dict[CategoryPath, int] = {}
-    for site in index:
-        text = f"{site.title} {site.description}"
+    for text, category in index:
         if all(c in text for c in chunks):
-            votes[site.category] = votes.get(site.category, 0) + 1
+            votes[category] = votes.get(category, 0) + 1
     if not votes:
         return CategoryAssignment(q, None, {})
     winner = min(votes, key=lambda p: (-votes[p], path_str(p)))
@@ -153,12 +148,12 @@ def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
     return dot / (na * nb)
 
 
-def cluster_trivial_variants(stats: ClickStats, threshold: float = 0.9) -> dict[str, int]:
+def cluster_trivial_variants(stats: ClickStats) -> dict[str, int]:
     """Single-pass clustering of queries by their clicked-URL click vectors.
 
     Queries are processed in descending cnt(q) order (ties by query string);
-    each joins the first existing centroid with cosine >= threshold, updating
-    it by a frequency-weighted mean, or founds a new cluster.
+    each joins the first existing centroid with cosine >= VARIANT_COSINE,
+    updating it by a frequency-weighted mean, or founds a new cluster.
     """
     order = sorted(stats.cnt_q, key=lambda q: (-stats.cnt_q[q], q))
     centroids: list[dict[str, float]] = []
@@ -168,11 +163,11 @@ def cluster_trivial_variants(stats: ClickStats, threshold: float = 0.9) -> dict[
         vec = {u: float(c) for u, c in stats.clicks[q].items()}
         joined = None
         for cid, cen in enumerate(centroids):
-            if _cosine(vec, cen) >= threshold:
+            if _cosine(vec, cen) >= VARIANT_COSINE:
                 joined = cid
                 break
         if joined is None:
-            centroids.append(dict(vec))
+            centroids.append(vec)
             weights.append(float(stats.cnt_q[q]))
             labels[q] = len(centroids) - 1
         else:

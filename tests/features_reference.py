@@ -14,7 +14,6 @@ import math
 from collections import Counter
 
 from clickrec.candidates import (
-    FacetLexicon,
     SessionStats,
     brccq,
     ctq,
@@ -126,7 +125,7 @@ def build_features(
     q2: str,
     stats: ClickStats,
     st: SessionStats,
-    lex: FacetLexicon,
+    lex: frozenset[str],
     sim: float | None = None,
 ) -> FeatureVector:
     """Assemble the full feature vector for a (q1, q2) pair."""

@@ -46,7 +46,7 @@ def test_criterion_1_extractor_oracle_equivalence():
             q2
             for q2 in queries
             if q2.startswith(q1 + " ")
-            and q2[len(q1) + 1 :] in lex.facets
+            and q2[len(q1) + 1 :] in lex
             and " " not in q2[len(q1) + 1 :]
         }
         assert expansions == brute_ctq
@@ -107,7 +107,7 @@ def test_criterion_3_feature_oracles():
             for q in seq:
                 t += 10
                 out.append(ClickRecord(t, f"u{i}", q, "http://x", 1))
-        return cand.build_session_stats(segment_sessions(out, 300))
+        return cand.build_session_stats(segment_sessions(out))
 
     # exactly proportional table: q2 follows q1 and others at the same rate
     proportional = sessions_from(
@@ -169,7 +169,7 @@ def test_criterion_5_metric_oracles():
         assert abs(ev.ndcg5(r) - oracle_ndcg5(g)) < 1e-12
         assert abs(ev.average_precision(r) - oracle_ap(rels)) < 1e-12
         if sum(rels):
-            curve = ev.precision_recall_curve([r], 11)
+            curve = ev.precision_recall_curve([r])
             pts = []
             hits = 0
             for j, rel in enumerate(rels, 1):
@@ -190,7 +190,7 @@ def test_criterion_6_end_to_end_direction_of_effect():
     parsed = logs.parse_log(clicks)
     records = logs.clean_log(parsed.records)
     stats = logs.build_click_stats(records)
-    sessions = logs.segment_sessions(parsed.records, cfg.session_gap_s)
+    sessions = logs.segment_sessions(parsed.records)
     lex = cand.detect_facets(stats)
     pairs = pipeline.generate_candidates(stats, sessions, lex)
     index = taxonomy.load_taxonomy(taxo)

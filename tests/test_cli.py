@@ -232,6 +232,35 @@ class TestInputFileErrors:
         ), err
 
 
+class TestLineSeparatorsInFields:
+    """U+2028 inside a field ends no line; only newlines split records."""
+
+    def test_ingest_keeps_every_record(self, tmp_path):
+        log = tmp_path / "clicks.tsv"
+        log.write_text(
+            "100\tu1\tcurry\u2028recipe\thttp://a\t1\n"
+            "110\tu1\tbeef\thttp://b\t1\n"
+            "120\tu1\tbeef\u2028stew\thttp://c\t1\n"
+            "130\tu2\tpie\u2028crust\thttp://d\t1\n"
+            "140\tu2\tpie\thttp://e\t1\n",
+            encoding="utf-8",
+        )
+        code, err = run("--out", tmp_path / "out", "ingest", "--log", log)
+        assert code == 0, err
+        sessions = (tmp_path / "out" / "sessions.tsv").read_text(encoding="utf-8")
+        assert [line.split("\t")[3] for line in sessions.splitlines()] == [
+            "curry recipe", "beef", "beef stew", "pie crust", "pie",
+        ]
+
+    def test_assign_loads_the_taxonomy(self, tmp_path):
+        log, tax = tmp_path / "clicks.tsv", tmp_path / "taxonomy.tsv"
+        log.write_text("100\tu1\tcurry\thttp://a\t1\n200\tu2\tcurry\thttp://a\t1\n")
+        tax.write_text("http://a\tcurry\u2028dishes\trecipes\tFood/Cooking\n", encoding="utf-8")
+        code, err = run("--out", tmp_path / "out", "assign", "--log", log, "--taxonomy", tax)
+        assert code == 0, err
+        assert (tmp_path / "out" / "assignments.tsv").read_text() == "curry\tFood/Cooking\t1\n"
+
+
 # Inserted config text has no digits, so an edit cannot make a number large
 # enough to slow a training run down; feature values may grow freely.
 FEATURE_CHARS = "0123456789.-+eE\t\n abcfin"
@@ -340,6 +369,20 @@ class TestFuzz:
         for command in commands:
             code, err = command(path)
             assert code == 1 and err.startswith(f"error: {path}:{line}: invalid UTF-8: "), err
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0), st.sampled_from(INVALID_UTF8))
+    def test_invalid_utf8_after_line_separator(self, corpus, pos, bad):
+        # A U+2028 in the first record's user field precedes the bad byte;
+        # its line is still counted by newlines alone.
+        data = (corpus / "clicks.tsv").read_bytes().replace(b"\t", "\t\u2028".encode(), 1)
+        start = data.index("\u2028".encode()) + 3
+        pos = start + pos % (len(data) - start + 1)
+        path = corpus / "invalid_separated_clicks.tsv"
+        path.write_bytes(data[:pos] + bad + data[pos:])
+        line = data[:pos].count(b"\n") + 1
+        code, err = run("--out", corpus / "ingested", "ingest", "--log", path)
+        assert code == 1 and err.startswith(f"error: {path}:{line}: invalid UTF-8: "), err
 
     def test_invalid_utf8_line_past_first_block(self, base, tmp_path):
         # The bad byte lies far past the first 8 KiB, where an offset within

@@ -165,7 +165,7 @@ class TestRandomizedMetricOracles:
 
 class TestPRCurve:
     def test_perfect_ranking_all_one(self):
-        curve = precision_recall_curve([ranking([10.0, 7.0])], 11)
+        curve = precision_recall_curve([ranking([10.0, 7.0])])
         assert all(p == 1.0 for _, p in curve)
 
     def test_monotone_non_increasing(self):
@@ -175,7 +175,7 @@ class TestPRCurve:
                 ranking([rng.choice(GRADES) for _ in range(rng.randint(1, 10))])
                 for _ in range(5)
             ]
-            curve = precision_recall_curve(rs, 11)
+            curve = precision_recall_curve(rs)
             precisions = [p for _, p in curve]
             assert all(a >= b - 1e-12 for a, b in zip(precisions, precisions[1:]))
 
@@ -188,14 +188,10 @@ class TestPRCurve:
             rels = relevance(g)
             if sum(rels) == 0:
                 continue
-            got = precision_recall_curve([r], 11)
+            got = precision_recall_curve([r])
             want = oracle_interp(rels, levels)
             for (_, p), w in zip(got, want):
                 assert abs(p - w) < 1e-12
-
-    def test_points_validated(self):
-        with pytest.raises(ValueError):
-            precision_recall_curve([], 1)
 
 
 class TestWilcoxon:

@@ -72,7 +72,7 @@ def _sessions(seqs):
         for q in seq:
             t += 10
             recs.append(ClickRecord(t, f"u{i}", q, "http://x", 1))
-    return build_session_stats(segment_sessions(recs, 300))
+    return build_session_stats(segment_sessions(recs))
 
 
 class TestClickEntropy:

@@ -133,7 +133,7 @@ def test_whole_dataset_matches_reference(world, neg_ratio):
 
 def test_unknown_q1_raises():
     stats = logs.build_click_stats(random_records(random.Random(1), 50))
-    ctx = FeatureContext(stats, cand.build_session_stats([]), cand.FacetLexicon())
+    ctx = FeatureContext(stats, cand.build_session_stats([]), frozenset())
     with pytest.raises(KeyError):
         build_features("never logged", "q1", ctx, {})
 

@@ -6,11 +6,22 @@ from clickrec.logs import (
     ClickRecord,
     build_click_stats,
     clean_log,
+    dump_sessions,
     parse_log,
+    read_lines,
     segment_sessions,
     serialize_records,
 )
 from conftest import random_records
+
+
+class TestReadLines:
+    # str.splitlines breaks on each of these; none of them ends a line.
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_newlines_end_a_line(self, tmp_path, sep):
+        path = tmp_path / "lines.tsv"
+        path.write_bytes(f"1\tu{sep}1\r\n\n2\tq{sep}x\r3".encode())
+        assert read_lines(str(path)) == [f"1\tu{sep}1", "", f"2\tq{sep}x", "3"]
 
 
 class TestParseLog:
@@ -82,7 +93,7 @@ class TestCleanLog:
 class TestSegmentSessions:
     def test_single_session(self):
         recs = [ClickRecord(t, "u1", f"q{t}", "http://a", 1) for t in (0, 100, 200)]
-        sessions = segment_sessions(recs, 300)
+        sessions = segment_sessions(recs)
         assert len(sessions) == 1
         assert len(sessions[0].queries) == 3
 
@@ -91,7 +102,7 @@ class TestSegmentSessions:
             ClickRecord(0, "u1", "a", "http://a", 1),
             ClickRecord(400, "u1", "b", "http://a", 1),
         ]
-        assert len(segment_sessions(recs, 300)) == 2
+        assert len(segment_sessions(recs)) == 2
 
     def test_duplicate_collapse(self):
         recs = [
@@ -99,7 +110,7 @@ class TestSegmentSessions:
             ClickRecord(10, "u1", "ana", "http://b", 2),
             ClickRecord(20, "u1", "jal", "http://c", 1),
         ]
-        (s,) = segment_sessions(recs, 300)
+        (s,) = segment_sessions(recs)
         assert [q for _, q in s.queries] == ["ana", "jal"]
 
     def test_nonconsecutive_repeats_kept(self):
@@ -108,28 +119,36 @@ class TestSegmentSessions:
             ClickRecord(10, "u1", "b", "http://a", 1),
             ClickRecord(20, "u1", "a", "http://a", 1),
         ]
-        (s,) = segment_sessions(recs, 300)
+        (s,) = segment_sessions(recs)
         assert [q for _, q in s.queries] == ["a", "b", "a"]
 
     def test_no_internal_gap_exceeds_timeout(self):
         rng = random.Random(5)
         for trial in range(20):
             recs = random_records(rng, 100)
-            for s in segment_sessions(recs, 300):
+            for s in segment_sessions(recs):
                 times = [t for t, _ in s.queries]
                 assert times == sorted(times)
 
     def test_every_event_in_exactly_one_session(self):
         rng = random.Random(9)
         recs = random_records(rng, 300)
-        sessions = segment_sessions(recs, 300)
+        sessions = segment_sessions(recs)
         by_user = {}
         for s in sessions:
             by_user.setdefault(s.user, []).append(s)
 
-    def test_bad_timeout(self):
-        with pytest.raises(ValueError):
-            segment_sessions([], 0)
+    def test_dump_numbers_sessions_in_list_order(self):
+        recs = [
+            ClickRecord(0, "u2", "c", "http://a", 1),
+            ClickRecord(0, "u1", "a", "http://a", 1),
+            ClickRecord(400, "u1", "b", "http://a", 1),
+        ]
+        assert dump_sessions(segment_sessions(recs)) == [
+            "u1\t0\t0\ta",
+            "u1\t1\t400\tb",
+            "u2\t2\t0\tc",
+        ]
 
 
 class TestBuildClickStats:

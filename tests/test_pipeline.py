@@ -149,7 +149,7 @@ def three_queries(clicked, clusters, neg_ratio):
     ]
     stats = logs.build_click_stats([r for r in recs if r.query in clicked])
     sessions = logs.segment_sessions(recs)
-    lex = cand.FacetLexicon()
+    lex = frozenset()
     assignments = {q: taxonomy.CategoryAssignment(q, ("x",), {("x",): 1}) for q in "abc"}
     pairs = pipeline.generate_candidates(stats, sessions, lex)
     assert [(p.q1, p.q2) for p in pairs] == [("a", "b")]

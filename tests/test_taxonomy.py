@@ -6,13 +6,13 @@ import pytest
 
 from clickrec.logs import ClickRecord, build_click_stats
 from clickrec.taxonomy import (
-    CategorizedSite,
     assign_category,
     cluster_trivial_variants,
     dump_assignments,
     grade,
     load_taxonomy,
     parse_path,
+    path_str,
     query_similarity,
     sim_prefix,
     sim_substring,
@@ -22,6 +22,12 @@ SPAIN = parse_path("Regional/Countries/Spain")
 BARCELONA = parse_path(
     "Regional/Countries/Spain/Autonomous Communities/Catalonia/Cities/Barcelona"
 )
+
+
+def _site(url, title, description, category):
+    """One index entry, read by load_taxonomy from its TSV record."""
+    (site,) = load_taxonomy([f"{url}\t{title}\t{description}\t{path_str(category)}"])
+    return site
 
 
 def random_path(rng, vocab=("a", "b", "c", "d", "e", "f"), max_depth=6):
@@ -83,8 +89,8 @@ class TestSimSubstring:
 
 class TestAssignCategory:
     INDEX = [
-        CategorizedSite("http://s1", "Spain travel", "visit spain", SPAIN),
-        CategorizedSite("http://s2", "Barcelona guide", "cities of spain", BARCELONA),
+        _site("http://s1", "Spain travel", "visit spain", SPAIN),
+        _site("http://s2", "Barcelona guide", "cities of spain", BARCELONA),
     ]
 
     def test_single_voter(self):
@@ -102,11 +108,16 @@ class TestAssignCategory:
 
     def test_vote_tie_breaks_lexicographically(self):
         sites = [
-            CategorizedSite("http://1", "w x", "", ("B", "x")),
-            CategorizedSite("http://2", "w y", "", ("A", "y")),
+            _site("http://1", "w x", "", ("B", "x")),
+            _site("http://2", "w y", "", ("A", "y")),
         ]
         a = assign_category("w", sites)
         assert a.category == ("A", "y")
+
+    def test_title_and_description_do_not_run_together(self):
+        site = _site("http://1", "w", "x", ("A",))
+        assert assign_category("wx", [site]).category is None
+        assert assign_category("w x", [site]).category == ("A",)
 
     def test_uniform_duplication_keeps_winner(self):
         doubled = [s for s in self.INDEX for _ in range(2)]
@@ -118,14 +129,14 @@ class TestAssignCategory:
     def test_taxonomy_round_trip_and_dump(self):
         lines = ["http://s1\tSpain travel\tvisit spain\tRegional/Countries/Spain"]
         (site,) = load_taxonomy(lines)
-        assert site.category == SPAIN
+        assert site == ("Spain travel visit spain", SPAIN)
         out = dump_assignments([assign_category("spain", [site])])
         assert out == ["spain\tRegional/Countries/Spain\t1"]
 
 
 class TestQuerySimilarity:
     def test_shared_top_category(self):
-        index = [CategorizedSite("http://1", "spain info", "", SPAIN)]
+        index = [_site("http://1", "spain info", "", SPAIN)]
         assignments = {
             "spain": assign_category("spain", index),
             "info": assign_category("info", index),
@@ -134,8 +145,8 @@ class TestQuerySimilarity:
 
     def test_single_pair(self):
         a = {
-            "q1": assign_category("x", [CategorizedSite("u", "x", "", ("A", "B"))]),
-            "q2": assign_category("y", [CategorizedSite("u", "y", "", ("A", "C"))]),
+            "q1": assign_category("x", [_site("u", "x", "", ("A", "B"))]),
+            "q2": assign_category("y", [_site("u", "y", "", ("A", "C"))]),
         }
         assert query_similarity("q1", "q2", a) == 0.5
 
@@ -145,11 +156,11 @@ class TestQuerySimilarity:
 
     def test_maximizes_over_all_voted_pairs(self):
         sites1 = [
-            CategorizedSite("u1", "q one", "", ("A", "B")),
-            CategorizedSite("u2", "q one", "", ("A", "B")),
-            CategorizedSite("u3", "q one", "", ("C", "D")),
+            _site("u1", "q one", "", ("A", "B")),
+            _site("u2", "q one", "", ("A", "B")),
+            _site("u3", "q one", "", ("C", "D")),
         ]
-        sites2 = [CategorizedSite("u4", "q two", "", ("C", "D"))]
+        sites2 = [_site("u4", "q two", "", ("C", "D"))]
         a = {
             "q one": assign_category("q one", sites1),
             "q two": assign_category("q two", sites2),
@@ -217,7 +228,7 @@ class TestClusterTrivialVariants:
         # cosine of (9,1) and (8,2) ~ 0.9944
         cos = (9 * 8 + 1 * 2) / (math.hypot(9, 1) * math.hypot(8, 2))
         assert cos > 0.9
-        labels = cluster_trivial_variants(stats, threshold=0.9)
+        labels = cluster_trivial_variants(stats)
         assert labels["a"] == labels["b"]
 
     def test_partition(self, small_world):

@@ -126,8 +126,8 @@ def llr(q1: str, q2: str, st: SessionStats) -> float:
     return _g2(k11, row1, st.successor_totals.get(q2, 0), n)
 
 
-def _edit_distance(a, b) -> int:
-    """Unit-cost edit distance between two sequences (str or bytes).
+def levenshtein(a: str | bytes, b: str | bytes) -> int:
+    """Unit-cost edit distance over two str (code points) or two bytes.
 
     Myers' bit-vector algorithm in Hyyrö's formulation (Myers, JACM 1999;
     Hyyrö 2001): the longer sequence is the pattern, each Python int holds
@@ -159,15 +159,6 @@ def _edit_distance(a, b) -> int:
         pv = (mh << 1 | ~(xv | ph)) & mask
         mv = ph & xv
     return dist
-
-
-def levenshtein(a: str, b: str, unit: str = "codepoint") -> int:
-    """Unit-cost edit distance over code points or UTF-8 bytes."""
-    if unit == "byte":
-        return _edit_distance(a.encode("utf-8"), b.encode("utf-8"))
-    if unit == "codepoint":
-        return _edit_distance(a, b)
-    raise ValueError(f"unknown unit: {unit!r}")
 
 
 class _Bag(NamedTuple):
@@ -274,9 +265,9 @@ def build_features(
         raise KeyError(f"unknown query: {q1!r}")
     a, b = ctx.query(q1), ctx.query(q2)
 
-    mb_leven = _edit_distance(q1, q2)
+    mb_leven = levenshtein(q1, q2)
     # An ASCII string's UTF-8 bytes are its code points.
-    leven = mb_leven if a.isascii and b.isascii else _edit_distance(a.utf8, b.utf8)
+    leven = mb_leven if a.isascii and b.isascii else levenshtein(a.utf8, b.utf8)
     n = st.total_pairs
     if n:
         k11 = st.successors.get(q1, {}).get(q2, 0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,8 @@ def build_dataset(
     Rows are dropped when either query lacks a voted category or when q2 is
     a trivial variant of q1.  Negatives are drawn uniformly from categorized
     queries, excluding self pairs, existing pairs and variant mates; their
-    target is their true computed category similarity.
+    target is their true computed category similarity.  Raises ValueError
+    when neg_ratio x the candidate rows exceeds the free pairs left to draw.
     """
     if not (math.isfinite(neg_ratio) and neg_ratio >= 0):
         raise ValueError("neg_ratio must be a finite number >= 0")
@@ -129,14 +131,14 @@ def build_dataset(
 
     pool = sorted(q for q in stats.cnt_q if categorized(q))
     wanted = neg_ratio * n_candidates
-    if wanted > 0 and len(pool) < 2:
-        raise ValueError(
-            f"need at least 2 categorized queries to draw negatives, have {len(pool)}"
-        )
-    # Ordered pairs of distinct pool queries that no candidate row holds.
+    # The ordered pairs add_row accepts: distinct pool queries that are
+    # neither a candidate row nor variant mates.  No candidate row is a
+    # mate, so no pair is subtracted twice.
     in_pool = set(pool)
     free = len(pool) * (len(pool) - 1)
     free -= sum(q1 in in_pool and q2 in in_pool for q1, q2 in taken)
+    sizes = Counter(clusters[q] for q in pool if clusters.get(q) is not None)
+    free -= sum(c * (c - 1) for c in sizes.values())
     if wanted > free:
         raise ValueError(
             f"could not draw {neg_ratio:g} x {n_candidates} negative pairs "
@@ -144,14 +146,7 @@ def build_dataset(
         )
     n_neg = math.ceil(wanted)
     rng = random.Random(seed)
-    attempts = 0
     while len(rows) < n_candidates + n_neg:
-        attempts += 1
-        if attempts > 200 * n_neg + 100:
-            raise ValueError(
-                f"could not draw {n_neg} negative pairs "
-                f"({len(rows) - n_candidates} found); too few categorized queries"
-            )
         add_row(rng.choice(pool), rng.choice(pool), {})
 
     folds = {q1: fold_of(q1) for q1 in sorted({r.q1 for r in rows})}

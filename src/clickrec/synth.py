@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .logs import SESSION_TIMEOUT_S
+
 DEFAULT_FACETS = ["recipe", "price", "review", "map", "news", "guide", "rental"]
 
 SIBLINGS_PER_GROUP = 4
@@ -32,7 +34,6 @@ class SynthConfig:
     n_events: int = 30000
     facet_vocab: list[str] = field(default_factory=lambda: list(DEFAULT_FACETS))
     seed: int = 42
-    session_gap_s: int = 300
 
     def __post_init__(self):
         for name in ("n_topics", "n_queries", "n_urls", "n_users", "n_events"):
@@ -130,7 +131,7 @@ def synth_logs(cfg: SynthConfig) -> tuple[list[str], list[str]]:
     while events < cfg.n_events:
         user = rng.randrange(cfg.n_users)
         i = rng.randrange(cfg.n_topics)
-        user_clock[user] += cfg.session_gap_s * 4 + rng.randint(60, 600)
+        user_clock[user] += SESSION_TIMEOUT_S * 4 + rng.randint(60, 600)
 
         click_topic(user, i)
         if rng.random() < 0.6:

@@ -88,16 +88,16 @@ def test_criterion_3_feature_oracles():
     rng = random.Random(1003)
     for _ in range(1000):
         a, b = random_string(rng), random_string(rng)
-        assert levenshtein(a, b, "codepoint") == oracle_levenshtein(a, b)
-        assert levenshtein(a, b, "byte") == oracle_levenshtein(
+        assert levenshtein(a, b) == oracle_levenshtein(a, b)
+        assert levenshtein(a.encode("utf-8"), b.encode("utf-8")) == oracle_levenshtein(
             a.encode("utf-8"), b.encode("utf-8")
         )
     for _ in range(1000):
         a, b, c = (random_string(rng, max_len=5) for _ in range(3))
-        dab = levenshtein(a, b, "codepoint")
-        assert dab == levenshtein(b, a, "codepoint")
+        dab = levenshtein(a, b)
+        assert dab == levenshtein(b, a)
         assert (dab == 0) == (a == b)
-        assert dab <= levenshtein(a, c, "codepoint") + levenshtein(c, b, "codepoint")
+        assert dab <= levenshtein(a, c) + levenshtein(c, b)
 
     def sessions_from(seqs):
         out = []

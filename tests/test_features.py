@@ -163,28 +163,24 @@ class TestLLR:
 
 class TestLevenshtein:
     def test_identical(self):
-        assert levenshtein("curry", "curry", "codepoint") == 0
-        assert levenshtein("curry", "curry", "byte") == 0
+        assert levenshtein("curry", "curry") == 0
+        assert levenshtein(b"curry", b"curry") == 0
 
     def test_ascii_suffix(self):
-        assert levenshtein("curry", "curry recipe", "codepoint") == 7
-        assert levenshtein("curry", "curry recipe", "byte") == 7
+        assert levenshtein("curry", "curry recipe") == 7
+        assert levenshtein(b"curry", b"curry recipe") == 7
 
     def test_multibyte_vs_byte_units(self):
         s = "あいう"  # three 3-byte UTF-8 code points
-        assert levenshtein(s, "", "codepoint") == 3
-        assert levenshtein(s, "", "byte") == 9
-
-    def test_unknown_unit(self):
-        with pytest.raises(ValueError):
-            levenshtein("a", "b", "word")
+        assert levenshtein(s, "") == 3
+        assert levenshtein(s.encode("utf-8"), b"") == 9
 
     def test_matches_dp_oracle(self):
         rng = random.Random(41)
         for _ in range(1000):
             a, b = random_string(rng), random_string(rng)
-            assert levenshtein(a, b, "codepoint") == oracle_levenshtein(a, b)
-            assert levenshtein(a, b, "byte") == oracle_levenshtein(
+            assert levenshtein(a, b) == oracle_levenshtein(a, b)
+            assert levenshtein(a.encode("utf-8"), b.encode("utf-8")) == oracle_levenshtein(
                 a.encode("utf-8"), b.encode("utf-8")
             )
 
@@ -192,18 +188,18 @@ class TestLevenshtein:
         rng = random.Random(43)
         for _ in range(1000):
             a, b, c = (random_string(rng, max_len=5) for _ in range(3))
-            for unit in ("codepoint", "byte"):
-                dab = levenshtein(a, b, unit)
-                assert dab == levenshtein(b, a, unit)
-                assert (dab == 0) == (a == b)
-                assert dab <= levenshtein(a, c, unit) + levenshtein(c, b, unit)
+            for x, y, z in ((a, b, c), tuple(s.encode("utf-8") for s in (a, b, c))):
+                dxy = levenshtein(x, y)
+                assert dxy == levenshtein(y, x)
+                assert (dxy == 0) == (x == y)
+                assert dxy <= levenshtein(x, z) + levenshtein(z, y)
 
     def test_ascii_units_agree(self):
         rng = random.Random(47)
         for _ in range(200):
             a = random_string(rng, alphabet="abcd ")
             b = random_string(rng, alphabet="abcd ")
-            assert levenshtein(a, b, "codepoint") == levenshtein(a, b, "byte")
+            assert levenshtein(a, b) == levenshtein(a.encode("utf-8"), b.encode("utf-8"))
 
 
 EDGE_LENGTHS = [0, 1, 63, 64, 65, 200]
@@ -226,11 +222,12 @@ def edited(rng, s, alphabet, n_edits):
 
 
 class TestLevenshteinLong:
-    """Strings longer than one 64-bit word, in both units."""
+    """Strings longer than one 64-bit word, as str and as UTF-8 bytes."""
 
     def assert_oracle(self, a, b):
-        assert levenshtein(a, b, "codepoint") == oracle_levenshtein(a, b)
-        assert levenshtein(a, b, "byte") == oracle_levenshtein(a.encode("utf-8"), b.encode("utf-8"))
+        assert levenshtein(a, b) == oracle_levenshtein(a, b)
+        ab, bb = a.encode("utf-8"), b.encode("utf-8")
+        assert levenshtein(ab, bb) == oracle_levenshtein(ab, bb)
 
     @pytest.mark.parametrize("alphabet", ["ab", MIXED])
     @pytest.mark.parametrize("la", EDGE_LENGTHS)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from clickrec.logs import (
+    SESSION_TIMEOUT_S,
     ClickRecord,
     build_click_stats,
     clean_log,
@@ -123,20 +124,45 @@ class TestSegmentSessions:
         assert [q for _, q in s.queries] == ["a", "b", "a"]
 
     def test_no_internal_gap_exceeds_timeout(self):
+        # Kept events may be further apart than the timeout: (0, a) (200, a)
+        # (400, a) (600, b) is one session whose kept events are 600 s apart.
+        # So check the raw events: none inside a session's span is more than
+        # the timeout after the one before it, and each later session of a
+        # user starts more than the timeout after the user's last earlier
+        # event.
         rng = random.Random(5)
         for trial in range(20):
-            recs = random_records(rng, 100)
+            recs = random_records(rng, 100, n_users=rng.randint(1, 6), n_queries=rng.randint(1, 4))
+            raw = {}
+            for r in recs:
+                raw.setdefault(r.user, []).append(r.timestamp)
+            prev_user = None
             for s in segment_sessions(recs):
                 times = [t for t, _ in s.queries]
                 assert times == sorted(times)
+                inside = sorted(t for t in raw[s.user] if times[0] <= t <= times[-1])
+                assert all(b - a <= SESSION_TIMEOUT_S for a, b in zip(inside, inside[1:]))
+                if s.user == prev_user:
+                    before = max(t for t in raw[s.user] if t < times[0])
+                    assert times[0] - before > SESSION_TIMEOUT_S
+                prev_user = s.user
 
     def test_every_event_in_exactly_one_session(self):
         rng = random.Random(9)
-        recs = random_records(rng, 300)
-        sessions = segment_sessions(recs)
-        by_user = {}
-        for s in sessions:
-            by_user.setdefault(s.user, []).append(s)
+        for trial in range(20):
+            recs = random_records(rng, 300, n_users=rng.randint(1, 6), n_queries=rng.randint(1, 4))
+            want = []
+            by_user = {}
+            for r in recs:
+                by_user.setdefault(r.user, []).append(r)
+            for user, events in by_user.items():
+                events.sort(key=lambda r: r.timestamp)
+                for prev, r in zip([None, *events], events):
+                    split = prev is None or r.timestamp - prev.timestamp > SESSION_TIMEOUT_S
+                    if split or r.query != prev.query:
+                        want.append((user, r.timestamp, r.query))
+            got = [(s.user, t, q) for s in segment_sessions(recs) for t, q in s.queries]
+            assert sorted(got) == sorted(want)
 
     def test_dump_numbers_sessions_in_list_order(self):
         recs = [

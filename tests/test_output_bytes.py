@@ -3,14 +3,15 @@
 The corpus is the one acceptance criterion 7 uses (16 topics, 30 users,
 6,000 events, seed 5) and models have 15 trees.  A change that alters any
 digest below changes what clickrec computes; if that is intended, the new
-digests go in with it and the change says why.
+digests go in with it and the change says why.  A second, hand-made log
+with two trivial variants gates the variant-merge path.
 """
 
 import contextlib
 import hashlib
 import io
 
-from clickrec import cli
+from clickrec import cli, logs, taxonomy
 
 CONFIG = "n_topics=16\nn_users=30\nn_events=6000\nn_trees=15\n"
 
@@ -61,3 +62,86 @@ def test_cli_outputs_keep_their_digests(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS
     }
     assert got == DIGESTS
+
+
+# A hand-made log in which "curry recipe" and "curry recipes" are trivial
+# variants: both click the same two URLs, each by two users.  No synthetic
+# corpus has variants, so only this gate covers the merge branch of
+# cluster_trivial_variants and build_dataset's variant-mate filter.  Each
+# user's sessions are lists of (query, url) clicks 60 s apart; sessions are
+# 10,000 s apart and every click has rank 1.
+C = "http://wiki.example/curry"
+R1 = "http://recipes.example/curry"
+R2 = "http://food.example/curry-recipes"
+T = "http://thai.example/curry"
+P = "http://pizza.example/"
+D = "http://pizza.example/delivery"
+PZR = "http://pizza.example/recipe"
+VARIANT_SESSIONS = {
+    "u1": [
+        [("curry", C), ("curry recipe", R1), ("curry recipes", R2)],
+        [("pizza", P), ("pizza delivery", D)],
+    ],
+    "u2": [
+        [("curry", C), ("curry recipes", R1), ("curry recipe", R2)],
+        [("pizza", P), ("pizza recipe", PZR)],
+    ],
+    "u3": [
+        [("curry recipe", R1), ("curry recipes", R1), ("thai curry", T)],
+        [("pizza delivery", D), ("pizza", P)],
+    ],
+    "u4": [
+        [("curry recipes", R2), ("curry recipe", R2), ("curry", R1)],
+        [("thai curry", T), ("curry", C)],
+    ],
+    "u5": [[("pizza recipe", PZR), ("pizza", P)], [("thai curry", C)]],
+    "u6": [[("thai curry", C), ("curry", C)]],
+}
+VARIANT_TAXONOMY = [
+    f"{R1}\tcurry recipes\teasy curry recipe ideas\tHome/Cooking/Curry",
+    f"{C}\tcurry\tthe curry dish\tHome/Cooking/Curry",
+    f"{T}\tthai curry\tthai curry guide\tHome/Cooking/Thai",
+    f"{P}\tpizza\tpizza places\tHome/Dining/Pizza",
+    f"{D}\tpizza delivery\torder pizza delivery\tBusiness/Delivery/Pizza",
+    f"{PZR}\tpizza recipe\tpizza recipe dough\tHome/Cooking/Pizza",
+]
+VARIANT_DIGESTS = {
+    "candidates/candidates.tsv": "be67fdf16ff80cf7c825e4ac165be69d5bd5a50b4c3efe1790c70ad2ee041a0d",
+    "assign/assignments.tsv": "87cea7300a11fac09ef7cf05e7603786b881374dcc5cdacff72bdb2c14708e1e",
+    "features/features.tsv": "71c36978768cbbe51297dae5d7f8c9635ec7fcabcc5ee900aa42352d8306232c",
+}
+
+
+def test_variant_merge_outputs_keep_their_digests(tmp_path):
+    log, taxo = tmp_path / "clicks.tsv", tmp_path / "taxonomy.tsv"
+    log.write_text("".join(
+        f"{10_000 * k + 60 * i}\t{user}\t{q}\t{url}\t1\n"
+        for user, sessions in VARIANT_SESSIONS.items()
+        for k, session in enumerate(sessions)
+        for i, (q, url) in enumerate(session)
+    ))
+    taxo.write_text("".join(f"{line}\n" for line in VARIANT_TAXONOMY))
+    for command, *argv in (
+        ("candidates",), ("assign", "--taxonomy", taxo), ("features", "--taxonomy", taxo)
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(
+                ["--out", str(tmp_path / command), command, "--log", str(log), *map(str, argv)]
+            )
+        assert code == 0
+
+    # The gate covers the merge path only while these hold.
+    records = logs.parse_log(logs.read_lines(str(log))).records
+    clusters = taxonomy.cluster_trivial_variants(logs.build_click_stats(logs.clean_log(records)))
+    assert clusters["curry recipe"] == clusters["curry recipes"]
+    variants = {("curry recipe", "curry recipes"), ("curry recipes", "curry recipe")}
+
+    def pairs(name):
+        return {tuple(line.split("\t")[:2]) for line in (tmp_path / name).read_text().splitlines()}
+
+    assert variants <= pairs("candidates/candidates.tsv")
+    assert not variants & pairs("features/features.tsv")
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in VARIANT_DIGESTS
+    }
+    assert got == VARIANT_DIGESTS

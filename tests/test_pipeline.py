@@ -3,10 +3,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clickrec import candidates as cand
 from clickrec import features, gbdt, logs, pipeline, synth, taxonomy
-from conftest import cli_env
+from conftest import cli_env, random_records
 
 
 SMALL = dict(n_topics=16, n_users=30, n_events=6000, seed=5)
@@ -167,7 +169,7 @@ class TestNegativeSampling:
         ]
 
     def test_one_categorized_query(self):
-        with pytest.raises(ValueError, match="need at least 2 categorized queries"):
+        with pytest.raises(ValueError, match="could not draw 1 x 1 negative pairs from 0 free"):
             three_queries("a", {}, neg_ratio=1)
 
     def test_more_than_the_free_pairs(self):
@@ -176,8 +178,86 @@ class TestNegativeSampling:
             three_queries("abc", {}, neg_ratio=6)
 
     def test_free_pairs_all_variant_mates(self):
-        with pytest.raises(ValueError, match=r"could not draw 4 negative pairs \(3 found\)"):
+        # (a, c) and (c, a) are mates, so 3 of the 5 non-candidate pairs are free.
+        with pytest.raises(ValueError, match="could not draw 4 x 1 negative pairs from 3 free"):
             three_queries("abc", {"a": 0, "b": 1, "c": 0}, neg_ratio=4)
+
+
+@st.composite
+def categorized_worlds(draw):
+    """A random log whose queries are mostly categorized and often share a
+    variant cluster, so the pool holds mates."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    records = random_records(
+        rng, draw(st.integers(2, 120)), n_users=draw(st.integers(1, 6)),
+        n_queries=draw(st.integers(2, 10)), n_urls=draw(st.integers(1, 8)),
+    )
+    stats = logs.build_click_stats(records)
+    sessions = logs.segment_sessions(records)
+    n_clusters = draw(st.integers(1, 4))
+    assignments, clusters = {}, {}
+    for q in sorted(stats.cnt_q):
+        if rng.random() < 0.9:
+            assignments[q] = taxonomy.CategoryAssignment(q, ("x",), {("x",): 1})
+        if rng.random() < 0.7:
+            clusters[q] = rng.randrange(n_clusters)
+    return stats, sessions, assignments, clusters
+
+
+@settings(max_examples=150, deadline=None)
+@given(categorized_worlds())
+def test_negatives_are_exactly_the_free_pairs(world):
+    """Asking for every free pair draws each once; one more raises."""
+    stats, sessions, assignments, clusters = world
+    lex = frozenset()
+    pairs = pipeline.generate_candidates(stats, sessions, lex)
+
+    def build(neg_ratio):
+        return pipeline.build_dataset(
+            pairs, stats, sessions, lex, assignments, clusters, neg_ratio=neg_ratio, seed=1
+        )
+
+    taken = {(r.q1, r.q2) for r in build(0).rows}
+    n = len(taken)
+    pool = [q for q in sorted(stats.cnt_q) if q in assignments]
+    free = {
+        (q1, q2)
+        for q1 in pool
+        for q2 in pool
+        if q1 != q2
+        and (q1, q2) not in taken
+        and not (q1 in clusters and clusters.get(q1) == clusters.get(q2))
+    }
+    assume(n > 0 and len(free) / n * n == len(free))
+    rows = build(len(free) / n).rows
+    assert [(r.q1, r.q2) for r in rows[:n]] == sorted(taken)
+    assert sorted((r.q1, r.q2) for r in rows[n:]) == sorted(free)
+    with pytest.raises(ValueError, match=f"from {len(free)} free pairs"):
+        build((len(free) + 1) / n)
+
+
+def test_many_variant_mates_leave_enough_free_pairs():
+    """400 mutual mates and z: 100 sessions q_i -> z leave 700 free pairs
+    (z -> q_i and the other q_i -> z).  Most draws land on mates, so a cap
+    on the number of draws would give up here."""
+    mates = [f"m{i:03d}" for i in range(400)]
+    recs = [logs.ClickRecord(0, "u", "z", "http://z", 1)]
+    for i, q in enumerate(mates):
+        recs.append(logs.ClickRecord(0, f"u{i:03d}", q, f"http://{q}", 1))
+        if i < 100:
+            recs.append(logs.ClickRecord(10, f"u{i:03d}", "z", "http://z", 1))
+    stats = logs.build_click_stats(recs)
+    sessions = logs.segment_sessions(recs)
+    lex = frozenset()
+    pairs = pipeline.generate_candidates(stats, sessions, lex)
+    assert sorted({(p.q1, p.q2) for p in pairs}) == [(q, "z") for q in mates[:100]]
+    assignments = {q: taxonomy.CategoryAssignment(q, ("x",), {("x",): 1}) for q in [*mates, "z"]}
+    dataset = pipeline.build_dataset(
+        pairs, stats, sessions, lex, assignments, dict.fromkeys(mates, 0), seed=0
+    )
+    negatives = [(r.q1, r.q2) for r in dataset.rows if not r.kinds]
+    assert len(negatives) == 100
+    assert all("z" in pair for pair in negatives)
 
 
 @pytest.fixture(scope="module")

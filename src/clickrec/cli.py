@@ -24,7 +24,6 @@ _PARSERS = {
     "int": int,
     "int | None": lambda val: None if val in ("", "None") else int(val),
     "float": float,
-    "list[str]": lambda val: [v for v in val.split(",") if v],
 }
 _CONFIG_KEYS = {
     f.name for cls in (synth.SynthConfig, gbdt.TrainConfig) for f in dataclasses.fields(cls)

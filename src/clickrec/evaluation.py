@@ -129,14 +129,10 @@ def wilcoxon_signed_rank(a: list[float], b: list[float]) -> tuple[float, float]:
         # Exact: distribute each rank's sign; ranks are multiples of 0.5.
         scaled = [round(r * 2) for r in ranks]
         top = sum(scaled)
-        dist = [0] * (top + 1)
-        dist[0] = 1
+        dist = [1] + [0] * top
         for r in scaled:
-            nxt = dist[:]
-            for s in range(top - r + 1):
-                if dist[s]:
-                    nxt[s + r] += dist[s]
-            dist = nxt
+            for s in range(top, r - 1, -1):
+                dist[s] += dist[s - r]
         w2 = round(w_plus * 2)
         lo = min(w2, top - w2)
         hi = max(w2, top - w2)
@@ -150,6 +146,7 @@ def wilcoxon_signed_rank(a: list[float], b: list[float]) -> tuple[float, float]:
             groups[abs(d)] = groups.get(abs(d), 0) + 1
         tie_term = sum(t**3 - t for t in groups.values()) / 48
         sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24 - tie_term)
-        z = (abs(w_plus - mu) - 0.5) / sigma
+        # W+ and mu are multiples of 0.5, so the clamp acts only at W+ == mu.
+        z = max(abs(w_plus - mu) - 0.5, 0.0) / sigma
         p = math.erfc(z / math.sqrt(2))
     return stat, p

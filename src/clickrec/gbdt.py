@@ -320,15 +320,12 @@ def _leaf_values(forest: _Forest, X: np.ndarray) -> np.ndarray:
     return forest.value[node]
 
 
-def predict(model: Ensemble, x) -> float | np.ndarray:
-    """Evaluate the additive model on one vector or a matrix of rows."""
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.shape[1] != len(model.feature_names):
+def predict(model: Ensemble, X) -> np.ndarray:
+    """Evaluate the additive model on each row of a (rows, features) matrix."""
+    arr = np.asarray(X, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != len(model.feature_names):
         raise ValueError(
-            f"expected {len(model.feature_names)} features, got {arr.shape[1]}"
+            f"expected a (rows, {len(model.feature_names)}) matrix, got shape {arr.shape}"
         )
     out = np.full(len(arr), model.base)
     if model.trees and len(arr):
@@ -342,7 +339,7 @@ def predict(model: Ensemble, x) -> float | np.ndarray:
             # cumsum adds the trees one after another, exactly as
             # out += shrinkage * v per tree would; a pairwise sum would not.
             block[:] = np.cumsum(terms, axis=1)[:, -1]
-    return float(out[0]) if single else out
+    return out
 
 
 def rank(
@@ -359,7 +356,7 @@ def rank(
     kept = []
     c1 = clusters.get(q1) if clusters else None
     for q2, fv in candidates:
-        if clusters is not None and c1 is not None and clusters.get(q2) == c1:
+        if c1 is not None and clusters.get(q2) == c1:
             continue
         kept.append((q2, fv))
     if not kept:

@@ -115,19 +115,18 @@ def parse_log(lines) -> ParseResult:
     """
     records: list[ClickRecord] = []
     skipped = 0
-    seen = 0
     for line in lines:
         if not line.strip():
             continue
-        seen += 1
         rec = parse_line(line)
         if rec is None:
             skipped += 1
         else:
             records.append(rec)
-    if seen and skipped * 2 > seen:
+    if skipped > len(records):
         raise ValueError(
-            f"{skipped} of {seen} lines malformed; input does not look like a click log"
+            f"{skipped} of {skipped + len(records)} lines malformed; "
+            "input does not look like a click log"
         )
     return ParseResult(records, skipped)
 

@@ -33,8 +33,7 @@ class DatasetRow:
 
 @dataclass
 class Dataset:
-    rows: list[DatasetRow]
-    folds: dict[str, int]  # q1 -> 0/1; every pair of a q1 stays in one fold
+    rows: list[DatasetRow]  # every pair of a q1 is in fold fold_of(q1)
 
 
 @dataclass
@@ -149,11 +148,10 @@ def build_dataset(
     while len(rows) < n_candidates + n_neg:
         add_row(rng.choice(pool), rng.choice(pool), {})
 
-    folds = {q1: fold_of(q1) for q1 in sorted({r.q1 for r in rows})}
-    return Dataset(rows, folds)
+    return Dataset(rows)
 
 
-def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig | None = None) -> CrossvalReport:
+def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig) -> CrossvalReport:
     """Two-fold CV: train on one fold, rank candidate rows of the other.
 
     Besides the learned model, the single-signal rankings and unweighted
@@ -161,9 +159,8 @@ def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig | None = None) -> Cross
     Each method is one score per test candidate; a query's candidates are
     ranked by (-score, q2).
     """
-    cfg = cfg or gbdt.TrainConfig()
     for f in (0, 1):
-        if not any(dataset.folds[r.q1] == f for r in dataset.rows):
+        if not any(fold_of(r.q1) == f for r in dataset.rows):
             raise ValueError(f"fold {f} is empty")
 
     per_query_ndcg: dict[str, list[float]] = {m: [] for m in ALL_METHODS}
@@ -172,14 +169,14 @@ def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig | None = None) -> Cross
     n_degenerate = 0
 
     for train_fold in (0, 1):
-        train_rows = [r for r in dataset.rows if dataset.folds[r.q1] == train_fold]
+        train_rows = [r for r in dataset.rows if fold_of(r.q1) == train_fold]
         X = np.array([r.fv.values() for r in train_rows])
         y = np.array([r.fv.sim for r in train_rows])
         model = gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES)
         for name, val in model.importance.items():
             raw_importance[name] += val
 
-        test_cand = [r for r in dataset.rows if r.kinds and dataset.folds[r.q1] != train_fold]
+        test_cand = [r for r in dataset.rows if r.kinds and fold_of(r.q1) != train_fold]
         X_cand = np.array([r.fv.values() for r in test_cand]).reshape(-1, len(FEATURE_NAMES))
         scores = {"GBDT": gbdt.predict(model, X_cand)}
         normed = {}

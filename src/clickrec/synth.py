@@ -15,11 +15,13 @@ taxonomy reproduces the intended semantic similarities:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .logs import SESSION_TIMEOUT_S
 
-DEFAULT_FACETS = ["recipe", "price", "review", "map", "news", "guide", "rental"]
+FACETS = ["recipe", "price", "review", "map", "news", "guide", "rental"]
+FACETS_PER_TOPIC = 3  # facet expansions generated per topic
+URLS_PER_TOPIC = 6
 
 SIBLINGS_PER_GROUP = 4
 GROUPS_PER_SECTION = 3
@@ -28,19 +30,14 @@ GROUPS_PER_SECTION = 3
 @dataclass
 class SynthConfig:
     n_topics: int = 60
-    n_queries: int = 3  # facet expansions generated per topic
-    n_urls: int = 6  # URL pool size per topic
     n_users: int = 80
     n_events: int = 30000
-    facet_vocab: list[str] = field(default_factory=lambda: list(DEFAULT_FACETS))
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("n_topics", "n_queries", "n_urls", "n_users", "n_events"):
+        for name in ("n_topics", "n_users", "n_events"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.facet_vocab:
-            raise ValueError("facet_vocab must be non-empty")
 
 
 def _topic_name(i: int) -> str:
@@ -65,20 +62,20 @@ def _siblings(i: int, n_topics: int) -> list[int]:
 def synth_logs(cfg: SynthConfig) -> tuple[list[str], list[str]]:
     """Generate (click log lines, taxonomy lines), deterministic in the seed."""
     rng = random.Random(cfg.seed)
-    n_facets = min(cfg.n_queries, len(cfg.facet_vocab))
     topics = [_topic_name(i) for i in range(cfg.n_topics)]
     pools = {
-        i: [f"http://{t}.example.com/p{j}" for j in range(cfg.n_urls)]
+        i: [f"http://{t}.example.com/p{j}" for j in range(URLS_PER_TOPIC)]
         for i, t in enumerate(topics)
     }
     # Facet subset per topic, rotated so every facet word ends enough queries.
     topic_facets = {
-        i: [cfg.facet_vocab[(i + k) % len(cfg.facet_vocab)] for k in range(n_facets)]
+        i: [FACETS[(i + k) % len(FACETS)] for k in range(FACETS_PER_TOPIC)]
         for i in range(cfg.n_topics)
     }
-    # Each expansion prefers two URLs of the topic pool.
+    # Expansion k prefers URLs 2k and 2k + 1 of the topic pool, which
+    # holds them since FACETS_PER_TOPIC * 2 <= URLS_PER_TOPIC.
     pref = {
-        (i, f): [pools[i][(k * 2) % cfg.n_urls], pools[i][(k * 2 + 1) % cfg.n_urls]]
+        (i, f): [pools[i][k * 2], pools[i][k * 2 + 1]]
         for i in range(cfg.n_topics)
         for k, f in enumerate(topic_facets[i])
     }
@@ -104,17 +101,14 @@ def synth_logs(cfg: SynthConfig) -> tuple[list[str], list[str]]:
 
     lines: list[str] = []
     user_clock = {u: 1_000_000 + 37 * _clock_offset(u) for u in range(cfg.n_users)}
-    events = 0
 
     def click(user: int, query: str, url: str, rank: int):
-        nonlocal events
         ts = user_clock[user]
         lines.append(f"{ts}\tu{user:03d}\t{query}\t{url}\t{rank}")
         user_clock[user] += rng.randint(5, 30)
-        events += 1
 
     def click_topic(user: int, i: int):
-        j = min(rng.randrange(cfg.n_urls), rng.randrange(cfg.n_urls))
+        j = min(rng.randrange(URLS_PER_TOPIC), rng.randrange(URLS_PER_TOPIC))
         click(user, topics[i], pools[i][j], j + 1)
         if rng.random() < 0.25:
             click(user, topics[i], hub[i // SIBLINGS_PER_GROUP], rng.randint(2, 6))
@@ -128,7 +122,7 @@ def synth_logs(cfg: SynthConfig) -> tuple[list[str], list[str]]:
         if rng.random() < 0.3:
             click(user, q, urls[1], 2)
 
-    while events < cfg.n_events:
+    while len(lines) < cfg.n_events:
         user = rng.randrange(cfg.n_users)
         i = rng.randrange(cfg.n_topics)
         user_clock[user] += SESSION_TIMEOUT_S * 4 + rng.randint(60, 600)

@@ -140,11 +140,10 @@ def grade(sim: float) -> tuple[str, float]:
 
 
 def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
+    """Cosine of two click vectors; each holds a positive count, so no norm is 0."""
     dot = sum(v * b[k] for k, v in a.items() if k in b)
     na = math.sqrt(sum(v * v for v in a.values()))
     nb = math.sqrt(sum(v * v for v in b.values()))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
     return dot / (na * nb)
 
 

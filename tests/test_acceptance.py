@@ -199,7 +199,7 @@ def test_criterion_6_end_to_end_direction_of_effect():
     dataset = pipeline.build_dataset(
         pairs, stats, sessions, lex, assignments, clusters, seed=cfg.seed
     )
-    assert len(dataset.folds) >= 200, "needs >= 200 original queries"
+    assert len({r.q1 for r in dataset.rows}) >= 200, "needs >= 200 original queries"
     assert len(dataset.rows) >= 5000, "needs >= 5000 pairs"
     report = pipeline.run_crossval(dataset, gbdt.TrainConfig(n_trees=100))
     g_ndcg, g_map = report.metrics["GBDT"]

@@ -25,7 +25,7 @@ shrinkage=0.5
 max_depth=2
 min_leaf=1
 # synth keys
-facet_vocab=a,b
+n_users=30
 n_topics=16
 n_trees=3
 """
@@ -128,6 +128,9 @@ class TestConfigErrors:
             ("n_trees=many", "invalid literal for int()"),
             ("n_trees=0", "n_trees must be >= 1"),
             ("shrinkage=0", "shrinkage must be in (0, 1]"),
+            ("n_queries=3", "unknown config key 'n_queries'"),
+            ("n_urls=6", "unknown config key 'n_urls'"),
+            ("facet_vocab=a", "unknown config key 'facet_vocab'"),
         ],
     )
     def test_train_config(self, base, tmp_path, line, reason):

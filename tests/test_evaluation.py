@@ -251,6 +251,20 @@ class TestWilcoxon:
         assert 0.0 <= p <= 1.0
         assert p < 0.01  # strong planted shift
 
+    def test_normal_approximation_at_the_mean(self):
+        # W+ equals mu = 27 * 28 / 4 = 189, where the continuity correction
+        # alone would give a negative z and a p above 1.
+        positive = {1, 20, 21, 22, 23, 24, 25, 26, 27}
+        a = [float(i if i in positive else -i) for i in range(1, 28)]
+        b = [0.0] * 27
+        assert wilcoxon_signed_rank(a, b) == (189.0, 1.0)
+        try:
+            from scipy import stats
+        except ImportError:
+            return
+        ref = stats.wilcoxon(a, b, zero_method="wilcox", method="approx", correction=True)
+        assert (ref.statistic, ref.pvalue) == (189.0, 1.0)
+
     def test_too_few_differences(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1, 2, 3, 4, 5], [0, 0, 0, 0, 0])

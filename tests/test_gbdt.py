@@ -72,7 +72,7 @@ class TestFit:
         X = np.random.default_rng(0).random((20, 3))
         y = np.full(20, 2.5)
         model = fit(X, y, TrainConfig(n_trees=10, min_leaf=1))
-        assert predict(model, X[0]) == 2.5
+        assert predict(model, X[:1])[0] == 2.5
         assert all(v == 0.0 for v in model.importance.values())
         assert all((tree.feature < 0).all() for tree in model.trees)
 
@@ -137,26 +137,28 @@ class TestFit:
 class TestPredict:
     def test_zero_tree_model_is_base(self):
         model = Ensemble(base=1.25, feature_names=["a", "b"])
-        assert predict(model, [0.0, 0.0]) == 1.25
+        assert predict(model, [[0.0, 0.0]])[0] == 1.25
 
     def test_one_stump(self):
         model = Ensemble(
             base=0.0, trees=[stump(0, 0.5, -1.0, 1.0)], feature_names=["x"], shrinkage=0.1
         )
-        assert predict(model, [0.2]) == -0.1
-        assert predict(model, [0.8]) == 0.1
+        assert predict(model, [[0.2], [0.8]]).tolist() == [-0.1, 0.1]
 
     def test_dimension_mismatch(self):
         model = Ensemble(base=0.0, feature_names=["a", "b"])
-        with pytest.raises(ValueError):
-            predict(model, [1.0])
+        with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
+            predict(model, [[1.0]])
+        # A single vector is not a matrix, even with the right length.
+        with pytest.raises(ValueError, match=r"expected a \(rows, 2\) matrix, got shape \(2,\)"):
+            predict(model, [1.0, 2.0])
 
     def test_order_invariance(self):
         rng = np.random.default_rng(8)
         X, y = random_problem(rng)
         model = fit(X, y, TrainConfig(n_trees=10))
         batch = predict(model, X)
-        singles = np.array([predict(model, row) for row in X])
+        singles = np.array([predict(model, X[i : i + 1])[0] for i in range(len(X))])
         assert np.array_equal(batch, singles)
 
 

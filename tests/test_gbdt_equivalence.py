@@ -55,7 +55,7 @@ def assert_same(X, y, cfg, tmp_path, probe=None):
     assert new.importance == old.importance
     for Z in [X] + ([probe] if probe is not None else []):
         assert np.array_equal(gbdt.predict(new, Z), ref.predict(old, Z))
-        assert gbdt.predict(new, Z[0]) == ref.predict(old, Z[0])
+        assert gbdt.predict(new, Z[:1])[0] == ref.predict(old, Z[0])
     loaded = gbdt.load_model(str(p_new))
     assert np.array_equal(gbdt.predict(loaded, X), ref.predict(old, X))
 

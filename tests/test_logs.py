@@ -45,6 +45,14 @@ class TestParseLog:
         with pytest.raises(ValueError):
             parse_log(["nope"] * 6 + ["1\tu\tq\thttp://a\t1"] * 4)
 
+    def test_half_garbage_parses_and_more_is_an_error(self):
+        good = "1\tu\tq\thttp://a\t1"
+        res = parse_log(["nope", "", good, "nope", good])
+        assert len(res.records) == 2 and res.skipped == 2
+        msg = "3 of 5 lines malformed; input does not look like a click log"
+        with pytest.raises(ValueError, match=msg):
+            parse_log(["nope", good, "nope", "", "nope", good])
+
     def test_preserves_order(self):
         lines = [f"{i}\tu1\tq{i}\thttp://a\t1" for i in range(5)]
         res = parse_log(lines)

@@ -97,10 +97,6 @@ class TestDataset:
         neg = {(r.q1, r.q2) for r in dataset.rows if not r.kinds}
         assert not pos & neg
 
-    def test_fold_is_function_of_q1(self, dataset):
-        for r in dataset.rows:
-            assert dataset.folds[r.q1] == pipeline.fold_of(r.q1)
-
     def test_all_rows_categorized_targets(self, dataset):
         for r in dataset.rows:
             assert 0.0 <= r.fv.sim <= 1.0
@@ -287,31 +283,28 @@ class TestCrossval:
         assert r1.lines() == r2.lines()
 
     def test_degenerate_counts_queries_with_only_zero_grades(self):
-        # Four queries per fold, three candidates each.  The first query of
-        # each fold has only sim-0 candidates; every other query has one
-        # sim-0 candidate and two that grade above 0.
+        # Four queries per fold, three candidates each: q0-q3 are in fold 0
+        # and q4-q7 in fold 1.  q0 and q4 have only sim-0 candidates; every
+        # other query has one sim-0 candidate and two that grade above 0.
+        assert [pipeline.fold_of(f"q{i}") for i in range(8)] == [0] * 4 + [1] * 4
         rng = random.Random(11)
-        rows, folds = [], {}
+        rows = []
         for i in range(8):
             q1 = f"q{i}"
-            folds[q1] = i % 2
-            sims = [0.0, 0.0, 0.0] if i < 2 else [0.0, 0.2, 0.9]
+            sims = [0.0, 0.0, 0.0] if i % 4 == 0 else [0.0, 0.2, 0.9]
             for j, sim in enumerate(sims):
                 values = [rng.randint(0, 9) if typ is int else rng.random()
                           for _, _, typ in features.FEATURES]
                 fv = features.FeatureVector(*values, sim=sim)
                 rows.append(pipeline.DatasetRow(q1, f"{q1}r{j}", frozenset({"co_click"}), fv))
         report = pipeline.run_crossval(
-            pipeline.Dataset(rows, folds), gbdt.TrainConfig(n_trees=3, min_leaf=1)
+            pipeline.Dataset(rows), gbdt.TrainConfig(n_trees=3, min_leaf=1)
         )
         assert report.n_queries == 8
         assert report.n_degenerate == 2
 
     def test_empty_fold_detected(self, dataset):
-        broken = pipeline.Dataset(
-            rows=[r for r in dataset.rows if dataset.folds[r.q1] == 0],
-            folds=dataset.folds,
-        )
+        broken = pipeline.Dataset([r for r in dataset.rows if pipeline.fold_of(r.q1) == 0])
         with pytest.raises(ValueError):
             pipeline.run_crossval(broken, gbdt.TrainConfig(n_trees=2))
 

@@ -219,42 +219,37 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("synth", help="generate a synthetic click log + taxonomy")
-    p = sub.add_parser("ingest", help="parse, clean and sessionize a click log")
+    def command(name, run, about):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
+        return p
+
+    command("synth", cmd_synth, "generate a synthetic click log + taxonomy")
+    p = command("ingest", cmd_ingest, "parse, clean and sessionize a click log")
     p.add_argument("--log", required=True)
-    p = sub.add_parser("candidates", help="dump candidate pairs for every query")
+    p = command("candidates", cmd_candidates, "dump candidate pairs for every query")
     p.add_argument("--log", required=True)
-    p = sub.add_parser("assign", help="assign taxonomy categories to queries")
+    p = command("assign", cmd_assign, "assign taxonomy categories to queries")
     p.add_argument("--log", required=True)
     p.add_argument("--taxonomy", required=True)
-    p = sub.add_parser("features", help="build the labeled feature matrix")
+    p = command("features", cmd_features, "build the labeled feature matrix")
     p.add_argument("--log", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--neg-ratio", type=float, default=1.0)
-    p = sub.add_parser("train", help="train the GBDT ranker from a feature matrix")
+    p = command("train", cmd_train, "train the GBDT ranker from a feature matrix")
     p.add_argument("--features", required=True)
-    p = sub.add_parser("rank", help="rank candidates of one query with a model")
+    p = command("rank", cmd_rank, "rank candidates of one query with a model")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--q1", required=True)
-    p = sub.add_parser("crossval", help="end-to-end two-fold cross-validation")
+    p = command("crossval", cmd_crossval, "end-to-end two-fold cross-validation")
     p.add_argument("--log", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--neg-ratio", type=float, default=1.0)
 
     args = parser.parse_args(argv)
-    handlers = {
-        "synth": cmd_synth,
-        "ingest": cmd_ingest,
-        "candidates": cmd_candidates,
-        "assign": cmd_assign,
-        "features": cmd_features,
-        "train": cmd_train,
-        "rank": cmd_rank,
-        "crossval": cmd_crossval,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,6 +49,7 @@ FEATURE_NAMES = [name for name, _, _ in FEATURES]
 TARGET_NAME = "Sim"
 _COLUMNS = ["q1", "q2", "kind", *FEATURE_NAMES, TARGET_NAME]
 _TYPES = [typ for _, _, typ in FEATURES]
+_INT_COLUMNS = [i for i, typ in enumerate(_TYPES) if typ is int]
 _N_FEATURES = len(FEATURES)
 
 
@@ -77,22 +78,6 @@ def _entropy(counts) -> float:
     return ent
 
 
-def click_entropy(q: str, stats: ClickStats) -> float:
-    """Shannon entropy (bits) of the click distribution over q's URLs."""
-    urls = stats.clicks.get(q)
-    if not urls:
-        raise KeyError(f"unknown query: {q!r}")
-    return _entropy(list(urls.values()))
-
-
-def next_query_entropy(q1: str, st: SessionStats) -> float:
-    """Entropy (bits) of the immediate-successor distribution of q1."""
-    succ = st.successors.get(q1)
-    if not succ:
-        return 0.0
-    return _entropy([succ[k] for k in sorted(succ)])
-
-
 def _g2(k11: int, row1: int, col1: int, n: int) -> float:
     """Dunning G-squared of a 2x2 table from its k11 cell, first row and
     first column sums and total."""
@@ -110,20 +95,6 @@ def _g2(k11: int, row1: int, col1: int, n: int) -> float:
             expected = rt * ct / n
             g2 += obs * math.log(obs / expected)
     return max(2.0 * g2, 0.0)
-
-
-def llr(q1: str, q2: str, st: SessionStats) -> float:
-    """Dunning G-squared of observing q2 right after q1 in a session.
-
-    The 2x2 table is over all session-adjacent ordered pairs: rows split on
-    the predecessor being q1, columns on the successor being q2.
-    """
-    n = st.total_pairs
-    if n == 0:
-        raise ValueError("no session-adjacent pairs observed")
-    k11 = st.successors.get(q1, {}).get(q2, 0)
-    row1 = sum(st.successors.get(q1, {}).values())
-    return _g2(k11, row1, st.successor_totals.get(q2, 0), n)
 
 
 def levenshtein(a: str | bytes, b: str | bytes) -> int:
@@ -167,14 +138,8 @@ class _Bag(NamedTuple):
     norm: float
 
 
-def _bag(s: str, unit: str) -> _Bag:
-    if unit == "chunk":
-        counts = Counter(s.split())
-    elif unit == "char-bigram":
-        compact = "".join(s.split())
-        counts = Counter(compact[i : i + 2] for i in range(len(compact) - 1))
-    else:
-        raise ValueError(f"unknown unit: {unit!r}")
+def _bag(units) -> _Bag:
+    counts = Counter(units)
     norm = math.sqrt(sum(c * c for c in counts.values()))
     return _Bag(counts, tuple(sorted(counts.items())), norm)
 
@@ -190,11 +155,6 @@ def _cosine(a: _Bag, b: _Bag) -> float:
     return dot / (a.norm * b.norm)
 
 
-def bag_cosine(a: str, b: str, unit: str = "chunk") -> float:
-    """Cosine between unit-count vectors; 0 when either bag is empty."""
-    return _cosine(_bag(a, unit), _bag(b, unit))
-
-
 class _Query(NamedTuple):
     """What build_features needs of one query, whichever side it is on."""
 
@@ -202,11 +162,11 @@ class _Query(NamedTuple):
     freq_topic: int  # cnt plus the counts of the ctq expansions
     len: int
     clen: int
-    ent: float  # click entropy, 0.0 for a query without clicks
-    next_ent: float
-    successor_sum: int  # the first row sum of llr's table
-    chunks: _Bag
-    bigrams: _Bag
+    ent: float  # entropy (bits) of its URL clicks, 0.0 for a query without clicks
+    next_ent: float  # entropy (bits) of its immediate-successor counts
+    successor_sum: int  # the first row sum of the LLR table
+    chunks: _Bag  # whitespace-separated chunks
+    bigrams: _Bag  # character bigrams with the whitespace removed
     utf8: bytes
     isascii: bool
 
@@ -232,16 +192,19 @@ class FeatureContext:
 
     def _describe(self, q: str) -> _Query:
         stats = self.stats
+        succ = self.st.successors.get(q, {})
+        chunks = q.split()
+        compact = "".join(chunks)
         return _Query(
             cnt=stats.cnt_q.get(q, 0),
             freq_topic=freq_topic(q, self.lex, stats),
             len=len(q),
-            clen=len(q.split()),
-            ent=click_entropy(q, stats) if q in stats.clicks else 0.0,
-            next_ent=next_query_entropy(q, self.st),
-            successor_sum=sum(self.st.successors.get(q, {}).values()),
-            chunks=_bag(q, "chunk"),
-            bigrams=_bag(q, "char-bigram"),
+            clen=len(chunks),
+            ent=_entropy(stats.clicks.get(q, {}).values()),
+            next_ent=_entropy([succ[k] for k in sorted(succ)]),
+            successor_sum=sum(succ.values()),
+            chunks=_bag(chunks),
+            bigrams=_bag(compact[i : i + 2] for i in range(len(compact) - 1)),
             utf8=q.encode("utf-8"),
             isascii=q.isascii(),
         )
@@ -268,6 +231,8 @@ def build_features(
     mb_leven = levenshtein(q1, q2)
     # An ASCII string's UTF-8 bytes are its code points.
     leven = mb_leven if a.isascii and b.isascii else levenshtein(a.utf8, b.utf8)
+    # LLR: Dunning G-squared of q2 right after q1 over all session-adjacent
+    # ordered pairs (rows: the predecessor is q1; columns: the successor is q2).
     n = st.total_pairs
     if n:
         k11 = st.successors.get(q1, {}).get(q2, 0)
@@ -317,7 +282,8 @@ def parse_feature_matrix(lines) -> list[tuple[str, str, str, FeatureVector]]:
     """Inverse of feature_matrix_lines.
 
     A malformed matrix raises ValueError("<line>: <reason>"), counting
-    lines from 1; every value must be a finite number.
+    lines from 1; every value must be a finite number, and an integer in an
+    int column.
     """
     it = iter(lines)
     header = next(it, None)
@@ -339,6 +305,11 @@ def parse_feature_matrix(lines) -> list[tuple[str, str, str, FeatureVector]]:
             raise ValueError(f"{lineno}: {exc}") from None
         if not all(map(math.isfinite, nums)) or (sim is not None and not math.isfinite(sim)):
             raise ValueError(f"{lineno}: non-finite value")
+        for i in _INT_COLUMNS:
+            if not nums[i].is_integer():
+                raise ValueError(
+                    f"{lineno}: {FEATURE_NAMES[i]} is not an integer: {parts[3 + i]!r}"
+                )
         fv = FeatureVector(*[typ(v) for typ, v in zip(_TYPES, nums)], sim)
         rows.append((parts[0], parts[1], parts[2], fv))
     return rows

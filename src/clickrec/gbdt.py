@@ -21,6 +21,7 @@ all trees at once, one level per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,8 +246,8 @@ def fit(
         raise ValueError("X and y length mismatch")
     if len(y) < 2:
         raise ValueError("need at least 2 samples")
-    if np.isnan(X).any() or not np.isfinite(y).all():
-        raise ValueError("X must not contain NaN and y must be finite")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must be finite")
     names = feature_names or [f"f{i}" for i in range(X.shape[1])]
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length mismatch")
@@ -424,9 +425,12 @@ def load_model(path: str) -> Ensemble:
 
     def number(kind, text: str):
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
             fail(f"bad {kind.__name__} {text!r}")
+        if kind is float and not math.isfinite(value):
+            fail(f"non-finite float {text!r}")
+        return value
 
     n_trees = number(int, fields(2, "n_trees")[1])
     header = lineno

@@ -16,13 +16,13 @@ import pytest
 from clickrec import candidates as cand
 from clickrec import evaluation as ev
 from clickrec import gbdt, logs, pipeline, synth, taxonomy
-from clickrec.features import click_entropy, levenshtein, llr
+from clickrec.features import levenshtein
 from clickrec.logs import ClickRecord, build_click_stats, segment_sessions
 
 from conftest import cli_env, random_records
 from test_candidates import oracle_brccq, oracle_csq, oracle_p_cc, oracle_p_cs
 from test_evaluation import GRADES, oracle_ap, oracle_dcg, oracle_ndcg5, ranking, relevance
-from test_features import oracle_levenshtein, random_string
+from test_features import features, oracle_levenshtein, random_string, session_features
 
 
 def _report(n, desc):
@@ -83,7 +83,7 @@ def test_criterion_2_similarity_fixtures():
 def test_criterion_3_feature_oracles():
     recs = [ClickRecord(t, f"u{t}", "q", "http://a", 1) for t in range(3)]
     recs.append(ClickRecord(9, "u9", "q", "http://b", 1))
-    assert abs(click_entropy("q", build_click_stats(recs)) - 0.8113) < 1e-4
+    assert abs(features("q", "q", build_click_stats(recs)).ent_q1 - 0.8113) < 1e-4
 
     rng = random.Random(1003)
     for _ in range(1000):
@@ -99,23 +99,13 @@ def test_criterion_3_feature_oracles():
         assert (dab == 0) == (a == b)
         assert dab <= levenshtein(a, c) + levenshtein(c, b)
 
-    def sessions_from(seqs):
-        out = []
-        t = 0
-        for i, seq in enumerate(seqs):
-            t += 10000
-            for q in seq:
-                t += 10
-                out.append(ClickRecord(t, f"u{i}", q, "http://x", 1))
-        return cand.build_session_stats(segment_sessions(out))
-
     # exactly proportional table: q2 follows q1 and others at the same rate
-    proportional = sessions_from(
+    proportional = (
         [["q1", "q2"]] * 2 + [["q1", "zz"]] * 4 + [["xx", "q2"]] * 3 + [["xx", "zz"]] * 6
     )
-    assert abs(llr("q1", "q2", proportional)) < 1e-9
-    diagonal = sessions_from([["q1", "q2"]] * 10 + [["xx", "yy"]] * 10)
-    assert abs(llr("q1", "q2", diagonal) - 2 * 20 * math.log(2)) < 1e-3
+    assert abs(session_features("q1", "q2", proportional).llr) < 1e-9
+    diagonal = [["q1", "q2"]] * 10 + [["xx", "yy"]] * 10
+    assert abs(session_features("q1", "q2", diagonal).llr - 2 * 20 * math.log(2)) < 1e-3
     _report(3, "entropy 0.8113, Levenshtein DP-exact + metric axioms, G2 fixtures")
 
 

@@ -92,6 +92,7 @@ class TestFeatureMatrixErrors:
             (set_field(2, -1, None), "3: expected 27 fields, got 26"),
             (set_field(3, 5, "abc"), "4: could not convert string to float: 'abc'"),
             (set_field(2, -1, "inf"), "3: non-finite value"),
+            (set_field(2, 6, "5.5"), "3: Freq.q1 is not an integer: '5.5'"),
         ],
     )
     def test_error_names_file_and_line(self, base, tmp_path, command, lines, where):
@@ -196,6 +197,15 @@ class TestModelErrors:
         path, code, err = self.rank_with(base, tmp_path, lines)
         assert code == 1
         assert err.startswith(f"error: {path}:{i + 1}: tree weight 0.25 differs from shrinkage 0.5")
+
+    def test_non_finite_leaf_value(self, base, tmp_path, lines):
+        i = next(n for n, ln in enumerate(lines) if "\tleaf\t" in ln)
+        parts = lines[i].split("\t")
+        parts[2] = "nan"
+        lines[i] = "\t".join(parts)
+        path, code, err = self.rank_with(base, tmp_path, lines)
+        assert code == 1
+        assert err.startswith(f"error: {path}:{i + 1}: non-finite float 'nan'"), err
 
     def test_features_differ_from_matrix_columns(self, base, tmp_path, lines):
         lines[3] += "\textra"

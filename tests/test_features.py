@@ -7,13 +7,9 @@ from clickrec.candidates import build_session_stats, detect_facets, generate_all
 from clickrec.features import (
     FEATURE_NAMES,
     FeatureContext,
-    bag_cosine,
     build_features,
-    click_entropy,
     feature_matrix_lines,
     levenshtein,
-    llr,
-    next_query_entropy,
     parse_feature_matrix,
 )
 from clickrec.logs import ClickRecord, build_click_stats, segment_sessions
@@ -64,7 +60,8 @@ def _stats(vectors):
     return build_click_stats(recs)
 
 
-def _sessions(seqs):
+def _session_records(seqs):
+    """One session per sequence, each query clicked once on http://x."""
     recs = []
     t = 0
     for i, seq in enumerate(seqs):
@@ -72,52 +69,81 @@ def _sessions(seqs):
         for q in seq:
             t += 10
             recs.append(ClickRecord(t, f"u{i}", q, "http://x", 1))
-    return build_session_stats(segment_sessions(recs))
+    return recs
+
+
+def _sessions(seqs):
+    return build_session_stats(segment_sessions(_session_records(seqs)))
+
+
+def features(q1, q2, stats, st=None):
+    """build_features over these tables, with no relation strengths."""
+    ctx = FeatureContext(stats, _sessions([]) if st is None else st, frozenset())
+    return build_features(q1, q2, ctx, {})
+
+
+def session_features(q1, q2, seqs):
+    """build_features over the click and session tables of one log of seqs."""
+    recs = _session_records(seqs)
+    return features(q1, q2, build_click_stats(recs), build_session_stats(segment_sessions(recs)))
+
+
+def text_features(q1, q2):
+    """build_features for a pair where only the two strings matter."""
+    return features(q1, q2, _stats({q1: {"u": 1}}))
 
 
 class TestClickEntropy:
     def test_single_url_zero(self):
         stats = _stats({"q": {"u1": 5}})
-        assert click_entropy("q", stats) == 0.0
+        assert features("q", "q", stats).ent_q1 == 0.0
 
     def test_uniform_binary_one_bit(self):
-        stats = _stats({"q": {"u1": 2, "u2": 2}})
-        assert abs(click_entropy("q", stats) - 1.0) < 1e-12
+        stats = _stats({"q": {"u1": 2, "u2": 2}, "r": {"u1": 1}})
+        assert abs(features("q", "r", stats).ent_q1 - 1.0) < 1e-12
+        assert abs(features("r", "q", stats).ent_q2 - 1.0) < 1e-12
 
     def test_three_one_split(self):
         stats = _stats({"q": {"u1": 3, "u2": 1}})
         expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-        assert abs(click_entropy("q", stats) - expected) < 1e-12
-        assert abs(click_entropy("q", stats) - 0.8113) < 1e-4
+        fv = features("q", "q", stats)
+        assert abs(fv.ent_q1 - expected) < 1e-12
+        assert abs(fv.ent_q1 - 0.8113) < 1e-4
+        assert fv.ent_q2 == fv.ent_q1
 
     def test_unknown_query_raises(self):
         with pytest.raises(KeyError):
-            click_entropy("nope", _stats({"q": {"u": 2}}))
+            features("nope", "q", _stats({"q": {"u": 2}}))
+
+    def test_query_seen_only_in_sessions_zero(self):
+        stats = _stats({"q": {"u1": 3, "u2": 1}})
+        fv = features("q", "s", stats, _sessions([["q", "s"]]))
+        assert fv.ent_q2 == 0.0 and fv.freq_q2 == 0
+        assert fv.delta_ent == fv.ent_q1
 
     def test_bounded_by_log_outcomes(self):
         rng = random.Random(31)
         stats = build_click_stats(random_records(rng, 500))
+        ctx = FeatureContext(stats, _sessions([]), frozenset())
         for q in stats.cnt_q:
-            ent = click_entropy(q, stats)
+            ent = build_features(q, q, ctx, {}).ent_q1
             assert -1e-12 <= ent <= math.log2(len(stats.clicks[q])) + 1e-12
 
 
 class TestNextQueryEntropy:
     def test_deterministic_successor_zero(self):
-        sessions = _sessions([["a", "b"]] * 3)
-        assert next_query_entropy("a", sessions) == 0.0
+        assert session_features("a", "b", [["a", "b"]] * 3).next_ent == 0.0
 
     def test_two_equal_successors_one_bit(self):
-        sessions = _sessions([["a", "b"], ["a", "c"]])
-        assert abs(next_query_entropy("a", sessions) - 1.0) < 1e-12
+        fv = session_features("a", "b", [["a", "b"], ["a", "c"]])
+        assert abs(fv.next_ent - 1.0) < 1e-12
 
     def test_three_one_successors(self):
-        sessions = _sessions([["a", "b"]] * 3 + [["a", "c"]])
-        assert abs(next_query_entropy("a", sessions) - 0.8113) < 1e-4
+        fv = session_features("a", "b", [["a", "b"]] * 3 + [["a", "c"]])
+        assert abs(fv.next_ent - 0.8113) < 1e-4
 
     def test_no_successors_zero(self):
-        sessions = _sessions([["x"]])
-        assert next_query_entropy("x", sessions) == 0.0
+        assert session_features("b", "a", [["a", "b"]]).next_ent == 0.0
 
 
 class TestLLR:
@@ -125,24 +151,23 @@ class TestLLR:
         # successor distribution of q2 identical after q1 and after others
         seqs = [["q1", "q2"]] * 2 + [["zz", "q2"]] * 2
         seqs += [["q1", "other"]] * 2 + [["zz", "other"]] * 2
-        sessions = _sessions(seqs)
-        assert abs(llr("q1", "q2", sessions)) < 1e-9
+        assert abs(session_features("q1", "q2", seqs).llr) < 1e-9
 
     def test_diagonal_table(self):
         # k11=10, k12=0, k21=0, k22=10
         seqs = [["q1", "q2"]] * 10 + [["xx", "yy"]] * 10
-        sessions = _sessions(seqs)
         expected = 2 * 20 * math.log(2)
-        assert abs(llr("q1", "q2", sessions) - expected) < 1e-3
+        assert abs(session_features("q1", "q2", seqs).llr - expected) < 1e-3
         assert abs(expected - 27.726) < 1e-2
 
     def test_nonnegative_and_matches_oracle(self):
         rng = random.Random(37)
+        stats = _stats({q: {"u": 1} for q in "abcd"})
         for _ in range(30):
             seqs = [
                 [rng.choice("abcd"), rng.choice("abcd")] for _ in range(rng.randint(3, 20))
             ]
-            st = _sessions(seqs)
+            ctx = FeatureContext(stats, _sessions(seqs), frozenset())
             # Each sequence is one session; a repeated query collapses to one event.
             pairs = [(a, b) for a, b in seqs if a != b]
             n = len(pairs)
@@ -152,13 +177,13 @@ class TestLLR:
                     row1 = sum(a == q1 for a, _ in pairs)
                     col1 = sum(b == q2 for _, b in pairs)
                     expected = oracle_g2(k11, row1 - k11, col1 - k11, n - row1 - col1 + k11)
-                    got = llr(q1, q2, st)
+                    got = build_features(q1, q2, ctx, {}).llr
                     assert got >= 0.0
                     assert abs(got - expected) < 1e-9
 
-    def test_no_pairs_raises(self):
-        with pytest.raises(ValueError):
-            llr("a", "b", _sessions([["only"]]))
+    def test_no_pairs_zero(self):
+        fv = session_features("only", "b", [["only"]])
+        assert fv.llr == 0.0 and fv.next_ent == 0.0
 
 
 class TestLevenshtein:
@@ -251,38 +276,49 @@ class TestLevenshteinLong:
 
 
 class TestBagCosine:
+    """CCos is the cosine of the chunk bags, BCos of the character bigrams."""
+
     def test_identical(self):
-        assert bag_cosine("curry rice", "curry rice", "chunk") == 1.0
-        assert bag_cosine("curry", "curry", "char-bigram") == 1.0
+        assert text_features("curry rice", "curry rice").ccos == 1.0
+        assert text_features("curry", "curry").bcos == 1.0
 
     def test_one_shared_chunk(self):
-        assert abs(bag_cosine("curry", "curry recipe", "chunk") - 1 / math.sqrt(2)) < 1e-12
+        assert abs(text_features("curry", "curry recipe").ccos - 1 / math.sqrt(2)) < 1e-12
+
+    def test_one_shared_bigram(self):
+        assert abs(text_features("abc", "abd").bcos - 0.5) < 1e-12  # {ab, bc} . {ab, bd}
 
     def test_disjoint(self):
-        assert bag_cosine("abc", "xyz", "chunk") == 0.0
-        assert bag_cosine("abc", "xyz", "char-bigram") == 0.0
+        fv = text_features("abc", "xyz")
+        assert fv.ccos == 0.0
+        assert fv.bcos == 0.0
 
     def test_empty_bag_zero(self):
-        assert bag_cosine("", "abc", "chunk") == 0.0
-        assert bag_cosine("a", "ab", "char-bigram") == 0.0  # single char: no bigram
+        # q1 = "" has no length to take delta.Len.Rel against, so q2 is empty
+        assert text_features("abc", "").ccos == 0.0
+        assert text_features("a", "ab").bcos == 0.0  # single char: no bigram
 
     def test_bigrams_ignore_whitespace(self):
-        assert bag_cosine("a b", "ab", "char-bigram") == 1.0
+        assert text_features("a b", "ab").bcos == 1.0
 
     def test_symmetry_range_and_repeat_invariance(self):
         rng = random.Random(53)
         for _ in range(300):
             a = random_string(rng, alphabet="abc ")
             b = random_string(rng, alphabet="abc ")
-            for unit in ("chunk", "char-bigram"):
-                c = bag_cosine(a, b, unit)
-                assert 0.0 <= c <= 1.0 + 1e-12
-                assert abs(c - bag_cosine(b, a, unit)) < 1e-12
-                # repeating both multisets leaves the cosine unchanged
-                a3 = " ".join([a] * 3) if unit == "chunk" else a
-                b3 = " ".join([b] * 3) if unit == "chunk" else b
-                if unit == "chunk":
-                    assert abs(bag_cosine(a3, b3, unit) - c) < 1e-12
+            # build_features needs a q1 with a chunk (delta.CLen.Rel divides by it)
+            fvs = [text_features(x, y) for x, y in ((a, b), (b, a)) if x.split()]
+            for fv in fvs:
+                assert 0.0 <= fv.ccos <= 1.0 + 1e-12
+                assert 0.0 <= fv.bcos <= 1.0 + 1e-12
+            if len(fvs) == 2:
+                assert abs(fvs[0].ccos - fvs[1].ccos) < 1e-12
+                assert abs(fvs[0].bcos - fvs[1].bcos) < 1e-12
+            if fvs:
+                # repeating both chunk multisets leaves the chunk cosine unchanged
+                q1, q2 = (a, b) if a.split() else (b, a)
+                fv3 = text_features(" ".join([q1] * 3), " ".join([q2] * 3))
+                assert abs(fv3.ccos - fvs[0].ccos) < 1e-12
 
 
 class TestBuildFeatures:
@@ -331,10 +367,11 @@ class TestBuildFeatures:
         assert fv.delta_clen == 1 and fv.delta_clen_rel == 1.0
         assert fv.mb_leven == 7 and fv.leven == 7
         assert abs(fv.ccos - 1 / math.sqrt(2)) < 1e-12
-        assert abs(fv.ent_q1 - click_entropy("curry", stats)) < 1e-12
+        assert abs(fv.ent_q1 - -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))) < 1e-12
+        assert abs(fv.ent_q2 - 1.0) < 1e-12
         assert abs(fv.delta_ent - (fv.ent_q1 - fv.ent_q2)) < 1e-12
-        assert abs(fv.next_ent - next_query_entropy("curry", st)) < 1e-12
-        assert abs(fv.llr - llr("curry", "curry recipe", st)) < 1e-12
+        assert fv.next_ent == 0.0  # "curry recipe" always follows
+        assert abs(fv.llr - oracle_g2(3, 0, 0, 0)) < 1e-12
         assert fv.sim == 1.0
         # shared URL http://a at better rank for the expansion -> co-click too
         assert fv.p_cc > 0.0

@@ -133,6 +133,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([[np.nan], [1.0]], [1.0, 2.0])  # no split order for NaN
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_feature_rejected(self, value):
+        # A -inf value would become a -inf threshold, which no model file holds.
+        with pytest.raises(ValueError, match="X and y must be finite"):
+            fit([[value], [0.0], [1.0]], [0.0, 1.0, 2.0], TrainConfig(n_trees=1, min_leaf=1))
+
 
 class TestPredict:
     def test_zero_tree_model_is_base(self):
@@ -249,6 +255,25 @@ class TestMalformedModel:
         parts[4] = parts[5]
         lines[i] = "\t".join(parts)
         with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: node {parts[5]} has two parents"):
+            self.load(tmp_path, lines)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind, col", [("leaf", 2), ("split", 3)])
+    def test_non_finite_node_value(self, tmp_path, lines, kind, col, value):
+        i = self.first(lines, kind)
+        parts = lines[i].split("\t")
+        parts[col] = value
+        lines[i] = "\t".join(parts)
+        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: non-finite float '{value}'"):
+            self.load(tmp_path, lines)
+
+    @pytest.mark.parametrize("i, key", [(1, "shrinkage"), (2, "base")])
+    def test_non_finite_header_value(self, tmp_path, i, key):
+        # a model with no trees, whose shrinkage no tree weight is checked against
+        lines = ["n_trees\t0", "shrinkage\t0.5", "base\t0.0", "features\tf0", "importance", "f0\t0.0"]
+        assert self.load(tmp_path, lines).trees == []
+        lines[i] = f"{key}\tnan"
+        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: non-finite float 'nan'"):
             self.load(tmp_path, lines)
 
     def test_tree_count_differs_from_header(self, tmp_path, lines):

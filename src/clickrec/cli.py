@@ -129,7 +129,7 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    stats, _, _ = _prepare(args.log)
+    stats = logmod.build_click_stats(logmod.clean_log(_parse_log(args.log).records))
     assignments = _assignments(stats, args.taxonomy)
     lines = taxonomy.dump_assignments([assignments[q] for q in stats.queries])
     _write(os.path.join(args.out, "assignments.tsv"), lines)
@@ -180,7 +180,10 @@ def cmd_train(args) -> int:
         raise ValueError(f"{args.features}: need at least 2 labeled rows (Sim column set)")
     X = [v for v, _ in labeled]
     y = [s for _, s in labeled]
-    model = gbdt.fit(X, y, cfg, feature_names=feat.FEATURE_NAMES)
+    try:
+        model = gbdt.fit(X, y, cfg, feature_names=feat.FEATURE_NAMES)
+    except ValueError as exc:
+        raise ValueError(f"{args.features}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     gbdt.save_model(model, os.path.join(args.out, "model.txt"))
     print(f"trained {len(model.trees)} trees, final MSE {model.train_mse[-1]:.6g}")

@@ -8,6 +8,8 @@ is relevant when its grade is at least RELEVANT_MIN_SCORE.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import accumulate
 
 RELEVANT_MIN_SCORE = 7.0  # "excellent" or better counts as relevant
 
@@ -49,27 +51,6 @@ def mean_average_precision(rankings: list[list[float]]) -> float:
     return sum(average_precision(r) for r in rankings) / len(rankings)
 
 
-def _interpolated_precision(grades: list[float], levels: list[float]) -> list[float] | None:
-    rels = [g >= RELEVANT_MIN_SCORE for g in grades]
-    n_rel = sum(rels)
-    if n_rel == 0:
-        return None
-    points = []  # (recall, precision) at each prefix ending in a hit
-    hits = 0
-    for j, rel in enumerate(rels, 1):
-        if rel:
-            hits += 1
-        points.append((hits / n_rel, hits / j))
-    out = []
-    for r in levels:
-        best = 0.0
-        for rec, prec in points:
-            if rec >= r and prec > best:
-                best = prec
-        out.append(best)
-    return out
-
-
 def precision_recall_curve(rankings: list[list[float]]) -> list[tuple[float, float]]:
     """Average interpolated precision at the 11 recall levels 0, 0.1, ..., 1.
 
@@ -77,14 +58,18 @@ def precision_recall_curve(rankings: list[list[float]]) -> list[tuple[float, flo
     recall >= r.  Queries without any relevant item are skipped.
     """
     levels = [k / 10 for k in range(11)]
-    rows = [
-        p for p in (_interpolated_precision(r, levels) for r in rankings) if p is not None
-    ]
+    rows = []
+    for grades in rankings:
+        rels = [g >= RELEVANT_MIN_SCORE for g in grades]
+        n_rel = sum(rels)
+        if n_rel == 0:
+            continue
+        # (recall, precision) at each prefix
+        points = [(hits / n_rel, hits / j) for j, hits in enumerate(accumulate(rels), 1)]
+        rows.append([max((p for rec, p in points if rec >= lv), default=0.0) for lv in levels])
     if not rows:
         return [(lv, 0.0) for lv in levels]
-    return [
-        (lv, sum(row[i] for row in rows) / len(rows)) for i, lv in enumerate(levels)
-    ]
+    return [(lv, sum(col) / len(rows)) for lv, col in zip(levels, zip(*rows))]
 
 
 def _rank_abs(diffs: list[float]) -> list[float]:
@@ -140,11 +125,8 @@ def wilcoxon_signed_rank(a: list[float], b: list[float]) -> tuple[float, float]:
         p = min(1.0, count / 2**n)
     else:
         mu = n * (n + 1) / 4
-        # tie correction over groups of equal |d|
-        groups: dict[float, int] = {}
-        for d in diffs:
-            groups[abs(d)] = groups.get(abs(d), 0) + 1
-        tie_term = sum(t**3 - t for t in groups.values()) / 48
+        # Tie correction: equal |d| share one average rank, distinct |d| never do.
+        tie_term = sum(t**3 - t for t in Counter(ranks).values()) / 48
         sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24 - tie_term)
         # W+ and mu are multiples of 0.5, so the clamp acts only at W+ == mu.
         z = max(abs(w_plus - mu) - 0.5, 0.0) / sigma

@@ -233,10 +233,15 @@ class _Grower:
         return Tree(feature, threshold, left, right, value), gain, leaf_of
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises ValueError below
 def fit(
     X, y, cfg: TrainConfig | None = None, feature_names: list[str] | None = None
 ) -> Ensemble:
-    """Train the boosted ensemble; records per-iteration training MSE."""
+    """Train the boosted ensemble; records per-iteration training MSE.
+
+    Raises ValueError when a stored number or training prediction is not
+    finite, since load_model would refuse the saved model.
+    """
     cfg = cfg or TrainConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -256,7 +261,7 @@ def fit(
         base=float(y.mean()), feature_names=list(names), shrinkage=cfg.shrinkage
     )
     grower = _Grower(X, cfg)
-    raw = np.zeros(X.shape[1])
+    raw = dict.fromkeys(names, 0.0)
     pred = np.full(len(y), model.base)
     for _ in range(cfg.n_trees):
         r = y - pred
@@ -270,18 +275,23 @@ def fit(
         model.trees.append(tree)
         for f, g in zip(tree.feature, gains):
             if f >= 0:
-                raw[f] += g
+                raw[names[f]] += g
         pred = pred + cfg.shrinkage * tree.value[leaf_of]
+        if not np.isfinite(pred).all():
+            break  # refused below; later trees would fit nan residuals
         model.train_mse.append(float(np.mean((y - pred) ** 2)))
 
-    peak = raw.max()
-    if peak > 0:
-        model.importance = {
-            names[i]: float(100.0 * raw[i] / peak) for i in range(len(names))
-        }
-    else:
-        model.importance = {n: 0.0 for n in names}
+    model.importance = percent_of_peak(raw)
+    # A non-finite base or leaf makes its rows' predictions non-finite.
+    if not (np.isfinite(pred).all() and np.isfinite(list(model.importance.values())).all()):
+        raise ValueError("the fit overflows: y is too large for a finite model")
     return model
+
+
+def percent_of_peak(raw: dict[str, float]) -> dict[str, float]:
+    """Each value as a percentage of the largest; all 0.0 unless one is positive."""
+    peak = max(raw.values())
+    return {n: 100.0 * v / peak if peak > 0 else 0.0 for n, v in raw.items()}
 
 
 class _Forest:

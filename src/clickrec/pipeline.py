@@ -163,10 +163,8 @@ def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig) -> CrossvalReport:
         if not any(fold_of(r.q1) == f for r in dataset.rows):
             raise ValueError(f"fold {f} is empty")
 
-    per_query_ndcg: dict[str, list[float]] = {m: [] for m in ALL_METHODS}
     rankings: dict[str, list[list[float]]] = {m: [] for m in ALL_METHODS}
     raw_importance = {n: 0.0 for n in FEATURE_NAMES}
-    n_degenerate = 0
 
     for train_fold in (0, 1):
         train_rows = [r for r in dataset.rows if fold_of(r.q1) == train_fold]
@@ -197,39 +195,26 @@ def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig) -> CrossvalReport:
             for m in ALL_METHODS:
                 score = scores[m]
                 order = sorted(by_q1[q1], key=lambda i: (-score[i], test_cand[i].q2))
-                ranked = [grades[i] for i in order]
-                rankings[m].append(ranked)
-                per_query_ndcg[m].append(ev.ndcg5(ranked))
-            # With only zero grades, every method's ranking scores 0.
-            n_degenerate += all(grades[i] == 0.0 for i in by_q1[q1])
+                rankings[m].append([grades[i] for i in order])
 
+    ndcg = {m: [ev.ndcg5(r) for r in rankings[m]] for m in ALL_METHODS}
     metrics = {
-        m: (
-            sum(per_query_ndcg[m]) / len(per_query_ndcg[m]),
-            ev.mean_average_precision(rankings[m]),
-        )
+        m: (sum(ndcg[m]) / len(ndcg[m]), ev.mean_average_precision(rankings[m]))
         for m in ALL_METHODS
     }
     wilcoxon: dict[str, tuple[float, float] | None] = {}
     for m in SINGLE_METHODS:
         try:
-            wilcoxon[m] = ev.wilcoxon_signed_rank(
-                per_query_ndcg["GBDT"], per_query_ndcg[m]
-            )
+            wilcoxon[m] = ev.wilcoxon_signed_rank(ndcg["GBDT"], ndcg[m])
         except ValueError:
             wilcoxon[m] = None
 
-    peak = max(raw_importance.values())
-    importance = {
-        n: (100.0 * v / peak if peak > 0 else 0.0)
-        for n, v in raw_importance.items()
-    }
-    curves = {m: ev.precision_recall_curve(rankings[m]) for m in ALL_METHODS}
     return CrossvalReport(
         metrics=metrics,
         wilcoxon=wilcoxon,
-        importance=importance,
-        curves=curves,
+        importance=gbdt.percent_of_peak(raw_importance),
+        curves={m: ev.precision_recall_curve(rankings[m]) for m in ALL_METHODS},
         n_queries=len(rankings["GBDT"]),
-        n_degenerate=n_degenerate,
+        # With only zero grades, every method's ranking scores 0.
+        n_degenerate=sum(not any(r) for r in rankings["GBDT"]),
     )

@@ -110,6 +110,16 @@ class TestFeatureMatrixErrors:
         assert code == 1
         assert err.startswith(f"error: {path}: need at least 2 labeled rows")
 
+    def test_overflowing_fit_writes_no_model(self, tmp_path):
+        # Finite targets whose mean overflows would give a model rank refuses.
+        lines = matrix_lines()
+        lines[1:] = [ln.rsplit("\t", 1)[0] + "\t1.7e308" for ln in lines[1:]]
+        path = tmp_path / "huge.tsv"
+        path.write_text("".join(ln + "\n" for ln in lines))
+        code, err = run("--out", tmp_path / "out", "train", "--features", path)
+        assert code == 1
+        assert err.startswith(f"error: {path}: the fit overflows"), err
+        assert not (tmp_path / "out").exists()
 
     def test_not_utf8(self, base, tmp_path):
         path = tmp_path / "latin1.tsv"

@@ -265,6 +265,15 @@ class TestWilcoxon:
         ref = stats.wilcoxon(a, b, zero_method="wilcox", method="approx", correction=True)
         assert (ref.statistic, ref.pvalue) == (189.0, 1.0)
 
+    def test_normal_approximation_with_ties(self):
+        # 30 differences in four tie groups of |d| (sizes 8, 8, 7 and 7).
+        # scipy 1.17.1's wilcoxon(method="approx", correction=True) gives the
+        # same statistic and p up to the last bit (0.13300187448654732);
+        # without the tie term p would be 0.1359.
+        a = [float((i % 4 + 1) * (1 if i % 3 else -1)) for i in range(30)]
+        b = [0.0] * 30
+        assert wilcoxon_signed_rank(a, b) == (159.5, 0.1330018744865473)
+
     def test_too_few_differences(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1, 2, 3, 4, 5], [0, 0, 0, 0, 0])

@@ -139,6 +139,31 @@ class TestFit:
         with pytest.raises(ValueError, match="X and y must be finite"):
             fit([[value], [0.0], [1.0]], [0.0, 1.0, 2.0], TrainConfig(n_trees=1, min_leaf=1))
 
+    def test_overflowing_mean_rejected(self):
+        # The mean of two 1.7e308 targets is inf, a base load_model refuses.
+        with pytest.raises(ValueError, match="the fit overflows"):
+            fit([[0.0], [1.0]], [1.7e308, 1.7e308])
+
+    def test_overflowing_leaves_rejected(self):
+        # The base is finite, but the leaf means overflow to -inf, inf and nan.
+        cfg = TrainConfig(n_trees=3, min_leaf=1)
+        with pytest.raises(ValueError, match="the fit overflows"):
+            fit([[0.0], [1.0], [2.0]], [1.7e308, -1.7e308, 1.7e308], cfg)
+
+    def test_overflowing_importance_rejected(self):
+        # Leaves and predictions stay finite, but the split gain (2e200)^2 / 2
+        # is inf, so the importance is inf / inf = nan.
+        with pytest.raises(ValueError, match="the fit overflows"):
+            fit([[0.0], [1.0]], [1e200, -1e200], TrainConfig(n_trees=1, min_leaf=1))
+
+    def test_infinite_training_mse_still_saves(self, tmp_path):
+        # No split is allowed, so the model is the finite base 0 alone; only
+        # the squared residuals overflow.
+        model = fit([[0.0], [1.0]], [1e200, -1e200])
+        assert model.train_mse == [np.inf]
+        save_model(model, tmp_path / "model.txt")
+        assert load_model(tmp_path / "model.txt").base == 0.0
+
 
 class TestPredict:
     def test_zero_tree_model_is_base(self):

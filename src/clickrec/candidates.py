@@ -8,6 +8,7 @@ strength probability.  All three are pure functions of count tables
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .logs import ClickStats, Session
 
@@ -18,8 +19,7 @@ KINDS = (CO_CLICK, CO_TOPIC, CO_SESSION)
 _KIND_ORDER = {k: i for i, k in enumerate(KINDS)}
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     q1: str
     q2: str
     kind: str

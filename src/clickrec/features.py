@@ -133,25 +133,24 @@ def levenshtein(a: str | bytes, b: str | bytes) -> int:
 
 
 class _Bag(NamedTuple):
-    counts: Counter
-    items: tuple  # sorted (unit, count) pairs
+    counts: dict  # unit -> int count, so the dot product and norm are exact in any order
     norm: float
 
 
 def _bag(units) -> _Bag:
-    counts = Counter(units)
+    counts = dict(Counter(units))  # a plain dict: Counter's == is a Python-level loop
     norm = math.sqrt(sum(c * c for c in counts.values()))
-    return _Bag(counts, tuple(sorted(counts.items())), norm)
+    return _Bag(counts, norm)
 
 
 def _cosine(a: _Bag, b: _Bag) -> float:
-    if not a.items or not b.items:
+    if not a.counts or not b.counts:
         return 0.0
     # Equal bags are exactly 1.0; dot / (norm * norm) can round below it.
-    if a.items == b.items:
+    if a.counts == b.counts:
         return 1.0
     bc = b.counts
-    dot = sum(c * bc[k] for k, c in a.items if k in bc)
+    dot = sum(c * bc[k] for k, c in a.counts.items() if k in bc)
     return dot / (a.norm * b.norm)
 
 

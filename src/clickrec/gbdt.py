@@ -445,6 +445,8 @@ def load_model(path: str) -> Ensemble:
     n_trees = number(int, fields(2, "n_trees")[1])
     header = lineno
     shrinkage = number(float, fields(2, "shrinkage")[1])
+    if not 0.0 < shrinkage <= 1.0:
+        fail(f"shrinkage {shrinkage!r} is not in (0, 1]")
     base = number(float, fields(2, "base")[1])
     names = fields(key="features")[1:]
     model = Ensemble(base=base, feature_names=names, shrinkage=shrinkage)
@@ -487,5 +489,7 @@ def load_model(path: str) -> Ensemble:
     fields(1, "importance")
     while pos < len(lines):
         name, val = fields(2)
+        if name not in names:
+            fail(f"importance for unknown feature {name!r}")
         model.importance[name] = number(float, val)
     return model

@@ -6,7 +6,9 @@ The input format is one click event per line:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # A user's query events more than this many seconds apart start a new session.
 SESSION_TIMEOUT_S = 300
@@ -17,8 +19,7 @@ def normalize_query(q: str) -> str:
     return " ".join(q.split())
 
 
-@dataclass(frozen=True)
-class ClickRecord:
+class ClickRecord(NamedTuple):
     timestamp: int
     user: str
     query: str
@@ -26,14 +27,12 @@ class ClickRecord:
     rank: int
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     records: list[ClickRecord]
     skipped: int
 
 
-@dataclass
-class Session:
+class Session(NamedTuple):
     user: str
     queries: list[tuple[int, str]]  # time-ordered (timestamp, query)
 
@@ -148,19 +147,12 @@ def clean_log(records: list[ClickRecord]) -> list[ClickRecord]:
     for r in records:
         key = (r.user, r.query, r.url)
         prev = collapsed.get(key)
-        if prev is None:
-            collapsed[key] = r
-        else:
-            collapsed[key] = ClickRecord(
-                min(prev.timestamp, r.timestamp),
-                r.user,
-                r.query,
-                r.url,
-                min(prev.rank, r.rank),
+        if prev is not None:
+            r = prev._replace(
+                timestamp=min(prev.timestamp, r.timestamp), rank=min(prev.rank, r.rank)
             )
-    pair_count: dict[tuple[str, str], int] = {}
-    for r in collapsed.values():
-        pair_count[(r.query, r.url)] = pair_count.get((r.query, r.url), 0) + 1
+        collapsed[key] = r
+    pair_count = Counter((r.query, r.url) for r in collapsed.values())
     return [r for r in collapsed.values() if pair_count[(r.query, r.url)] >= 2]
 
 

@@ -6,7 +6,7 @@ import math
 import random
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,21 +23,18 @@ COMBO_METHODS = ["P_cc+P_ct", "P_cc+P_cs", "P_ct+P_cs", "P_cc+P_ct+P_cs"]
 ALL_METHODS = SINGLE_METHODS + COMBO_METHODS + ["GBDT"]
 
 
-@dataclass
-class DatasetRow:
+class DatasetRow(NamedTuple):
     q1: str
     q2: str
     kinds: frozenset[str]  # empty for random negative pairs
     fv: FeatureVector  # fv.sim is the target
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     rows: list[DatasetRow]  # every pair of a q1 is in fold fold_of(q1)
 
 
-@dataclass
-class CrossvalReport:
+class CrossvalReport(NamedTuple):
     metrics: dict[str, tuple[float, float]]  # method -> (NDCG5, MAP)
     wilcoxon: dict[str, tuple[float, float] | None]  # vs-method -> (stat, p)
     importance: dict[str, float]

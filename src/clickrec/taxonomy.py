@@ -8,7 +8,7 @@ site's title + description, and each match votes for the site's category.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .logs import ClickStats
 
@@ -31,11 +31,10 @@ def path_str(path: CategoryPath) -> str:
     return "/".join(path)
 
 
-@dataclass
-class CategoryAssignment:
+class CategoryAssignment(NamedTuple):
     query: str
     category: CategoryPath | None
-    votes: dict[CategoryPath, int] = field(default_factory=dict)
+    votes: dict[CategoryPath, int]
 
 
 def load_taxonomy(lines) -> list[tuple[str, CategoryPath]]:

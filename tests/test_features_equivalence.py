@@ -10,7 +10,6 @@ included, must match too: on random worlds with random categories and
 variant clusters, and on the criterion-7 corpus.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -49,7 +48,7 @@ def worlds(draw):
         n_queries=len(names),
         n_urls=draw(st.integers(1, 8)),
     )
-    records = [dataclasses.replace(r, query=names[int(r.query[1:])]) for r in records]
+    records = [r._replace(query=names[int(r.query[1:])]) for r in records]
     stats = logs.build_click_stats(records)
     sessions = [] if draw(st.booleans()) else logs.segment_sessions(records)
     return stats, cand.build_session_stats(sessions), names
@@ -91,7 +90,7 @@ def dataset_worlds(draw):
         n_queries=len(names),
         n_urls=draw(st.integers(1, 60)),
     )
-    records = [dataclasses.replace(r, query=names[int(r.query[1:])]) for r in records]
+    records = [r._replace(query=names[int(r.query[1:])]) for r in records]
     stats = logs.build_click_stats(records)
     sessions = [] if draw(st.booleans()) else logs.segment_sessions(records)
     p_uncategorized = draw(st.sampled_from([0.0, 0.2, 0.5]))

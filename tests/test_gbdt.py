@@ -311,6 +311,44 @@ class TestMalformedModel:
         with pytest.raises(ValueError, match=rf"model.txt:{len(lines) + 1}: missing importance section"):
             self.load(tmp_path, lines)
 
+    @pytest.mark.parametrize("value", ["0.0", "-0.5", "1.5"])
+    def test_shrinkage_out_of_range(self, tmp_path, lines, value):
+        # fit never writes such a shrinkage, and a negative one would turn
+        # every tree's contribution around
+        lines[1] = f"shrinkage\t{value}"
+        with pytest.raises(ValueError, match=rf"model.txt:2: shrinkage {value} is not in \(0, 1\]"):
+            self.load(tmp_path, lines)
+
+    def test_importance_for_unknown_feature(self, tmp_path, lines):
+        # save_model would drop the line, so a load and save would change the file
+        lines.insert(lines.index("importance") + 1, "zzz\t1.0")
+        i = lines.index("zzz\t1.0")
+        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: importance for unknown feature 'zzz'"):
+            self.load(tmp_path, lines)
+
+    def test_missing_and_repeated_importance_names_load(self, tmp_path, lines):
+        # fit writes a repeated name when feature_names repeats one
+        start = lines.index("importance") + 1
+        lines[start + 1] = lines[start].split("\t")[0] + "\t50.0"
+        del lines[start + 2]
+        model = self.load(tmp_path, lines)
+        assert set(model.importance) < set(model.feature_names)
+
+    @pytest.mark.parametrize("i, line", [(1, "shrinkage\t-0.5"), (-1, "zzz\t1.0")])
+    def test_cli_rank_refuses_what_fit_never_writes(self, tmp_path, lines, capsys, i, line):
+        from clickrec import cli
+
+        lines[i] = line
+        i %= len(lines)
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(
+            ["--out", str(tmp_path), "rank", "--model", str(path), "--features", "x", "--q1", "q"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}:{i + 1}: "), err
+
     def test_cli_rank_reports_error(self, tmp_path, lines, capsys):
         from clickrec import cli
 

@@ -98,6 +98,34 @@ class TestCleanLog:
         once = clean_log(recs)
         assert clean_log(once) == once
 
+    @staticmethod
+    def brute_force(recs):
+        """One record per (user, query, url) in first-occurrence order, each the
+        first record's fields with the minimum timestamp and rank; then drop
+        the records whose (query, url) has only one merged record."""
+        triples = list(dict.fromkeys((r.user, r.query, r.url) for r in recs))
+        merged = []
+        for user, query, url in triples:
+            same = [r for r in recs if (r.user, r.query, r.url) == (user, query, url)]
+            merged.append(
+                ClickRecord(
+                    min(r.timestamp for r in same), user, query, url, min(r.rank for r in same)
+                )
+            )
+        return [
+            r for r in merged
+            if sum((m.query, m.url) == (r.query, r.url) for m in merged) >= 2
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        recs = random_records(rng, rng.randint(1, 400), n_users=rng.randint(1, 8))
+        rng.shuffle(recs)  # so the earliest timestamp is not always the first seen
+        expected = self.brute_force(recs)
+        assert len(expected) < len({(r.user, r.query, r.url) for r in recs})  # some dropped
+        assert clean_log(recs) == expected
+
 
 class TestSegmentSessions:
     def test_single_session(self):

@@ -7,7 +7,6 @@ strength probability.  All three are pure functions of count tables
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .logs import ClickStats, Session
@@ -26,28 +25,30 @@ class CandidatePair(NamedTuple):
     strength: float
 
 
-@dataclass
-class SessionStats:
+class SessionStats(NamedTuple):
     """Adjacency counts over ordered consecutive query pairs in sessions."""
 
-    occurrences: dict[str, int] = field(default_factory=dict)  # session event count
-    successors: dict[str, dict[str, int]] = field(default_factory=dict)  # q1 -> q2 -> count
-    successor_totals: dict[str, int] = field(default_factory=dict)  # column sums
-    total_pairs: int = 0
+    occurrences: dict[str, int]  # session event count
+    successors: dict[str, dict[str, int]]  # q1 -> q2 -> count
+    successor_totals: dict[str, int]  # column sums
+    total_pairs: int
 
 
 def build_session_stats(sessions: list[Session]) -> SessionStats:
-    st = SessionStats()
+    occurrences: dict[str, int] = {}
+    successors: dict[str, dict[str, int]] = {}
+    successor_totals: dict[str, int] = {}
     for s in sessions:
         qs = [q for _, q in s.queries]
         for q in qs:
-            st.occurrences[q] = st.occurrences.get(q, 0) + 1
+            occurrences[q] = occurrences.get(q, 0) + 1
         for a, b in zip(qs, qs[1:]):
-            st.successors.setdefault(a, {})
-            st.successors[a][b] = st.successors[a].get(b, 0) + 1
-            st.successor_totals[b] = st.successor_totals.get(b, 0) + 1
-            st.total_pairs += 1
-    return st
+            after = successors.setdefault(a, {})
+            after[b] = after.get(b, 0) + 1
+            successor_totals[b] = successor_totals.get(b, 0) + 1
+    return SessionStats(
+        occurrences, successors, successor_totals, sum(successor_totals.values())
+    )
 
 
 def brccq(q: str, stats: ClickStats) -> set[str]:

@@ -99,7 +99,7 @@ def _assignments(stats, taxonomy_path: str):
 def cmd_synth(args) -> int:
     cfg = _apply(synth.SynthConfig(), args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     clicks, tax = synth.synth_logs(cfg)
     _write(os.path.join(args.out, "clicks.tsv"), clicks)
     _write(os.path.join(args.out, "taxonomy.tsv"), tax)

@@ -71,13 +71,13 @@ class TrainConfig:
             raise ValueError("min_leaf must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ensemble:
     base: float
-    trees: list[Tree] = field(default_factory=list)  # each weighted by shrinkage
+    trees: tuple[Tree, ...] = ()  # each weighted by shrinkage
     feature_names: list[str] = field(default_factory=list)
     importance: dict[str, float] = field(default_factory=dict)  # max-normalized to 100
-    train_mse: list[float] = field(default_factory=list)
+    train_mse: tuple[float, ...] = ()
     shrinkage: float = 0.1
 
 
@@ -253,39 +253,36 @@ def fit(
         raise ValueError("need at least 2 samples")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
-    names = feature_names or [f"f{i}" for i in range(X.shape[1])]
+    names = list(feature_names or [f"f{i}" for i in range(X.shape[1])])
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length mismatch")
 
-    model = Ensemble(
-        base=float(y.mean()), feature_names=list(names), shrinkage=cfg.shrinkage
-    )
+    base = float(y.mean())
     grower = _Grower(X, cfg)
     raw = dict.fromkeys(names, 0.0)
-    pred = np.full(len(y), model.base)
+    trees: list[Tree] = []
+    train_mse: list[float] = []
+    pred = np.full(len(y), base)
     for _ in range(cfg.n_trees):
         r = y - pred
-        if np.all(r == 0.0):
-            model.train_mse.append(0.0)
-            break
         tree, gains, leaf_of = grower.grow(r)
-        if tree.depth == 0 and tree.value[0] == 0.0:
-            model.train_mse.append(float(np.mean(r**2)))
+        if tree.depth == 0 and tree.value[0] == 0.0:  # also ends a perfect fit
+            train_mse.append(float(np.mean(r**2)))
             break
-        model.trees.append(tree)
+        trees.append(tree)
         for f, g in zip(tree.feature, gains):
             if f >= 0:
                 raw[names[f]] += g
         pred = pred + cfg.shrinkage * tree.value[leaf_of]
         if not np.isfinite(pred).all():
             break  # refused below; later trees would fit nan residuals
-        model.train_mse.append(float(np.mean((y - pred) ** 2)))
+        train_mse.append(float(np.mean((y - pred) ** 2)))
 
-    model.importance = percent_of_peak(raw)
+    importance = percent_of_peak(raw)
     # A non-finite base or leaf makes its rows' predictions non-finite.
-    if not (np.isfinite(pred).all() and np.isfinite(list(model.importance.values())).all()):
+    if not (np.isfinite(pred).all() and np.isfinite(list(importance.values())).all()):
         raise ValueError("the fit overflows: y is too large for a finite model")
-    return model
+    return Ensemble(base, tuple(trees), names, importance, tuple(train_mse), cfg.shrinkage)
 
 
 def percent_of_peak(raw: dict[str, float]) -> dict[str, float]:
@@ -449,9 +446,11 @@ def load_model(path: str) -> Ensemble:
         fail(f"shrinkage {shrinkage!r} is not in (0, 1]")
     base = number(float, fields(2, "base")[1])
     names = fields(key="features")[1:]
-    model = Ensemble(base=base, feature_names=names, shrinkage=shrinkage)
+    trees: list[Tree] = []
     while pos < len(lines) and lines[pos][1].startswith("tree\t"):
-        _, _, w_s, count_s = fields(4)
+        _, t_s, w_s, count_s = fields(4)
+        if t_s != str(len(trees)):
+            fail(f"expected tree index {len(trees)}, found {t_s!r}")
         w, count = number(float, w_s), number(int, count_s)
         if w != shrinkage:
             fail(f"tree weight {w!r} differs from shrinkage {shrinkage!r}")
@@ -461,7 +460,13 @@ def load_model(path: str) -> Ensemble:
         claimed: set[int] = set()  # nodes already some split's child
         for i in range(count):
             parts = fields(6)
+            if parts[0] != str(i):
+                fail(f"expected node index {i}, found {parts[0]!r}")
+            if i > 0 and i not in claimed:  # every parent precedes its children
+                fail(f"node {i} is no split's child")
             if parts[1] == "leaf":
+                if parts[3:] != ["-"] * 3:
+                    fail("a leaf's last three fields must be '-'")
                 node = (-1, 0.0, -1, -1, number(float, parts[2]))
             elif parts[1] == "split":
                 f = number(int, parts[2])
@@ -479,17 +484,18 @@ def load_model(path: str) -> Ensemble:
                 fail(f"unknown node kind {parts[1]!r}")
             for column, v in zip(arrays, node):
                 column.append(v)
-        model.trees.append(Tree(*arrays))
-    if len(model.trees) != n_trees:
+        trees.append(Tree(*arrays))
+    if len(trees) != n_trees:
         lineno = header
-        fail(f"n_trees is {n_trees} but the file has {len(model.trees)} trees")
+        fail(f"n_trees is {n_trees} but the file has {len(trees)} trees")
     if pos == len(lines):
         lineno = end
         fail("missing importance section")
     fields(1, "importance")
+    importance: dict[str, float] = {}
     while pos < len(lines):
         name, val = fields(2)
         if name not in names:
             fail(f"importance for unknown feature {name!r}")
-        model.importance[name] = number(float, val)
-    return model
+        importance[name] = number(float, val)
+    return Ensemble(base, tuple(trees), names, importance, shrinkage=shrinkage)

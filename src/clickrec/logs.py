@@ -7,7 +7,6 @@ The input format is one click event per line:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # A user's query events more than this many seconds apart start a new session.
@@ -37,8 +36,7 @@ class Session(NamedTuple):
     queries: list[tuple[int, str]]  # time-ordered (timestamp, query)
 
 
-@dataclass
-class ClickStats:
+class ClickStats(NamedTuple):
     """Count tables over the cleaned records, built once and then only read.
 
     Each query's URLs in ``clicks`` are in sorted order.  P_cc, the click
@@ -46,12 +44,12 @@ class ClickStats:
     decides their output bytes.
     """
 
-    clicks: dict[str, dict[str, int]] = field(default_factory=dict)  # query -> url -> clicks
-    cnt_q: dict[str, int] = field(default_factory=dict)  # query -> clicks
-    cnt_u: dict[str, int] = field(default_factory=dict)  # url -> clicks
-    total: int = 0
+    clicks: dict[str, dict[str, int]]  # query -> url -> clicks
+    cnt_q: dict[str, int]  # query -> clicks
+    cnt_u: dict[str, int]  # url -> clicks
+    total: int
     # url -> the queries that clicked it at the lowest rank any query did
-    best_queries: dict[str, set[str]] = field(default_factory=dict)
+    best_queries: dict[str, set[str]]
 
     @property
     def queries(self) -> list[str]:
@@ -192,20 +190,21 @@ def dump_sessions(sessions: list[Session]) -> list[str]:
 
 def build_click_stats(records: list[ClickRecord]) -> ClickStats:
     """Populate all count tables from (already cleaned) records."""
-    stats = ClickStats()
+    clicks: dict[str, dict[str, int]] = {}
+    cnt_q: dict[str, int] = {}
+    cnt_u: dict[str, int] = {}
+    best_queries: dict[str, set[str]] = {}
     best: dict[str, int] = {}  # url -> lowest rank clicked
     for r in records:
-        urls = stats.clicks.setdefault(r.query, {})
+        urls = clicks.setdefault(r.query, {})
         urls[r.url] = urls.get(r.url, 0) + 1
-        stats.cnt_q[r.query] = stats.cnt_q.get(r.query, 0) + 1
-        stats.cnt_u[r.url] = stats.cnt_u.get(r.url, 0) + 1
-        stats.total += 1
+        cnt_q[r.query] = cnt_q.get(r.query, 0) + 1
+        cnt_u[r.url] = cnt_u.get(r.url, 0) + 1
         low = best.get(r.url)
         if low is None or r.rank < low:
             best[r.url] = r.rank
-            stats.best_queries[r.url] = {r.query}
+            best_queries[r.url] = {r.query}
         elif r.rank == low:
-            stats.best_queries[r.url].add(r.query)
-    for q, urls in stats.clicks.items():
-        stats.clicks[q] = dict(sorted(urls.items()))
-    return stats
+            best_queries[r.url].add(r.query)
+    clicks = {q: dict(sorted(urls.items())) for q, urls in clicks.items()}
+    return ClickStats(clicks, cnt_q, cnt_u, len(records), best_queries)

@@ -134,36 +134,41 @@ def fit(
     if len(names) != X.shape[1]:
         raise ValueError("feature_names length mismatch")
 
-    model = Ensemble(
-        base=float(y.mean()),
-        feature_names=list(names),
-        shrinkage=cfg.shrinkage,
-    )
-    pred = np.full(len(y), model.base)
+    base = float(y.mean())
+    trees: list[TreeNode] = []
+    train_mse: list[float] = []
+    pred = np.full(len(y), base)
     for _ in range(cfg.n_trees):
         r = y - pred
         if np.all(r == 0.0):
-            model.train_mse.append(0.0)
+            train_mse.append(0.0)
             break
         root = _build_tree(X, r, 0, cfg)
         if root.is_leaf and root.value == 0.0:
-            model.train_mse.append(float(np.mean(r**2)))
+            train_mse.append(float(np.mean(r**2)))
             break
-        model.trees.append(root)
+        trees.append(root)
         pred = pred + cfg.shrinkage * _eval_tree(root, X)
-        model.train_mse.append(float(np.mean((y - pred) ** 2)))
+        train_mse.append(float(np.mean((y - pred) ** 2)))
 
     raw = np.zeros(X.shape[1])
-    for root in model.trees:
+    for root in trees:
         _collect_gains(root, raw)
     peak = raw.max()
     if peak > 0:
-        model.importance = {
+        importance = {
             names[i]: float(100.0 * raw[i] / peak) for i in range(len(names))
         }
     else:
-        model.importance = {n: 0.0 for n in names}
-    return model
+        importance = {n: 0.0 for n in names}
+    return Ensemble(
+        base=base,
+        trees=tuple(trees),
+        feature_names=list(names),
+        importance=importance,
+        train_mse=tuple(train_mse),
+        shrinkage=cfg.shrinkage,
+    )
 
 
 def predict(model: Ensemble, x) -> float | np.ndarray:

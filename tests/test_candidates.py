@@ -261,6 +261,13 @@ def _sessions_from_queries(seqs):
 
 
 class TestCsqPcs:
+    def test_session_stats_fields_cannot_be_reassigned(self):
+        st = _sessions_from_queries([["a", "b"]])
+        assert st.total_pairs == 1
+        for name in st._fields:
+            with pytest.raises(AttributeError):
+                setattr(st, name, None)
+
     def test_adjacency(self):
         sessions = _sessions_from_queries([["ana", "jal"]])
         assert csq("ana", sessions) == {"jal"}

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -75,6 +76,23 @@ class TestFit:
         assert predict(model, X[:1])[0] == 2.5
         assert all(v == 0.0 for v in model.importance.values())
         assert all((tree.feature < 0).all() for tree in model.trees)
+
+    def test_perfect_fit_stops_with_zero_mse(self):
+        # The residuals are all 0, so the next tree is a 0 leaf and is dropped.
+        model = fit([[0.0], [1.0]], [3.0, 3.0], TrainConfig(n_trees=5, min_leaf=1))
+        assert model.trees == () and model.train_mse == (0.0,)
+
+    def test_fit_and_load_build_frozen_models(self, tmp_path):
+        X, y = random_problem(np.random.default_rng(12))
+        model = fit(X, y, TrainConfig(n_trees=3))
+        save_model(model, str(tmp_path / "model.txt"))
+        loaded = load_model(str(tmp_path / "model.txt"))
+        assert type(model.trees) is tuple and type(model.train_mse) is tuple
+        assert type(loaded.trees) is tuple and len(loaded.trees) == 3
+        for m in (model, loaded):
+            for f in dataclasses.fields(m):
+                with pytest.raises(AttributeError):
+                    setattr(m, f.name, getattr(m, f.name))
 
     def test_separable_indicator_exact(self):
         rng = np.random.default_rng(1)
@@ -160,7 +178,7 @@ class TestFit:
         # No split is allowed, so the model is the finite base 0 alone; only
         # the squared residuals overflow.
         model = fit([[0.0], [1.0]], [1e200, -1e200])
-        assert model.train_mse == [np.inf]
+        assert model.train_mse == (np.inf,)
         save_model(model, tmp_path / "model.txt")
         assert load_model(tmp_path / "model.txt").base == 0.0
 
@@ -296,9 +314,39 @@ class TestMalformedModel:
     def test_non_finite_header_value(self, tmp_path, i, key):
         # a model with no trees, whose shrinkage no tree weight is checked against
         lines = ["n_trees\t0", "shrinkage\t0.5", "base\t0.0", "features\tf0", "importance", "f0\t0.0"]
-        assert self.load(tmp_path, lines).trees == []
+        assert self.load(tmp_path, lines).trees == ()
         lines[i] = f"{key}\tnan"
         with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: non-finite float 'nan'"):
+            self.load(tmp_path, lines)
+
+    def test_tree_index_out_of_order(self, tmp_path, lines):
+        # save_model numbers the trees 0, 1, 2, ..., so a load and save would renumber
+        i = [j for j, ln in enumerate(lines) if ln.startswith("tree\t")][1]
+        lines[i] = lines[i].replace("tree\t1\t", "tree\t9\t")
+        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: expected tree index 1, found '9'"):
+            self.load(tmp_path, lines)
+
+    def test_node_index_out_of_order(self, tmp_path, lines):
+        i = self.first(lines, "split")
+        assert lines[i].startswith("0\tsplit\t")
+        lines[i] = "7" + lines[i][1:]
+        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: expected node index 0, found '7'"):
+            self.load(tmp_path, lines)
+
+    def test_leaf_fields_past_the_value(self, tmp_path, lines):
+        i = self.first(lines, "leaf")
+        lines[i] = "\t".join(lines[i].split("\t")[:3] + ["x", "y", "z"])
+        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: a leaf's last three fields must be '-'"):
+            self.load(tmp_path, lines)
+
+    def test_node_no_split_reaches(self, tmp_path):
+        # The root is a leaf, so no row reaches nodes 1 and 2.
+        lines = [
+            "n_trees\t1", "shrinkage\t0.5", "base\t0.0", "features\tf0", "tree\t0\t0.5\t3",
+            "0\tleaf\t1.0\t-\t-\t-", "1\tleaf\t2.0\t-\t-\t-", "2\tleaf\t3.0\t-\t-\t-",
+            "importance", "f0\t0.0",
+        ]
+        with pytest.raises(ValueError, match=r"model.txt:7: node 1 is no split's child"):
             self.load(tmp_path, lines)
 
     def test_tree_count_differs_from_header(self, tmp_path, lines):

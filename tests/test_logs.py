@@ -246,6 +246,12 @@ class TestBuildClickStats:
         stats = build_click_stats([])
         assert stats.total == 0 and not stats.cnt_q
 
+    def test_fields_cannot_be_reassigned(self):
+        stats = build_click_stats([ClickRecord(1, "u1", "q", "http://a", 1)])
+        for name in stats._fields:
+            with pytest.raises(AttributeError):
+                setattr(stats, name, None)
+
     def test_tables_consistent(self, small_world):
         _, cleaned, stats, _ = small_world
         assert sum(stats.cnt_q.values()) == stats.total

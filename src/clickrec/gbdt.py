@@ -431,12 +431,16 @@ def load_model(path: str) -> Ensemble:
         return parts
 
     def number(kind, text: str):
+        """``text`` as ``kind``, refused unless save_model would write it so."""
         try:
             value = kind(text)
         except ValueError:
             fail(f"bad {kind.__name__} {text!r}")
         if kind is float and not math.isfinite(value):
             fail(f"non-finite float {text!r}")
+        written = repr(value) if kind is float else str(value)
+        if text != written:
+            fail(f"{kind.__name__} {text!r} is written {written!r}")
         return value
 
     n_trees = number(int, fields(2, "n_trees")[1])

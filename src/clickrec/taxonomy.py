@@ -37,7 +37,32 @@ class CategoryAssignment(NamedTuple):
     votes: dict[CategoryPath, int]
 
 
-def load_taxonomy(lines) -> list[tuple[str, CategoryPath]]:
+class SiteIndex(tuple):
+    """The ``(text, category)`` sites of a taxonomy, with one bitmask per chunk.
+
+    ``mask(c)`` has bit i set when chunk ``c`` occurs in site i's text, by the
+    same ``c in text`` test as a scan.  It is computed once per distinct chunk
+    and memoised: the sites are a tuple, so the memo is a pure cache of a
+    function of values that never change (an inverted file over substrings).
+    """
+
+    def __new__(cls, sites):
+        self = super().__new__(cls, sites)
+        self._masks: dict[str, int] = {}
+        return self
+
+    def mask(self, chunk: str) -> int:
+        m = self._masks.get(chunk)
+        if m is None:
+            m = 0
+            for i, (text, _) in enumerate(self):
+                if chunk in text:
+                    m |= 1 << i
+            self._masks[chunk] = m
+        return m
+
+
+def load_taxonomy(lines) -> SiteIndex:
     """Read `url<TAB>title<TAB>description<TAB>category_path` records.
 
     Each site becomes ``(f"{title} {description}", category)``; the URL is
@@ -55,20 +80,31 @@ def load_taxonomy(lines) -> list[tuple[str, CategoryPath]]:
             sites.append((f"{title} {desc}", parse_path(cat)))
         except ValueError as exc:
             raise ValueError(f"{lineno}: {exc}") from None
-    return sites
+    return SiteIndex(sites)
 
 
-def assign_category(q: str, index: list[tuple[str, CategoryPath]]) -> CategoryAssignment:
+def assign_category(
+    q: str, index: SiteIndex | list[tuple[str, CategoryPath]]
+) -> CategoryAssignment:
     """AND-retrieval over title+description, then vote for site categories.
 
+    A site matches when every whitespace chunk of ``q`` occurs in its text,
+    so a query without chunks matches every site; votes fill in site order.
     Ties on the vote count go to the lexicographically smallest path string;
-    zero matches leave the category absent.
+    zero matches leave the category absent.  A plain list of sites is
+    wrapped in a fresh SiteIndex.
     """
-    chunks = q.split()
+    if not isinstance(index, SiteIndex):
+        index = SiteIndex(index)
+    matched = (1 << len(index)) - 1
+    for c in q.split():
+        matched &= index.mask(c)
     votes: dict[CategoryPath, int] = {}
-    for text, category in index:
-        if all(c in text for c in chunks):
-            votes[category] = votes.get(category, 0) + 1
+    while matched:
+        low = matched & -matched
+        category = index[low.bit_length() - 1][1]
+        votes[category] = votes.get(category, 0) + 1
+        matched ^= low
     if not votes:
         return CategoryAssignment(q, None, {})
     winner = min(votes, key=lambda p: (-votes[p], path_str(p)))
@@ -152,22 +188,26 @@ def cluster_trivial_variants(stats: ClickStats) -> dict[str, int]:
     Queries are processed in descending cnt(q) order (ties by query string);
     each joins the first existing centroid with cosine >= VARIANT_COSINE,
     updating it by a frequency-weighted mean, or founds a new cluster.
+
+    Only centroids that share a URL with the query are scored, in ascending
+    id, found through a URL -> centroid-id index.  Every click count is
+    positive, so any other centroid has cosine 0, below the threshold.
     """
     order = sorted(stats.cnt_q, key=lambda q: (-stats.cnt_q[q], q))
     centroids: list[dict[str, float]] = []
     weights: list[float] = []
     labels: dict[str, int] = {}
+    postings: dict[str, set[int]] = {}  # url -> ids of centroids that hold it
     for q in order:
         vec = {u: float(c) for u, c in stats.clicks[q].items()}
-        joined = None
-        for cid, cen in enumerate(centroids):
-            if _cosine(vec, cen) >= VARIANT_COSINE:
-                joined = cid
-                break
+        sharing = sorted(set().union(*(postings.get(u, ()) for u in vec)))
+        joined = next(
+            (cid for cid in sharing if _cosine(vec, centroids[cid]) >= VARIANT_COSINE), None
+        )
         if joined is None:
+            joined = len(centroids)
             centroids.append(vec)
             weights.append(float(stats.cnt_q[q]))
-            labels[q] = len(centroids) - 1
         else:
             w_old = weights[joined]
             w_new = float(stats.cnt_q[q])
@@ -177,5 +217,7 @@ def cluster_trivial_variants(stats: ClickStats) -> dict[str, int]:
                     w_old + w_new
                 )
             weights[joined] = w_old + w_new
-            labels[q] = joined
+        for u in vec:
+            postings.setdefault(u, set()).add(joined)
+        labels[q] = joined
     return labels

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickrec.features import FEATURE_NAMES, FeatureVector
 from clickrec.gbdt import (
@@ -226,6 +228,26 @@ class TestSerialization:
         assert np.array_equal(predict(model, probe), predict(loaded, probe))
         assert loaded.importance == model.importance
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.floats(1e-6, 1.0),
+        st.sampled_from([1.0, 1e-300, 1e100, -3.5]),
+    )
+    def test_fitted_model_survives_load_and_save(
+        self, tmp_path_factory, seed, n_trees, shrinkage, scale
+    ):
+        # load_model refuses any number save_model writes otherwise, so every
+        # number save_model writes must load back to the same text
+        rng = np.random.default_rng(seed)
+        X, y = random_problem(rng, n=30, d=3)
+        model = fit(X, scale * y, TrainConfig(n_trees=n_trees, shrinkage=shrinkage, min_leaf=2))
+        d = tmp_path_factory.mktemp("model")
+        save_model(model, str(d / "a.txt"))
+        save_model(load_model(str(d / "a.txt")), str(d / "b.txt"))
+        assert (d / "a.txt").read_bytes() == (d / "b.txt").read_bytes()
+
 
 class TestRank:
     def _model(self):
@@ -396,6 +418,36 @@ class TestMalformedModel:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {path}:{i + 1}: "), err
+
+    @pytest.mark.parametrize(
+        "i, line, reason",
+        [
+            (0, "n_trees\t+0", "int '+0' is written '0'"),
+            (1, "shrinkage\t0.50", "float '0.50' is written '0.5'"),
+            (2, "base\t1e0", "float '1e0' is written '1.0'"),
+            (5, "f0\t0", "float '0' is written '0.0'"),
+        ],
+    )
+    def test_cli_rank_refuses_numbers_save_model_writes_otherwise(
+        self, tmp_path, capsys, i, line, reason
+    ):
+        # each loads to the value of the original line, so a load and save
+        # would rewrite the number and change the file
+        from clickrec import cli
+
+        lines = [
+            "n_trees\t0", "shrinkage\t0.5", "base\t1.0", "features\tf0", "importance", "f0\t0.0"
+        ]
+        assert self.load(tmp_path, lines).trees == ()
+        lines[i] = line
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(
+            ["--out", str(tmp_path), "rank", "--model", str(path), "--features", "x", "--q1", "q"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}:{i + 1}: {reason}"), err
 
     def test_cli_rank_reports_error(self, tmp_path, lines, capsys):
         from clickrec import cli

@@ -6,7 +6,10 @@ The input format is one click event per line:
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections import Counter
+from operator import attrgetter
 from typing import NamedTuple
 
 # A user's query events more than this many seconds apart start a new session.
@@ -86,12 +89,42 @@ def read_lines(path: str) -> list[str]:
         ) from None
 
 
-def parse_line(line: str) -> ClickRecord | None:
+def nogc(fn):
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    Records are NamedTuples, and CPython untracks only exact tuples, so a
+    record stays tracked for as long as it lives. A stage that runs while a
+    few hundred thousand records are alive, and builds as many objects more,
+    sets off collections that walk them all again, though no record can be
+    in a cycle; reference counting frees them without the collector. Only
+    such stages use this. The collector's earlier state comes back on return
+    and on raise, and nothing here forces a collection.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return wrapper
+
+
+def _parse_line(
+    line: str, normalized: dict[str, str], shared: dict[str, str]
+) -> ClickRecord | None:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 5:
         return None
-    ts_s, user, query, url, rank_s = parts
-    query = normalize_query(query)
+    ts_s, user, raw, url, rank_s = parts
+    query = normalized.get(raw)
+    if query is None:
+        query = normalize_query(raw)
+        query = normalized[raw] = shared.setdefault(query, query)
     if not query or not url or not user:
         return None
     try:
@@ -101,21 +134,28 @@ def parse_line(line: str) -> ClickRecord | None:
         return None
     if rank < 1:
         return None
-    return ClickRecord(ts, user, query, url, rank)
+    return ClickRecord(ts, shared.setdefault(user, user), query, shared.setdefault(url, url), rank)
 
 
 def parse_log(lines) -> ParseResult:
     """Parse raw log lines, skipping malformed ones.
+
+    Equal user, query and URL fields share one string object, and each
+    distinct raw query is normalized once.
 
     Raises ValueError when more than half of the non-empty input lines are
     malformed, which almost always means the wrong file was supplied.
     """
     records: list[ClickRecord] = []
     skipped = 0
+    normalized: dict[str, str] = {}  # raw query -> its normalized text
+    # text -> the one object that holds it.  Apart from ``normalized``, so a
+    # user or URL equal to some raw query keeps its own text.
+    shared: dict[str, str] = {}
     for line in lines:
         if not line.strip():
             continue
-        rec = parse_line(line)
+        rec = _parse_line(line, normalized, shared)
         if rec is None:
             skipped += 1
         else:
@@ -134,6 +174,7 @@ def serialize_records(records: list[ClickRecord]) -> list[str]:
     ]
 
 
+@nogc
 def clean_log(records: list[ClickRecord]) -> list[ClickRecord]:
     """Per-cookie dedup then singleton-pair removal.
 
@@ -144,16 +185,17 @@ def clean_log(records: list[ClickRecord]) -> list[ClickRecord]:
     collapsed: dict[tuple[str, str, str], ClickRecord] = {}
     for r in records:
         key = (r.user, r.query, r.url)
-        prev = collapsed.get(key)
-        if prev is not None:
-            r = prev._replace(
+        prev = collapsed.setdefault(key, r)
+        # Most repeats change nothing; build a new record only when one does.
+        if r.timestamp < prev.timestamp or r.rank < prev.rank:
+            collapsed[key] = prev._replace(
                 timestamp=min(prev.timestamp, r.timestamp), rank=min(prev.rank, r.rank)
             )
-        collapsed[key] = r
     pair_count = Counter((r.query, r.url) for r in collapsed.values())
     return [r for r in collapsed.values() if pair_count[(r.query, r.url)] >= 2]
 
 
+@nogc
 def segment_sessions(records: list[ClickRecord]) -> list[Session]:
     """Split each user's time-ordered query events on gaps > SESSION_TIMEOUT_S.
 
@@ -165,7 +207,7 @@ def segment_sessions(records: list[ClickRecord]) -> list[Session]:
         by_user.setdefault(r.user, []).append(r)
     sessions: list[Session] = []
     for user in sorted(by_user):
-        events = sorted(by_user[user], key=lambda r: r.timestamp)
+        events = sorted(by_user[user], key=attrgetter("timestamp"))
         current: list[tuple[int, str]] = []
         prev_ts: int | None = None
         for r in events:

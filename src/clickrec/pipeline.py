@@ -15,7 +15,7 @@ from . import evaluation as ev
 from . import gbdt
 from .candidates import CandidatePair, build_session_stats
 from .features import FEATURE_NAMES, FeatureContext, FeatureVector, build_features
-from .logs import ClickStats, Session
+from .logs import ClickStats, Session, nogc
 from .taxonomy import CategoryAssignment, grade, query_similarity
 
 SINGLE_METHODS = ["P_cc", "P_ct", "P_cs"]
@@ -66,6 +66,7 @@ def fold_of(q1: str) -> int:
     return zlib.crc32(q1.encode("utf-8")) & 1
 
 
+@nogc
 def generate_candidates(
     stats: ClickStats, sessions: list[Session], lex: frozenset[str]
 ) -> list[CandidatePair]:

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 from pathlib import Path
@@ -8,6 +9,15 @@ from clickrec.logs import ClickRecord, build_click_stats, clean_log, segment_ses
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that leaves the cyclic garbage collector disabled."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("test left the cyclic garbage collector disabled")
 
 
 def cli_env() -> dict[str, str]:

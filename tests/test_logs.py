@@ -1,7 +1,12 @@
+import gc
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clickrec import candidates, pipeline
 from clickrec.logs import (
     SESSION_TIMEOUT_S,
     ClickRecord,
@@ -68,6 +73,27 @@ class TestParseLog:
         res = parse_log(good + ["1\tu\tq\thttp://a\t0", "1\tu\tq\thttp://a\tx"])
         assert len(res.records) == 5 and res.skipped == 2
 
+    def test_equal_fields_share_one_string(self):
+        # Each line is split afresh, so equal fields start as separate objects.
+        queries = ["a b", " a  b ", "a b", "c", "a  b"]
+        lines = [f"{i}\tu{i % 2}\t{q}\thttp://a{i % 3}\t1" for i, q in enumerate(queries)]
+        records = parse_log(lines).records
+        for field in ("user", "query", "url"):
+            by_text = {}
+            for r in records:
+                value = getattr(r, field)
+                assert by_text.setdefault(value, value) is value, (field, value)
+        assert [r.query for r in records] == ["a b", "a b", "a b", "c", "a b"]
+
+    def test_user_and_url_keep_their_own_whitespace(self):
+        # The raw query "a  b" normalizes to "a b"; a user or URL with the
+        # same raw text must not pick up that normalized form.
+        res = parse_log(["1\ta  b\ta  b\ta  b\t1", "2\ta b\ta  b\tx  y\t1"])
+        assert res.records == [
+            ClickRecord(1, "a  b", "a b", "a  b", 1),
+            ClickRecord(2, "a b", "a b", "x  y", 1),
+        ]
+
 
 class TestCleanLog:
     def test_same_cookie_counted_once(self):
@@ -125,6 +151,38 @@ class TestCleanLog:
         expected = self.brute_force(recs)
         assert len(expected) < len({(r.user, r.query, r.url) for r in recs})  # some dropped
         assert clean_log(recs) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keeps_or_merges_repeats_like_brute_force(self, data):
+        # Small ranges make equal timestamps and equal ranks common.
+        record = st.builds(
+            ClickRecord,
+            st.integers(0, 5),
+            st.sampled_from(["u1", "u2"]),
+            st.sampled_from(["q1", "q2"]),
+            st.sampled_from(["http://a", "http://b"]),
+            st.integers(1, 3),
+        )
+        recs = data.draw(st.lists(record, max_size=30))
+        # One repeat the first-seen record already covers, and one with an
+        # earlier timestamp but a worse rank: in any order of the three, one
+        # repeat changes nothing and the other improves the kept record.
+        a = ClickRecord(5, "u3", "q1", "http://a", 2)
+        b = a._replace(timestamp=3, rank=4)
+        recs = data.draw(st.permutations(recs + [a, a._replace(), b]))
+        merges = []
+        replace = ClickRecord._replace
+
+        def spy(self, **changes):
+            merges.append(changes)
+            return replace(self, **changes)
+
+        with mock.patch.object(ClickRecord, "_replace", spy):
+            out = clean_log(recs)
+        assert out == self.brute_force(recs)
+        repeats = len(recs) - len({(r.user, r.query, r.url) for r in recs})
+        assert 1 <= len(merges) < repeats  # both branches ran
 
 
 class TestSegmentSessions:
@@ -274,3 +332,59 @@ class TestBuildClickStats:
         for q in stats.cnt_q:
             total = sum(c / stats.cnt_q[q] for c in stats.clicks[q].values())
             assert abs(total - 1.0) < 1e-12
+
+
+def _watched(items, seen):
+    """Yield ``items``, noting whether the collector was on at each step."""
+    for item in items:
+        seen.append(gc.isenabled())
+        yield item
+
+
+class TestCollectorPause:
+    """Bulk stages pause the cyclic collector and restore its earlier state."""
+
+    def test_stages_run_with_the_collector_paused(self, small_world):
+        records, _, stats, sessions = small_world
+        lex = candidates.detect_facets(stats)
+        calls = [
+            lambda seen: clean_log(_watched(records, seen)),
+            lambda seen: segment_sessions(_watched(records, seen)),
+            lambda seen: pipeline.generate_candidates(stats, _watched(sessions, seen), lex),
+        ]
+        for call in calls:
+            seen = []
+            call(seen)
+            assert seen and not any(seen)
+            assert gc.isenabled()
+
+    def test_a_raising_stage_restores_the_collector(self):
+        with pytest.raises(AttributeError):
+            clean_log([None])
+        assert gc.isenabled()
+
+    def test_parse_errors_leave_the_collector_enabled(self):
+        with pytest.raises(ValueError, match="does not look like a click log"):
+            parse_log(["nope"] * 3 + ["1\tu\tq\thttp://a\t1"])
+        assert gc.isenabled()
+
+    def test_a_callers_own_pause_outlasts_a_stage(self, small_world):
+        records = small_world[0]
+        gc.disable()
+        try:
+            clean_log(records)
+            segment_sessions(records)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_records_stay_tracked_unlike_exact_tuples(self):
+        # The premise of the pause. If a CPython release untracks NamedTuples
+        # as it does exact tuples, logs.nogc no longer saves anything.
+        fields = [1, "u", "q", "http://a", 1]
+        record, plain = ClickRecord(*fields), tuple(fields)
+        gc.collect()
+        assert not gc.is_tracked(plain)
+        assert gc.is_tracked(record), (
+            "this CPython untracks NamedTuple records; logs.nogc can go"
+        )

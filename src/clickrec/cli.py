@@ -197,8 +197,9 @@ def cmd_rank(args) -> int:
             f"{args.model}: the model's features are not the feature matrix columns"
         )
     rows = _parse_file(args.features, feat.parse_feature_matrix)
-    cands = [(q2, fv) for q1, q2, _, fv in rows if q1 == args.q1]
-    for q2, score in gbdt.rank(model, args.q1, cands):
+    query = logmod.normalize_query(args.q1)  # as every q1 in the matrix is
+    cands = [(q2, fv) for q1, q2, _, fv in rows if q1 == query]
+    for q2, score in gbdt.rank(model, query, cands):
         print(f"{q2}\t{score:.12g}")
     return 0
 
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
     p = command("rank", cmd_rank, "rank candidates of one query with a model")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--q1", required=True)
+    p.add_argument("--q1", required=True, help="the query, whitespace normalized as in the log")
     p = command("crossval", cmd_crossval, "end-to-end two-fold cross-validation")
     p.add_argument("--log", required=True)
     p.add_argument("--taxonomy", required=True)

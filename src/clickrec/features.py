@@ -133,17 +133,16 @@ def levenshtein(a: str | bytes, b: str | bytes) -> int:
 
 
 class _Bag(NamedTuple):
-    counts: dict  # unit -> int count, so the dot product and norm are exact in any order
+    counts: dict  # unit -> positive count: an int, or a float mean in a variant centroid
     norm: float
 
 
-def _bag(units) -> _Bag:
-    counts = dict(Counter(units))  # a plain dict: Counter's == is a Python-level loop
-    norm = math.sqrt(sum(c * c for c in counts.values()))
-    return _Bag(counts, norm)
+def _bag(counts: dict) -> _Bag:
+    return _Bag(counts, math.sqrt(sum(c * c for c in counts.values())))
 
 
 def _cosine(a: _Bag, b: _Bag) -> float:
+    """Cosine of two bags; the dot product sums in ``a``'s key order."""
     if not a.counts or not b.counts:
         return 0.0
     # Equal bags are exactly 1.0; dot / (norm * norm) can round below it.
@@ -202,8 +201,9 @@ class FeatureContext:
             ent=_entropy(stats.clicks.get(q, {}).values()),
             next_ent=_entropy([succ[k] for k in sorted(succ)]),
             successor_sum=sum(succ.values()),
-            chunks=_bag(chunks),
-            bigrams=_bag(compact[i : i + 2] for i in range(len(compact) - 1)),
+            # Plain dicts: Counter's == is a Python-level loop.
+            chunks=_bag(dict(Counter(chunks))),
+            bigrams=_bag(dict(Counter(compact[i : i + 2] for i in range(len(compact) - 1)))),
             utf8=q.encode("utf-8"),
             isascii=q.isascii(),
         )

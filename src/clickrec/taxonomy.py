@@ -7,9 +7,9 @@ site's title + description, and each match votes for the site's category.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
+from .features import _Bag, _bag, _cosine
 from .logs import ClickStats
 
 CategoryPath = tuple[str, ...]
@@ -83,19 +83,14 @@ def load_taxonomy(lines) -> SiteIndex:
     return SiteIndex(sites)
 
 
-def assign_category(
-    q: str, index: SiteIndex | list[tuple[str, CategoryPath]]
-) -> CategoryAssignment:
+def assign_category(q: str, index: SiteIndex) -> CategoryAssignment:
     """AND-retrieval over title+description, then vote for site categories.
 
     A site matches when every whitespace chunk of ``q`` occurs in its text,
     so a query without chunks matches every site; votes fill in site order.
     Ties on the vote count go to the lexicographically smallest path string;
-    zero matches leave the category absent.  A plain list of sites is
-    wrapped in a fresh SiteIndex.
+    zero matches leave the category absent.
     """
-    if not isinstance(index, SiteIndex):
-        index = SiteIndex(index)
     matched = (1 << len(index)) - 1
     for c in q.split():
         matched &= index.mask(c)
@@ -174,50 +169,44 @@ def grade(sim: float) -> tuple[str, float]:
     return label, GRADE_SCORES[label]
 
 
-def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
-    """Cosine of two click vectors; each holds a positive count, so no norm is 0."""
-    dot = sum(v * b[k] for k, v in a.items() if k in b)
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
-    return dot / (na * nb)
-
-
 def cluster_trivial_variants(stats: ClickStats) -> dict[str, int]:
     """Single-pass clustering of queries by their clicked-URL click vectors.
 
     Queries are processed in descending cnt(q) order (ties by query string);
     each joins the first existing centroid with cosine >= VARIANT_COSINE,
-    updating it by a frequency-weighted mean, or founds a new cluster.
+    which is replaced by the frequency-weighted mean of the two, or founds a
+    new cluster.  The cosine is the feature bag cosine, so each vector
+    carries its norm; ``stats`` is never written to.
 
     Only centroids that share a URL with the query are scored, in ascending
     id, found through a URL -> centroid-id index.  Every click count is
     positive, so any other centroid has cosine 0, below the threshold.
     """
     order = sorted(stats.cnt_q, key=lambda q: (-stats.cnt_q[q], q))
-    centroids: list[dict[str, float]] = []
-    weights: list[float] = []
+    centroids: list[tuple[_Bag, float]] = []  # (mean click bag, summed cnt(q))
     labels: dict[str, int] = {}
     postings: dict[str, set[int]] = {}  # url -> ids of centroids that hold it
     for q in order:
-        vec = {u: float(c) for u, c in stats.clicks[q].items()}
-        sharing = sorted(set().union(*(postings.get(u, ()) for u in vec)))
+        vec = _bag(stats.clicks[q])
+        w_new = float(stats.cnt_q[q])
+        sharing = sorted(set().union(*(postings.get(u, ()) for u in vec.counts)))
         joined = next(
-            (cid for cid in sharing if _cosine(vec, centroids[cid]) >= VARIANT_COSINE), None
+            (cid for cid in sharing if _cosine(vec, centroids[cid][0]) >= VARIANT_COSINE), None
         )
         if joined is None:
             joined = len(centroids)
-            centroids.append(vec)
-            weights.append(float(stats.cnt_q[q]))
+            centroids.append((vec, w_new))
         else:
-            w_old = weights[joined]
-            w_new = float(stats.cnt_q[q])
-            cen = centroids[joined]
-            for k in sorted(set(cen) | set(vec)):
-                cen[k] = (w_old * cen.get(k, 0.0) + w_new * vec.get(k, 0.0)) / (
+            cen, w_old = centroids[joined]
+            # Existing keys keep their places and new ones follow in sorted
+            # order; the norm sums in key order, so the floats depend on it.
+            mean = dict(cen.counts)
+            for k in sorted(mean.keys() | vec.counts.keys()):
+                mean[k] = (w_old * cen.counts.get(k, 0.0) + w_new * vec.counts.get(k, 0.0)) / (
                     w_old + w_new
                 )
-            weights[joined] = w_old + w_new
-        for u in vec:
+            centroids[joined] = (_bag(mean), w_old + w_new)
+        for u in vec.counts:
             postings.setdefault(u, set()).add(joined)
         labels[q] = joined
     return labels

@@ -3,21 +3,18 @@
 These are the ``assign_category`` and ``cluster_trivial_variants`` that
 ``clickrec.taxonomy`` used before its exact indexes.  Assignment tests every
 query chunk against every site's text, and clustering scores every query
-against every centroid.  They are slow, but they are the specification the
+against every centroid with its own dict cosine, which recomputes both
+norms on each call.  They are slow, but they are the specification the
 indexed versions must match: the same categories, the same votes in the same
 insertion order, and the same cluster labels.
 """
 
 from __future__ import annotations
 
+import math
+
 from clickrec.logs import ClickStats
-from clickrec.taxonomy import (
-    VARIANT_COSINE,
-    CategoryAssignment,
-    CategoryPath,
-    _cosine,
-    path_str,
-)
+from clickrec.taxonomy import VARIANT_COSINE, CategoryAssignment, CategoryPath, path_str
 
 
 def assign_category(q: str, index: list[tuple[str, CategoryPath]]) -> CategoryAssignment:
@@ -35,6 +32,14 @@ def assign_category(q: str, index: list[tuple[str, CategoryPath]]) -> CategoryAs
         return CategoryAssignment(q, None, {})
     winner = min(votes, key=lambda p: (-votes[p], path_str(p)))
     return CategoryAssignment(q, winner, votes)
+
+
+def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
+    """Cosine of two click vectors; each holds a positive count, so no norm is 0."""
+    dot = sum(v * b[k] for k, v in a.items() if k in b)
+    na = math.sqrt(sum(v * v for v in a.values()))
+    nb = math.sqrt(sum(v * v for v in b.values()))
+    return dot / (na * nb)
 
 
 def cluster_trivial_variants(stats: ClickStats) -> dict[str, int]:

@@ -1,7 +1,7 @@
 """Malformed input files and config files through ``clickrec.cli.main``.
 
 Every bad input must give ``error: <path>:...`` on stderr and exit 1, never
-a traceback.
+a traceback.  ``rank --q1`` also reads its query as the log parser would.
 """
 
 import contextlib
@@ -224,7 +224,31 @@ class TestModelErrors:
         assert err.startswith(f"error: {path}: the model's features are not the feature"), err
 
 
-CLICKS = "100\tu1\tcurry\thttp://a\t1\n"
+class TestRankQuery:
+    """``rank --q1`` normalizes its query as the log parser does every q1."""
+
+    def ranked(self, base, features, q1):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--out", str(base / "ranked"), "rank", "--model",
+                             str(base / "model" / "model.txt"), "--features", str(features),
+                             "--q1", q1])
+        assert code == 0
+        return out.getvalue()
+
+    def test_spacing_of_the_query_does_not_matter(self, base, tmp_path):
+        features = tmp_path / "features.tsv"
+        lines = matrix_lines()
+        features.write_text("\n".join(
+            "curry recipe" + ln[1:] if ln.startswith("a\t") else ln for ln in lines
+        ) + "\n")
+        want = self.ranked(base, features, "curry recipe")
+        assert len(want.splitlines()) == 4
+        for q1 in (" curry  recipe", "curry\trecipe ", "curry\u3000recipe", " curry recipe"):
+            assert self.ranked(base, features, q1) == want, repr(q1)
+
+
+CLICKS ="100\tu1\tcurry\thttp://a\t1\n"
 
 
 class TestInputFileErrors:

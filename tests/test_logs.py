@@ -13,6 +13,7 @@ from clickrec.logs import (
     build_click_stats,
     clean_log,
     dump_sessions,
+    normalize_query,
     parse_log,
     read_lines,
     segment_sessions,
@@ -28,6 +29,26 @@ class TestReadLines:
         path = tmp_path / "lines.tsv"
         path.write_bytes(f"1\tu{sep}1\r\n\n2\tq{sep}x\r3".encode())
         assert read_lines(str(path)) == [f"1\tu{sep}1", "", f"2\tq{sep}x", "3"]
+
+
+class TestNormalizeQuery:
+    @pytest.mark.parametrize(
+        "raw, want",
+        [
+            ("curry  recipe", "curry recipe"),
+            ("curry\t\trecipe \t thai", "curry recipe thai"),
+            ("curry\u3000recipe", "curry recipe"),
+            ("curry\u00a0recipe", "curry recipe"),
+            ("\u3000 curry\u00a0 \u3000recipe\u00a0", "curry recipe"),
+            ("  curry recipe\t", "curry recipe"),
+            ("\tcurry", "curry"),
+            ("curry", "curry"),
+            ("", ""),
+            (" \t\u3000\u00a0 ", ""),
+        ],
+    )
+    def test_whitespace_runs_become_one_space(self, raw, want):
+        assert normalize_query(raw) == want
 
 
 class TestParseLog:

@@ -6,6 +6,7 @@ import pytest
 
 from clickrec.logs import ClickRecord, build_click_stats
 from clickrec.taxonomy import (
+    SiteIndex,
     assign_category,
     cluster_trivial_variants,
     dump_assignments,
@@ -88,13 +89,13 @@ class TestSimSubstring:
 
 
 class TestAssignCategory:
-    INDEX = [
+    INDEX = SiteIndex([
         _site("http://s1", "Spain travel", "visit spain", SPAIN),
         _site("http://s2", "Barcelona guide", "cities of spain", BARCELONA),
-    ]
+    ])
 
     def test_single_voter(self):
-        a = assign_category("spain", [self.INDEX[0]])
+        a = assign_category("spain", SiteIndex([self.INDEX[0]]))
         assert a.category == SPAIN
         assert a.votes == {SPAIN: 1}
 
@@ -107,20 +108,20 @@ class TestAssignCategory:
         assert a.category is None and a.votes == {}
 
     def test_vote_tie_breaks_lexicographically(self):
-        sites = [
+        sites = SiteIndex([
             _site("http://1", "w x", "", ("B", "x")),
             _site("http://2", "w y", "", ("A", "y")),
-        ]
+        ])
         a = assign_category("w", sites)
         assert a.category == ("A", "y")
 
     def test_title_and_description_do_not_run_together(self):
         site = _site("http://1", "w", "x", ("A",))
-        assert assign_category("wx", [site]).category is None
-        assert assign_category("w x", [site]).category == ("A",)
+        assert assign_category("wx", SiteIndex([site])).category is None
+        assert assign_category("w x", SiteIndex([site])).category == ("A",)
 
     def test_uniform_duplication_keeps_winner(self):
-        doubled = [s for s in self.INDEX for _ in range(2)]
+        doubled = SiteIndex([s for s in self.INDEX for _ in range(2)])
         a1 = assign_category("spain", self.INDEX)
         a2 = assign_category("spain", doubled)
         assert a1.category == a2.category
@@ -130,13 +131,13 @@ class TestAssignCategory:
         lines = ["http://s1\tSpain travel\tvisit spain\tRegional/Countries/Spain"]
         (site,) = load_taxonomy(lines)
         assert site == ("Spain travel visit spain", SPAIN)
-        out = dump_assignments([assign_category("spain", [site])])
+        out = dump_assignments([assign_category("spain", SiteIndex([site]))])
         assert out == ["spain\tRegional/Countries/Spain\t1"]
 
 
 class TestQuerySimilarity:
     def test_shared_top_category(self):
-        index = [_site("http://1", "spain info", "", SPAIN)]
+        index = SiteIndex([_site("http://1", "spain info", "", SPAIN)])
         assignments = {
             "spain": assign_category("spain", index),
             "info": assign_category("info", index),
@@ -145,22 +146,22 @@ class TestQuerySimilarity:
 
     def test_single_pair(self):
         a = {
-            "q1": assign_category("x", [_site("u", "x", "", ("A", "B"))]),
-            "q2": assign_category("y", [_site("u", "y", "", ("A", "C"))]),
+            "q1": assign_category("x", SiteIndex([_site("u", "x", "", ("A", "B"))])),
+            "q2": assign_category("y", SiteIndex([_site("u", "y", "", ("A", "C"))])),
         }
         assert query_similarity("q1", "q2", a) == 0.5
 
     def test_uncategorized_absent(self):
-        a = {"q1": assign_category("zzz", [])}
+        a = {"q1": assign_category("zzz", SiteIndex([]))}
         assert query_similarity("q1", "q2", a) is None
 
     def test_maximizes_over_all_voted_pairs(self):
-        sites1 = [
+        sites1 = SiteIndex([
             _site("u1", "q one", "", ("A", "B")),
             _site("u2", "q one", "", ("A", "B")),
             _site("u3", "q one", "", ("C", "D")),
-        ]
-        sites2 = [_site("u4", "q two", "", ("C", "D"))]
+        ])
+        sites2 = SiteIndex([_site("u4", "q two", "", ("C", "D"))])
         a = {
             "q one": assign_category("q one", sites1),
             "q two": assign_category("q two", sites2),

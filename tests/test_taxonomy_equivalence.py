@@ -10,6 +10,7 @@ merge; the synthetic corpora never merge, so only these worlds exercise that
 path.
 """
 
+import copy
 import random
 
 from hypothesis import given, settings
@@ -52,7 +53,6 @@ def test_assign_matches_reference(world):
     for q in queries:
         want = ref.assign_category(q, list(index))
         _same(taxonomy.assign_category(q, index), want)
-        _same(taxonomy.assign_category(q, list(index)), want)
 
 
 def stats_from_vectors(vectors: dict[str, dict[str, int]]):
@@ -105,6 +105,16 @@ def test_click_worlds_merge():
     assert sum(m > 0 for m in merges) >= 45, merges
 
 
+def test_clustering_writes_nothing_into_the_stats():
+    # A founder's centroid starts from that query's own click counts, so a
+    # merge that wrote into its centroid would change the stats.
+    for seed in range(20):
+        stats = variant_stats(random.Random(seed), 30, 10, 4)
+        before = copy.deepcopy(stats.clicks)
+        assert _merges(taxonomy.cluster_trivial_variants(stats)) > 0
+        assert stats.clicks == before
+
+
 def test_cluster_scores_only_centroids_that_share_a_url(monkeypatch):
     stats = variant_stats(random.Random(5), 80, 60, 20)
     want = ref.cluster_trivial_variants(stats)
@@ -122,7 +132,7 @@ def test_cluster_scores_only_centroids_that_share_a_url(monkeypatch):
     scored = []
 
     def spy(a, b):
-        scored.append(bool(set(a) & set(b)))
+        scored.append(bool(a.counts.keys() & b.counts.keys()))
         return cosine(a, b)
 
     monkeypatch.setattr(taxonomy, "_cosine", spy)

@@ -270,10 +270,10 @@ def build_features(
 def feature_matrix_lines(rows: list[tuple[str, str, str, FeatureVector]]) -> list[str]:
     """TSV dump: header, then q1/q2/kind keys followed by numeric columns."""
     lines = ["\t".join(_COLUMNS)]
+    row = "%s\t%s\t%s\t" + "\t".join(["%.12g"] * _N_FEATURES) + "\t"
     for q1, q2, kind, fv in rows:
-        nums = [f"{v:.12g}" for v in fv.values()]
-        nums.append("-" if fv.sim is None else f"{fv.sim:.12g}")
-        lines.append(f"{q1}\t{q2}\t{kind}\t" + "\t".join(nums))
+        sim = "-" if fv.sim is None else "%.12g" % fv.sim
+        lines.append(row % (q1, q2, kind, *fv.values()) + sim)
     return lines
 
 

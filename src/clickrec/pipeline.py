@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import pickle
 import random
+import signal
 import zlib
 from collections import Counter
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -149,6 +153,72 @@ def build_dataset(
     return Dataset(rows)
 
 
+def _fit_folds(
+    folds: list[tuple[np.ndarray, np.ndarray]], cfg: gbdt.TrainConfig
+) -> list[gbdt.Ensemble]:
+    """gbdt.fit on each fold's (X, y), fold 1 in a forked child meanwhile.
+
+    A fit holds the GIL, so only a second process overlaps the two.  The
+    models and errors are those of fitting fold 0, then fold 1, here: fold
+    0's error first, then fold 1's with its type and message.  The child is
+    reaped on every path.  Where os.fork is missing or fails, fold 1 is fit
+    here after fold 0.
+    """
+    (X0, y0), (X1, y1) = folds
+    pid = -1
+    if hasattr(os, "fork"):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
+        return [gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES) for X, y in folds]
+    if pid == 0:
+        _fit_in_child(X1, y1, cfg, read_fd, write_fd)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            model0 = gbdt.fit(X0, y0, cfg, feature_names=FEATURE_NAMES)
+            # Read to EOF before waitpid: a pickled fold model outgrows the
+            # pipe buffer, so the child cannot exit until it is read.
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise ChildProcessError(f"the process fitting fold 1 exited with status {code}")
+    outcome, value = pickle.loads(data)
+    if outcome == "error":
+        raise value
+    return [model0, value]
+
+
+def _fit_in_child(X, y, cfg: gbdt.TrainConfig, read_fd: int, write_fd: int) -> NoReturn:
+    """Fit (X, y), pickle ("ok", model) or ("error", exc) to write_fd, exit.
+
+    It leaves only through os._exit, so it never returns into the caller's
+    stack, runs no atexit handler and flushes no inherited buffer.
+    """
+    status = 1
+    try:
+        os.close(read_fd)
+        gc.disable()  # one fit, then exit: nothing to collect
+        try:
+            outcome = ("ok", gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES))
+        except Exception as exc:
+            outcome = ("error", exc)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig) -> CrossvalReport:
     """Two-fold CV: train on one fold, rank candidate rows of the other.
 
@@ -164,11 +234,14 @@ def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig) -> CrossvalReport:
     rankings: dict[str, list[list[float]]] = {m: [] for m in ALL_METHODS}
     raw_importance = {n: 0.0 for n in FEATURE_NAMES}
 
+    folds = []
     for train_fold in (0, 1):
         train_rows = [r for r in dataset.rows if fold_of(r.q1) == train_fold]
         X = np.array([r.fv.values() for r in train_rows])
         y = np.array([r.fv.sim for r in train_rows])
-        model = gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES)
+        folds.append((X, y))
+
+    for train_fold, model in enumerate(_fit_folds(folds, cfg)):
         for name, val in model.importance.items():
             raw_importance[name] += val
 

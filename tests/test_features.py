@@ -2,11 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clickrec.candidates import build_session_stats, detect_facets, generate_all
 from clickrec.features import (
     FEATURE_NAMES,
+    FEATURES,
     FeatureContext,
+    FeatureVector,
     build_features,
     feature_matrix_lines,
     levenshtein,
@@ -392,3 +396,33 @@ class TestBuildFeatures:
         assert parsed[0][0] == "curry" and parsed[0][2] == "co_topic"
         for got, want in zip(parsed[0][3].values(), fv.values()):
             assert abs(got - want) < 1e-9
+
+
+def fstring_matrix_lines(rows):
+    """feature_matrix_lines spelled with one f-string per value."""
+    lines = ["\t".join(["q1", "q2", "kind", *FEATURE_NAMES, "Sim"])]
+    for q1, q2, kind, fv in rows:
+        nums = [f"{v:.12g}" for v in fv.values()]
+        nums.append("-" if fv.sim is None else f"{fv.sim:.12g}")
+        lines.append(f"{q1}\t{q2}\t{kind}\t" + "\t".join(nums))
+    return lines
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e12, 1.5e12, 1e308, 0.1, 1 / 3])
+EDGE_INTS = st.sampled_from([0, 1, 9_999_999, 10_000_000, 10**12, 10**12 + 1, 123_456_789_012_345])
+ROW_VALUES = st.tuples(*[
+    st.one_of(EDGE_INTS, st.integers(0, 10**7), st.integers(10**12, 10**18))
+    if typ is int else
+    st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+    for _, _, typ in FEATURES
+])
+
+
+@given(st.lists(st.tuples(
+    st.text(alphabet="ab %s\u3000", max_size=4),
+    ROW_VALUES,
+    st.one_of(st.none(), EDGE_FLOATS, st.floats(0, 1)),
+), max_size=5))
+def test_matrix_lines_match_the_fstring_spelling(rows):
+    rows = [(q, q + "x", "co_click", FeatureVector(*values, sim=sim)) for q, values, sim in rows]
+    assert feature_matrix_lines(rows) == fstring_matrix_lines(rows)

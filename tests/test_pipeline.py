@@ -1,7 +1,12 @@
+import os
+import pickle
 import random
+import re
+import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -307,6 +312,94 @@ class TestCrossval:
         broken = pipeline.Dataset([r for r in dataset.rows if pipeline.fold_of(r.q1) == 0])
         with pytest.raises(ValueError):
             pipeline.run_crossval(broken, gbdt.TrainConfig(n_trees=2))
+
+
+class TestFoldFits:
+    """run_crossval fits fold 1 in a forked child while it fits fold 0."""
+
+    CFG = gbdt.TrainConfig(n_trees=5)
+
+    @staticmethod
+    def fail_on(monkeypatch, dataset, folds, exit_code=None):
+        """Patch gbdt.fit to fail on the training rows of the given folds.
+
+        It raises ValueError("fold <f> failed in process <pid>"), or with
+        exit_code it leaves its process through os._exit(exit_code).
+        """
+        fold_X = {
+            f: np.array([r.fv.values() for r in dataset.rows if pipeline.fold_of(r.q1) == f])
+            for f in folds
+        }
+        fit = gbdt.fit
+
+        def failing_fit(X, y, cfg, **kw):
+            for f, Xf in fold_X.items():
+                if X.shape == Xf.shape and np.array_equal(X, Xf):
+                    if exit_code is not None:
+                        os._exit(exit_code)
+                    raise ValueError(f"fold {f} failed in process {os.getpid()}")
+            return fit(X, y, cfg, **kw)
+
+        monkeypatch.setattr(gbdt, "fit", failing_fit)
+
+    @staticmethod
+    def timeout(signum, frame):
+        raise TimeoutError("run_crossval did not return within 60 s")
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("folds", [(1,), (0,), (0, 1)])
+    def test_errors_come_in_fold_order(self, monkeypatch, dataset, folds):
+        self.fail_on(monkeypatch, dataset, folds)
+        with pytest.raises(ValueError, match=r"^fold \d failed in process \d+$") as info:
+            pipeline.run_crossval(dataset, self.CFG)
+        fold, pid = map(int, re.findall(r"\d+", str(info.value)))
+        assert fold == min(folds)
+        # Fold 1's error comes from the child, fold 0's from this process.
+        assert (pid == os.getpid()) == (fold == 0)
+        self.assert_no_child_left()
+
+    def test_child_that_dies_is_an_error(self, monkeypatch, dataset):
+        self.fail_on(monkeypatch, dataset, (1,), exit_code=3)
+        with pytest.raises(ChildProcessError, match="exited with status 3"):
+            pipeline.run_crossval(dataset, self.CFG)
+        self.assert_no_child_left()
+
+    def test_without_fork_fits_both_folds_here(self, monkeypatch, dataset):
+        # Fold 1's pickled model outgrows a 64 KiB pipe buffer, so the child
+        # exits only once its pipe is read: waiting first would hang.
+        cfg = gbdt.TrainConfig(n_trees=80)
+        X1, y1 = (np.array(col) for col in zip(*(
+            (r.fv.values(), r.fv.sim) for r in dataset.rows if pipeline.fold_of(r.q1) == 1
+        )))
+        model1 = gbdt.fit(X1, y1, cfg, feature_names=features.FEATURE_NAMES)
+        assert len(pickle.dumps(("ok", model1), pickle.HIGHEST_PROTOCOL)) > 65536
+        handler = signal.signal(signal.SIGALRM, self.timeout)
+        signal.alarm(60)
+        try:
+            forked = pipeline.run_crossval(dataset, cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        self.assert_no_child_left()
+
+        def no_fork():
+            raise OSError("no fork")
+
+        pids = []
+        fit = gbdt.fit
+
+        def recording_fit(X, y, cfg, **kw):
+            pids.append(os.getpid())
+            return fit(X, y, cfg, **kw)
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(gbdt, "fit", recording_fit)
+        assert pipeline.run_crossval(dataset, cfg).lines() == forked.lines()
+        assert pids == [os.getpid()] * 2
 
 
 class TestCLI:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import os
@@ -167,6 +168,7 @@ def _fit_folds(
     (X0, y0), (X1, y1) = folds
     pid = -1
     if hasattr(os, "fork"):
+        others = _other_cpus()
         read_fd, write_fd = os.pipe()
         try:
             pid = os.fork()
@@ -176,7 +178,7 @@ def _fit_folds(
     if pid < 0:
         return [gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES) for X, y in folds]
     if pid == 0:
-        _fit_in_child(X1, y1, cfg, read_fd, write_fd)
+        _fit_in_child(X1, y1, cfg, read_fd, write_fd, others)
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         try:
@@ -198,9 +200,26 @@ def _fit_folds(
     return [model0, value]
 
 
-def _fit_in_child(X, y, cfg: gbdt.TrainConfig, read_fd: int, write_fd: int) -> NoReturn:
+def _other_cpus() -> set[int]:
+    """The CPUs this process may use besides the one it runs on now.
+
+    Empty where Linux's /proc/thread-self or sched_getaffinity is missing.
+    """
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            # Field 39, "processor"; the fields after the name start at 3.
+            cpu = int(fh.read().rpartition(b")")[2].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except (OSError, AttributeError, IndexError, ValueError):
+        return set()
+
+
+def _fit_in_child(
+    X, y, cfg: gbdt.TrainConfig, read_fd: int, write_fd: int, others: set[int]
+) -> NoReturn:
     """Fit (X, y), pickle ("ok", model) or ("error", exc) to write_fd, exit.
 
+    It first moves to one of ``others``, the CPUs besides the parent's.
     It leaves only through os._exit, so it never returns into the caller's
     stack, runs no atexit handler and flushes no inherited buffer.
     """
@@ -208,6 +227,14 @@ def _fit_in_child(X, y, cfg: gbdt.TrainConfig, read_fd: int, write_fd: int) -> N
     try:
         os.close(read_fd)
         gc.disable()  # one fit, then exit: nothing to collect
+        if others:
+            # Fork can start the child on the parent's CPU, and the balancer
+            # can leave both fits there for half a fit while a CPU idles.
+            # Move off once, then let the scheduler place the child freely.
+            with contextlib.suppress(OSError):
+                allowed = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, others)
+                os.sched_setaffinity(0, allowed)
         try:
             outcome = ("ok", gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES))
         except Exception as exc:

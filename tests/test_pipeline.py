@@ -402,6 +402,69 @@ class TestFoldFits:
         assert pids == [os.getpid()] * 2
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+class TestChildPlacement:
+    """The fold-1 child moves off the parent's CPU once, then is placed freely."""
+
+    CFG = gbdt.TrainConfig(n_trees=5)
+
+    def test_other_cpus_leave_out_exactly_this_one(self):
+        allowed = os.sched_getaffinity(0)
+        others = pipeline._other_cpus()
+        if len(allowed) > 1:
+            assert others < allowed and len(allowed - others) == 1
+        else:
+            assert others == set()
+
+    def test_child_moves_then_restores_its_mask(self, monkeypatch, dataset):
+        allowed = os.sched_getaffinity(0)
+        calls = []
+        set_affinity = os.sched_setaffinity
+
+        def recording_set(pid, cpus):
+            calls.append(sorted(cpus))
+            set_affinity(pid, cpus)
+
+        fit = gbdt.fit
+
+        def report_calls(X, y, cfg, **kw):
+            if os.getpid() != parent:
+                raise ValueError(repr(calls))
+            return fit(X, y, cfg, **kw)
+
+        parent = os.getpid()
+        others = {min(allowed)}  # any CPU of the mask will do
+        monkeypatch.setattr(pipeline, "_other_cpus", lambda: others)
+        monkeypatch.setattr(os, "sched_setaffinity", recording_set)
+        monkeypatch.setattr(gbdt, "fit", report_calls)
+        with pytest.raises(ValueError) as info:
+            pipeline.run_crossval(dataset, self.CFG)
+        assert str(info.value) == repr([sorted(others), sorted(allowed)])
+        assert calls == []  # only the child moved
+        assert os.sched_getaffinity(0) == allowed
+
+    def test_no_other_cpu_means_no_move(self, monkeypatch, dataset):
+        expected = pipeline.run_crossval(dataset, self.CFG).lines()
+
+        def refuse(pid, cpus):
+            raise AssertionError("sched_setaffinity called")
+
+        monkeypatch.setattr(pipeline, "_other_cpus", set)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        # A call would end the child with status 1: a ChildProcessError here.
+        assert pipeline.run_crossval(dataset, self.CFG).lines() == expected
+
+    def test_a_refused_move_still_fits(self, monkeypatch, dataset):
+        expected = pipeline.run_crossval(dataset, self.CFG).lines()
+
+        def refuse(pid, cpus):
+            raise OSError("not permitted")
+
+        monkeypatch.setattr(pipeline, "_other_cpus", lambda: {0})
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert pipeline.run_crossval(dataset, self.CFG).lines() == expected
+
+
 class TestCLI:
     def run(self, *args, cwd):
         return subprocess.run(

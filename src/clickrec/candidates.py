@@ -2,7 +2,9 @@
 
 Each extractor returns the related query set for an input query plus a
 strength probability.  All three are pure functions of count tables
-(ClickStats, SessionStats) that are built once and then only read.
+(ClickStats, SessionStats) that are built once and then only read.  Co-click
+strengths also read url_postings(stats), the URL -> queries index a caller
+builds once per ClickStats.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ CO_CLICK = "co_click"
 CO_TOPIC = "co_topic"
 CO_SESSION = "co_session"
 KINDS = (CO_CLICK, CO_TOPIC, CO_SESSION)
-_KIND_ORDER = {k: i for i, k in enumerate(KINDS)}
 
 
 class CandidatePair(NamedTuple):
@@ -39,13 +40,14 @@ def build_session_stats(sessions: list[Session]) -> SessionStats:
     successors: dict[str, dict[str, int]] = {}
     successor_totals: dict[str, int] = {}
     for s in sessions:
-        qs = [q for _, q in s.queries]
-        for q in qs:
+        prev = None
+        for _, q in s.queries:
             occurrences[q] = occurrences.get(q, 0) + 1
-        for a, b in zip(qs, qs[1:]):
-            after = successors.setdefault(a, {})
-            after[b] = after.get(b, 0) + 1
-            successor_totals[b] = successor_totals.get(b, 0) + 1
+            if prev is not None:
+                after = successors.setdefault(prev, {})
+                after[q] = after.get(q, 0) + 1
+                successor_totals[q] = successor_totals.get(q, 0) + 1
+            prev = q
     return SessionStats(
         occurrences, successors, successor_totals, sum(successor_totals.values())
     )
@@ -65,22 +67,38 @@ def brccq(q: str, stats: ClickStats) -> set[str]:
     return out
 
 
-def p_cc(q1: str, q2: str, stats: ClickStats) -> float:
-    """Co-click probability: sum over q1's URLs of P(u|q1)*P(q2)*P(u|q2)/P(u)."""
-    urls1 = stats.clicks.get(q1)
-    if urls1 is None:
-        raise KeyError(f"unknown query: {q1!r}")
-    urls2 = stats.clicks.get(q2)
-    if urls2 is None:
-        return 0.0
-    n1, n2, total = stats.cnt_q[q1], stats.cnt_q[q2], stats.total
-    pq2 = n2 / total
-    out = 0.0
-    for u, k1 in urls1.items():
-        k2 = urls2.get(u)
-        if k2 is not None:
-            out += k1 / n1 * pq2 * (k2 / n2) / (stats.cnt_u[u] / total)
-    return out
+def url_postings(stats: ClickStats) -> dict[str, list[str]]:
+    """URL -> the queries that clicked it, in query order: stats.clicks transposed."""
+    postings: dict[str, list[str]] = {}
+    for q in stats.queries:
+        for u in stats.clicks[q]:
+            postings.setdefault(u, []).append(q)
+    return postings
+
+
+def co_click_strengths(
+    q1: str, stats: ClickStats, postings: dict[str, list[str]]
+) -> dict[str, float]:
+    """P_cc(q1, q2) for each q2 in brccq(q1): the sum over q1's URLs of
+    P(u|q1)*P(q2)*P(u|q2)/P(u).
+
+    One sweep over q1's URLs, in their sorted order, adds each term to the
+    accumulator of every member that clicked the URL.  So a member's terms
+    arrive in the order of q1's URLs, whichever queries share them.
+    """
+    acc = dict.fromkeys(brccq(q1, stats), 0.0)
+    if not acc:
+        return acc
+    clicks, cnt_q, total = stats.clicks, stats.cnt_q, stats.total
+    n1 = cnt_q[q1]
+    for u, k1 in clicks[q1].items():
+        p_u1 = k1 / n1
+        p_u = stats.cnt_u[u] / total
+        for q2 in postings[u]:
+            if q2 in acc:
+                n2 = cnt_q[q2]
+                acc[q2] += p_u1 * (n2 / total) * (clicks[q2][u] / n2) / p_u
+    return acc
 
 
 def detect_facets(
@@ -137,27 +155,31 @@ def p_cs(q1: str, q2: str, st: SessionStats) -> float:
     return st.successors.get(q1, {}).get(q2, 0) / occ
 
 
+def _ranked(q1: str, kind: str, strengths: dict[str, float]) -> list[CandidatePair]:
+    """One kind's pairs, strength descending, then q2."""
+    order = sorted([(-s, q2) for q2, s in strengths.items()])
+    return [CandidatePair(q1, q2, kind, -neg) for neg, q2 in order]
+
+
 def generate_all(
     q1: str,
     stats: ClickStats,
     st: SessionStats,
     lex: frozenset[str],
+    postings: dict[str, list[str]],
 ) -> list[CandidatePair]:
     """Union of the three extractors, one CandidatePair per (q2, kind).
 
-    Self-pairs are removed.  Order is deterministic: kind, then strength
-    descending, then q2.
+    postings is url_postings(stats).  Self-pairs are removed.  Order is
+    deterministic: kind, then strength descending, then q2.
     """
-    pairs: list[CandidatePair] = []
-    for q2 in brccq(q1, stats):
-        pairs.append(CandidatePair(q1, q2, CO_CLICK, p_cc(q1, q2, stats)))
-    for q2 in ctq(q1, lex, stats):
-        pairs.append(CandidatePair(q1, q2, CO_TOPIC, p_ct(q1, q2, lex, stats)))
-    for q2 in csq(q1, st):
-        pairs.append(CandidatePair(q1, q2, CO_SESSION, p_cs(q1, q2, st)))
-    pairs.sort(key=lambda p: (_KIND_ORDER[p.kind], -p.strength, p.q2))
-    return pairs
+    by_kind = (
+        co_click_strengths(q1, stats, postings),
+        {q2: p_ct(q1, q2, lex, stats) for q2 in ctq(q1, lex, stats)},
+        {q2: p_cs(q1, q2, st) for q2 in csq(q1, st)},
+    )
+    return [p for kind, strengths in zip(KINDS, by_kind) for p in _ranked(q1, kind, strengths)]
 
 
 def dump_candidates(pairs: list[CandidatePair]) -> list[str]:
-    return [f"{p.q1}\t{p.q2}\t{p.kind}\t{p.strength:.12g}" for p in pairs]
+    return ["%s\t%s\t%s\t%.12g" % p for p in pairs]

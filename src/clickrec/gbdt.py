@@ -21,6 +21,7 @@ all trees at once, one level per step.
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass, field
 
@@ -409,6 +410,10 @@ def save_model(model: Ensemble, path: str) -> None:
 def load_model(path: str) -> Ensemble:
     """Read a model file; a malformed one raises ValueError("path:line: reason")."""
     lines = [(i, ln) for i, ln in enumerate(read_lines(path), 1) if ln.strip()]
+    # read_lines drops a leading byte-order mark, which save_model never writes.
+    with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8:
+            raise ValueError(f"{path}:1: byte-order mark, which save_model never writes")
     end = lines[-1][0] + 1 if lines else 1  # the line number past the last line
     pos, lineno = 0, end
 

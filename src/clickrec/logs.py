@@ -74,12 +74,13 @@ def _split_lines(text: str) -> list[str]:
 def read_lines(path: str) -> list[str]:
     """The lines of a UTF-8 text file, without their line endings.
 
-    Invalid UTF-8 raises ValueError("<path>:<line>: invalid UTF-8 ...").
+    A leading byte-order mark is an encoding signature, not text, and is
+    dropped. Invalid UTF-8 raises ValueError("<path>:<line>: invalid UTF-8 ...").
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return _split_lines(data.decode("utf-8"))
+        return _split_lines(data.decode("utf-8").removeprefix("\ufeff"))
     except UnicodeDecodeError as exc:
         # Everything before the first bad byte decodes; with "x" standing in
         # for that byte, the last line is the one the bad byte is on.

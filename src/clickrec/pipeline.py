@@ -77,9 +77,10 @@ def generate_candidates(
 ) -> list[CandidatePair]:
     """Candidate pairs for every logged query, in deterministic order."""
     st = build_session_stats(sessions)
+    postings = cand.url_postings(stats)
     out: list[CandidatePair] = []
     for q1 in stats.queries:
-        out.extend(cand.generate_all(q1, stats, st, lex))
+        out.extend(cand.generate_all(q1, stats, st, lex, postings))
     return out
 
 

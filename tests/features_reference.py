@@ -17,7 +17,6 @@ from clickrec.candidates import (
     SessionStats,
     brccq,
     ctq,
-    p_cc,
     p_cs,
     p_ct,
 )
@@ -35,6 +34,21 @@ def _entropy(counts) -> float:
             p = c / total
             ent -= p * math.log2(p)
     return ent
+
+
+def p_cc(q1: str, q2: str, stats: ClickStats) -> float:
+    """Co-click probability: sum over q1's URLs of P(u|q1)*P(q2)*P(u|q2)/P(u)."""
+    urls2 = stats.clicks.get(q2)
+    if urls2 is None:
+        return 0.0
+    n1, n2, total = stats.cnt_q[q1], stats.cnt_q[q2], stats.total
+    pq2 = n2 / total
+    out = 0.0
+    for u, k1 in stats.clicks[q1].items():
+        k2 = urls2.get(u)
+        if k2 is not None:
+            out += k1 / n1 * pq2 * (k2 / n2) / (stats.cnt_u[u] / total)
+    return out
 
 
 def click_entropy(q: str, stats: ClickStats) -> float:

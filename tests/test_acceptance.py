@@ -37,9 +37,13 @@ def test_criterion_1_extractor_oracle_equivalence():
     sessions = segment_sessions(random_records(random.Random(1001), 1000))
     st = cand.build_session_stats(sessions)
     lex = cand.detect_facets(stats, min_distinct=1, min_query_freq=1)
+    postings = cand.url_postings(stats)
     queries = sorted(stats.cnt_q)
     for q1 in queries:
         assert cand.brccq(q1, stats) == oracle_brccq(q1, records)
+        for p in cand.generate_all(q1, stats, st, lex, postings):
+            if p.kind == cand.CO_CLICK:
+                assert p.strength == oracle_p_cc(q1, p.q2, records)
         assert cand.csq(q1, st) == oracle_csq(q1, sessions)
         expansions = cand.ctq(q1, lex, stats)
         brute_ctq = {
@@ -51,7 +55,6 @@ def test_criterion_1_extractor_oracle_equivalence():
         }
         assert expansions == brute_ctq
         for q2 in queries:
-            assert cand.p_cc(q1, q2, stats) == oracle_p_cc(q1, q2, records)
             assert abs(cand.p_cs(q1, q2, st) - oracle_p_cs(q1, q2, sessions)) < 1e-12
             if q2 in expansions:
                 denom = stats.cnt_q[q1] + sum(stats.cnt_q[e] for e in expansions)

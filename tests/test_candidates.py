@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickrec.candidates import (
+    CO_CLICK,
+    KINDS,
+    CandidatePair,
     brccq,
     build_session_stats,
     csq,
@@ -10,11 +15,11 @@ from clickrec.candidates import (
     detect_facets,
     dump_candidates,
     generate_all,
-    p_cc,
     p_cs,
     p_ct,
+    url_postings,
 )
-from clickrec.logs import ClickRecord, build_click_stats, segment_sessions
+from clickrec.logs import ClickRecord, Session, build_click_stats, clean_log, segment_sessions
 from conftest import random_records
 
 
@@ -113,6 +118,38 @@ class TestBrccq:
                 assert brccq(q, stats) == oracle_brccq(q, records)
 
 
+def generate(q1, stats, st=None, lex=frozenset()):
+    st = build_session_stats([]) if st is None else st
+    return generate_all(q1, stats, st, lex, url_postings(stats))
+
+
+def co_click(q1, stats):
+    """P_cc of q1 with each co-click candidate, read from generate_all."""
+    return {p.q2: p.strength for p in generate(q1, stats) if p.kind == CO_CLICK}
+
+
+def assert_co_click_matches_oracle(records):
+    stats = build_click_stats(records)
+    for q1 in stats.cnt_q:
+        strengths = co_click(q1, stats)
+        assert set(strengths) == oracle_brccq(q1, records)
+        for q2, strength in strengths.items():
+            assert strength == oracle_p_cc(q1, q2, records)
+
+
+@st.composite
+def shared_url_logs(draw):
+    """Records over few queries and URLs with ranks 1-3, so queries share
+    URLs and tie for the best rank on them."""
+    n_queries = draw(st.integers(1, 6))
+    n_urls = draw(st.integers(1, 4))
+    return [
+        ClickRecord(t, f"u{t % 3}", f"q{draw(st.integers(0, n_queries - 1))}",
+                    f"http://s{draw(st.integers(0, n_urls - 1))}", draw(st.integers(1, 3)))
+        for t in range(draw(st.integers(1, 40)))
+    ]
+
+
 class TestPcc:
     def test_disjoint_support_is_zero(self):
         recs = [
@@ -120,32 +157,23 @@ class TestPcc:
             ClickRecord(2, "u1", "q2", "http://b", 1),
         ]
         stats = build_click_stats(recs)
-        assert p_cc("q1", "q2", stats) == 0.0
+        # No shared URL: q2 is no co-click candidate, so no pair carries a 0.
+        assert co_click("q1", stats) == {}
 
     def test_single_url_world(self):
         # only u clicked: q1 3 times, q2 once; total=4
         recs = [ClickRecord(t, f"u{t}", "q1", "http://u", 1) for t in range(3)]
         recs.append(ClickRecord(9, "u9", "q2", "http://u", 1))
         stats = build_click_stats(recs)
-        assert abs(p_cc("q1", "q2", stats) - 0.25) < 1e-15
-
-    def test_self_value_well_defined(self):
-        recs = [ClickRecord(t, f"u{t}", "q1", "http://u", 1) for t in range(3)]
-        recs.append(ClickRecord(9, "u9", "q2", "http://u", 1))
-        stats = build_click_stats(recs)
-        assert abs(p_cc("q1", "q1", stats) - 0.75) < 1e-15
-
-    def test_unknown_query_raises(self):
-        with pytest.raises(KeyError):
-            p_cc("nope", "q", build_click_stats([]))
+        assert abs(co_click("q1", stats)["q2"] - 0.25) < 1e-15
 
     def test_matches_oracle(self):
-        rng = random.Random(17)
-        records = random_records(rng, 400)
-        stats = build_click_stats(records)
-        for q1 in stats.cnt_q:
-            for q2 in stats.cnt_q:
-                assert p_cc(q1, q2, stats) == oracle_p_cc(q1, q2, records)
+        assert_co_click_matches_oracle(random_records(random.Random(17), 400))
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_url_logs())
+    def test_sweep_matches_oracle_on_shared_urls_and_ties(self, records):
+        assert_co_click_matches_oracle(records)
 
     def test_count_scale_invariance(self):
         rng = random.Random(19)
@@ -158,8 +186,10 @@ class TestPcc:
         ]
         stats3 = build_click_stats(tripled)
         for q1 in stats1.cnt_q:
-            for q2 in stats1.cnt_q:
-                assert abs(p_cc(q1, q2, stats1) - p_cc(q1, q2, stats3)) < 1e-12
+            once, thrice = co_click(q1, stats1), co_click(q1, stats3)
+            assert set(once) == set(thrice)
+            for q2 in once:
+                assert abs(once[q2] - thrice[q2]) < 1e-12
 
 
 def _facet_world(count_per_query=10):
@@ -260,7 +290,37 @@ def _sessions_from_queries(seqs):
     return build_session_stats(segment_sessions(recs))
 
 
+def zip_session_stats(sessions):
+    """build_session_stats as it was written before the one-walk loop."""
+    occurrences, successors, successor_totals = {}, {}, {}
+    for s in sessions:
+        qs = [q for _, q in s.queries]
+        for q in qs:
+            occurrences[q] = occurrences.get(q, 0) + 1
+        for a, b in zip(qs, qs[1:]):
+            after = successors.setdefault(a, {})
+            after[b] = after.get(b, 0) + 1
+            successor_totals[b] = successor_totals.get(b, 0) + 1
+    return occurrences, successors, successor_totals, sum(successor_totals.values())
+
+
+def ordered(table):
+    """A count table as nested item lists, so == also compares insertion order."""
+    if isinstance(table, dict):
+        return [(k, ordered(v)) for k, v in table.items()]
+    return table
+
+
 class TestCsqPcs:
+    # Hand-built sessions may repeat a query back to back, which
+    # segment_sessions never does.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6), max_size=8))
+    def test_one_walk_matches_zip_spelling(self, seqs):
+        sessions = [Session(f"u{i}", list(enumerate(qs))) for i, qs in enumerate(seqs)]
+        want = zip_session_stats(sessions)
+        assert [ordered(t) for t in build_session_stats(sessions)] == [ordered(t) for t in want]
+
     def test_session_stats_fields_cannot_be_reassigned(self):
         st = _sessions_from_queries([["a", "b"]])
         assert st.total_pairs == 1
@@ -313,18 +373,23 @@ class TestCsqPcs:
                 assert abs(p_cs(q1, q2, st) - oracle_p_cs(q1, q2, sessions)) < 1e-12
 
 
+def key_ordered(pairs):
+    """The order generate_all used to give with a key function."""
+    return sorted(pairs, key=lambda p: (KINDS.index(p.kind), -p.strength, p.q2))
+
+
 class TestGenerateAll:
     def test_unknown_query_empty(self, small_world):
         _, _, stats, sessions = small_world
         lex = detect_facets(stats)
-        assert generate_all("never seen", stats, build_session_stats(sessions), lex) == []
+        assert generate("never seen", stats, build_session_stats(sessions), lex) == []
 
     def test_matches_oracle_union(self, small_world):
         _, cleaned, stats, sessions = small_world
         lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
         st = build_session_stats(sessions)
         for q1 in stats.cnt_q:
-            pairs = generate_all(q1, stats, st, lex)
+            pairs = generate(q1, stats, st, lex)
             by_kind = {}
             for p in pairs:
                 by_kind.setdefault(p.kind, set()).add(p.q2)
@@ -338,7 +403,70 @@ class TestGenerateAll:
         lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
         q1 = sorted(stats.cnt_q)[0]
         st = build_session_stats(sessions)
-        pairs = generate_all(q1, stats, st, lex)
-        assert pairs == generate_all(q1, stats, st, lex)
+        pairs = generate(q1, stats, st, lex)
+        assert pairs == generate(q1, stats, st, lex)
         for line in dump_candidates(pairs):
             assert len(line.split("\t")) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_url_logs())
+    def test_order_matches_the_key_function(self, records):
+        stats = build_click_stats(records)
+        st = build_session_stats(segment_sessions(records))
+        lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
+        for q1 in stats.cnt_q:
+            pairs = generate(q1, stats, st, lex)
+            assert pairs == key_ordered(pairs)
+
+    def test_equal_strengths_ordered_by_q2(self):
+        # "b" and "a" click u exactly as often at the same best rank, so
+        # they tie on P_cc and on P_cs and are ordered by q2.
+        recs = [
+            ClickRecord(1, "x", "q", "http://u", 2),
+            ClickRecord(2, "x", "b", "http://u", 1),
+            ClickRecord(3, "y", "q", "http://u", 2),
+            ClickRecord(4, "y", "a", "http://u", 1),
+        ]
+        stats = build_click_stats(recs)
+        pairs = generate("q", stats, build_session_stats(segment_sessions(recs)))
+        assert [(p.kind, p.q2) for p in pairs] == [
+            ("co_click", "a"), ("co_click", "b"), ("co_session", "a"), ("co_session", "b"),
+        ]
+        assert pairs[0].strength == pairs[1].strength
+        assert pairs[2].strength == pairs[3].strength
+        assert pairs == key_ordered(pairs)
+
+    def test_unclicked_query_keeps_topic_and_session_pairs(self):
+        # "curry" was logged once, so cleaning drops its click, but its
+        # facet expansion and its session successor remain.
+        recs = [ClickRecord(1, "u0", "curry", "http://c", 1)]
+        for t, q in enumerate(["curry recipe", "curry recipe", "beef recipe", "beef recipe"], 2):
+            recs.append(ClickRecord(t, f"u{t % 2}", q, f"http://{q.split()[0]}", 1))
+        stats = build_click_stats(clean_log(recs))
+        sessions = segment_sessions(recs)
+        lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
+        assert "curry" not in stats.clicks and lex == {"recipe"}
+        pairs = generate("curry", stats, build_session_stats(sessions), lex)
+        assert pairs == [
+            CandidatePair("curry", "curry recipe", "co_topic", 1.0),
+            CandidatePair("curry", "curry recipe", "co_session", 1.0),
+        ]
+        assert p_ct("curry", "curry recipe", lex, stats) == 1.0
+        assert oracle_p_cs("curry", "curry recipe", sessions) == 1.0
+
+
+def fstring_dump(pairs):
+    """dump_candidates as it was written before the one-format spelling."""
+    return [f"{p.q1}\t{p.q2}\t{p.kind}\t{p.strength:.12g}" for p in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.text(alphabet="ab %s\u00e9\u3000\U0001f600", max_size=4),
+    st.text(alphabet="ab %s\u00e9\u3000\U0001f600", max_size=4),
+    st.sampled_from(KINDS),
+    st.one_of(st.sampled_from([0.0, 1e-300, 1 / 3, 1.0]), st.floats(0, 1)),
+), max_size=5))
+def test_dump_matches_the_fstring_spelling(rows):
+    pairs = [CandidatePair(*row) for row in rows]
+    assert dump_candidates(pairs) == fstring_dump(pairs)

@@ -223,6 +223,13 @@ class TestModelErrors:
         assert code == 1
         assert err.startswith(f"error: {path}: the model's features are not the feature"), err
 
+    def test_byte_order_mark(self, base, tmp_path, lines):
+        # Logs may start with one, but save_model never writes it, and a load
+        # followed by a save must not change the file.
+        path, code, err = self.rank_with(base, tmp_path, ["\ufeff" + lines[0], *lines[1:]])
+        assert code == 1
+        assert err.startswith(f"error: {path}:1: byte-order mark"), err
+
 
 class TestRankQuery:
     """``rank --q1`` normalizes its query as the log parser does every q1."""
@@ -277,6 +284,23 @@ class TestInputFileErrors:
         assert err.startswith(
             f"error: {log}: 2 of 3 lines malformed; input does not look like a click log"
         ), err
+
+
+class TestByteOrderMark:
+    def ingest(self, tmp_path, name, data):
+        log = tmp_path / name
+        log.write_bytes(data)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["--out", str(tmp_path / name[:-4]), "ingest", "--log", str(log)]) == 0
+        files = [(tmp_path / name[:-4] / f).read_bytes() for f in ("cleaned.tsv", "sessions.tsv")]
+        return out.getvalue(), files
+
+    def test_log_parses_as_without_it(self, tmp_path):
+        data = (CLICKS + "110\tu1\tbeef\thttp://b\t1\n120\tu2\tcurry\thttp://a\t1\n").encode()
+        want = self.ingest(tmp_path, "plain.tsv", data)
+        assert want[0].startswith("parsed 3 records (0 skipped)")
+        assert self.ingest(tmp_path, "marked.tsv", b"\xef\xbb\xbf" + data) == want
 
 
 class TestLineSeparatorsInFields:

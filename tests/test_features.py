@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clickrec.candidates import build_session_stats, detect_facets, generate_all
+from clickrec.candidates import build_session_stats, detect_facets, generate_all, url_postings
 from clickrec.features import (
     FEATURE_NAMES,
     FEATURES,
@@ -346,7 +346,8 @@ class TestBuildFeatures:
 
     def _build(self, q1, q2, stats, st, lex, sim=None):
         """build_features with the strengths generate_all gives (q1, q2)."""
-        strengths = {p.kind: p.strength for p in generate_all(q1, stats, st, lex) if p.q2 == q2}
+        pairs = generate_all(q1, stats, st, lex, url_postings(stats))
+        strengths = {p.kind: p.strength for p in pairs if p.q2 == q2}
         return build_features(q1, q2, FeatureContext(stats, st, lex), strengths, sim=sim)
 
     def test_diagnostic_self_pair(self):

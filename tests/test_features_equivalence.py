@@ -60,9 +60,10 @@ def test_every_pair_matches_reference(world, unknown):
     stats, sst, names = world
     lex = cand.detect_facets(stats, min_distinct=1, min_query_freq=1)
     ctx = FeatureContext(stats, sst, lex)
+    postings = cand.url_postings(stats)
     for q1 in sorted(stats.cnt_q):
         strengths = {}
-        for p in cand.generate_all(q1, stats, sst, lex):
+        for p in cand.generate_all(q1, stats, sst, lex, postings):
             strengths.setdefault(p.q2, {})[p.kind] = p.strength
         for q2 in [*names, unknown]:
             # A pair outside every relation gets {}; the reference computes

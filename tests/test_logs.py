@@ -30,6 +30,11 @@ class TestReadLines:
         path.write_bytes(f"1\tu{sep}1\r\n\n2\tq{sep}x\r3".encode())
         assert read_lines(str(path)) == [f"1\tu{sep}1", "", f"2\tq{sep}x", "3"]
 
+    def test_only_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "lines.tsv"
+        path.write_bytes("\ufeff1\tu\n\ufeff2\tq\n".encode())
+        assert read_lines(str(path)) == ["1\tu", "\ufeff2\tq"]
+
 
 class TestNormalizeQuery:
     @pytest.mark.parametrize(

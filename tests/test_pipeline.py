@@ -96,6 +96,24 @@ class TestSynth:
             synth.SynthConfig(n_topics=0)
 
 
+class TestGenerateCandidates:
+    def test_one_generate_all_call_per_query(self, monkeypatch, world):
+        # The traced benchmark patches candidates.generate_all, times it and
+        # divides the pair count by its calls (candidates.pairs_per_query).
+        _, stats, sessions, lex, _, _ = world
+        want = pipeline.generate_candidates(stats, sessions, lex)
+        generate_all = cand.generate_all
+        calls = []
+
+        def counted(q1, *args):
+            calls.append(q1)
+            return generate_all(q1, *args)
+
+        monkeypatch.setattr(cand, "generate_all", counted)
+        assert pipeline.generate_candidates(stats, sessions, lex) == want
+        assert calls == stats.queries
+
+
 class TestDataset:
     def test_no_pair_in_both_roles(self, dataset):
         pos = {(r.q1, r.q2) for r in dataset.rows if r.kinds}

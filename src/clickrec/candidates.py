@@ -135,11 +135,11 @@ def freq_topic(q1: str, lex: frozenset[str], stats: ClickStats) -> int:
     return stats.cnt_q.get(q1, 0) + sum(stats.cnt_q[e] for e in ctq(q1, lex, stats))
 
 
-def p_ct(q1: str, q2: str, lex: frozenset[str], stats: ClickStats) -> float:
-    """Co-topic probability: cnt(q2) / Freq.topic(q1)."""
-    if q2 not in ctq(q1, lex, stats):
-        raise ValueError(f"{q2!r} is not a co-topic expansion of {q1!r}")
-    return stats.cnt_q[q2] / freq_topic(q1, lex, stats)
+def co_topic_strengths(q1: str, lex: frozenset[str], stats: ClickStats) -> dict[str, float]:
+    """P_ct(q1, q2) = cnt(q2) / Freq.topic(q1) for each q2 in ctq(q1), from one ctq."""
+    expansions = ctq(q1, lex, stats)
+    freq = stats.cnt_q.get(q1, 0) + sum(stats.cnt_q[e] for e in expansions)
+    return {q2: stats.cnt_q[q2] / freq for q2 in expansions}
 
 
 def csq(q1: str, st: SessionStats) -> set[str]:
@@ -175,7 +175,7 @@ def generate_all(
     """
     by_kind = (
         co_click_strengths(q1, stats, postings),
-        {q2: p_ct(q1, q2, lex, stats) for q2 in ctq(q1, lex, stats)},
+        co_topic_strengths(q1, lex, stats),
         {q2: p_cs(q1, q2, st) for q2 in csq(q1, st)},
     )
     return [p for kind, strengths in zip(KINDS, by_kind) for p in _ranked(q1, kind, strengths)]

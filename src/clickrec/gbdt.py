@@ -14,44 +14,24 @@ split partitions the segment stably, so a node's rows stay sorted by every
 feature with ties in row order.  One cumulative sum over all features then
 scores every split position of a node.
 
-A tree is stored as preorder parallel arrays (``Tree``), the layout the
-plain-text model file serialises.  ``predict`` walks blocks of rows through
-all trees at once, one level per step.
+A fitted ``Ensemble`` stores all its trees as one preorder node array, built
+once by ``Ensemble.from_trees`` for both ``fit`` and ``load_model``.
+``predict`` walks blocks of rows through all trees at once, one level per
+step, and ``save_model`` writes each tree from its slice of the array.
 """
 
 from __future__ import annotations
 
 import codecs
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .logs import read_lines
 
 _BLOCK = 256  # rows per predict step; bounds the (rows, trees) work arrays
-
-
-class Tree:
-    """One regression tree as preorder parallel arrays; node 0 is the root.
-
-    A split node sends a row to ``left`` when ``x[feature] <= threshold`` and
-    to ``right`` otherwise.  A leaf has feature and children -1 and holds the
-    leaf ``value``; split nodes keep value 0.
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "value", "depth")
-
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.value = np.asarray(value, dtype=np.float64)
-        level = [0] * len(self.feature)
-        for i in np.flatnonzero(self.feature >= 0):  # preorder: parents first
-            level[self.left[i]] = level[self.right[i]] = level[i] + 1
-        self.depth = max(level)  # splits on the longest root-to-leaf path
 
 
 @dataclass
@@ -74,12 +54,55 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Ensemble:
+    """``base`` plus ``shrinkage`` times each tree's leaf, all trees in one node array.
+
+    The trees lie one after another, each in preorder; ``trees`` holds their
+    roots.  A split node i sends a row to ``child[2 * i]`` when
+    ``x[feature[i]] <= threshold[i]`` and to ``child[2 * i + 1]`` otherwise.
+    A leaf has feature -1 and holds ``value`` (split nodes keep 0).  It is its
+    own child, so a row that reaches a leaf early stays there while the
+    deeper trees finish: ``levels`` steps, the splits on the longest
+    root-to-leaf path, bring every row to a leaf.
+    """
+
     base: float
-    trees: tuple[Tree, ...] = ()  # each weighted by shrinkage
-    feature_names: list[str] = field(default_factory=list)
-    importance: dict[str, float] = field(default_factory=dict)  # max-normalized to 100
-    train_mse: tuple[float, ...] = ()
-    shrinkage: float = 0.1
+    feature_names: list[str]
+    importance: dict[str, float]  # max-normalized to 100
+    train_mse: tuple[float, ...]
+    shrinkage: float
+    trees: tuple[int, ...]
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    levels: int
+
+    @classmethod
+    def from_trees(cls, base, trees, feature_names, importance, train_mse=(), shrinkage=0.1):
+        """The model of preorder trees, each (feature, threshold, child, value)
+        lists laid out as in the class, with child indices counted from the
+        tree's root.
+        """
+        roots = tuple(accumulate([0] + [len(t[0]) for t in trees]))[:-1]
+        feature = [f for t in trees for f in t[0]]
+        child = [c + root for t, root in zip(trees, roots) for c in t[2]]
+        level = [0] * len(feature)
+        for i, f in enumerate(feature):
+            if f >= 0:  # preorder: a parent's level is set before its children's
+                level[child[2 * i]] = level[child[2 * i + 1]] = level[i] + 1
+        return cls(
+            base,
+            feature_names,
+            importance,
+            train_mse,
+            shrinkage,
+            trees=roots,
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array([x for t in trees for x in t[1]], dtype=np.float64),
+            child=np.array(child, dtype=np.intp),
+            value=np.array([v for t in trees for v in t[3]], dtype=np.float64),
+            levels=max(level, default=0),
+        )
 
 
 def split_gain(w_l: float, mean_l: float, w_r: float, mean_r: float) -> float:
@@ -163,18 +186,17 @@ class _Grower:
             return None
         return g, int(f[best]), int(p[best])
 
-    def grow(self, r: np.ndarray) -> tuple[Tree, list[float], np.ndarray]:
+    def grow(self, r: np.ndarray) -> tuple[tuple[list, ...], list[float], np.ndarray]:
         """Fit one tree to the residuals r.
 
-        Returns the tree, each node's split gain (0 for leaves) and the
-        node of the leaf every row ends in.
+        Returns the tree as ``Ensemble.from_trees`` takes it, each node's
+        split gain (0 for leaves) and the node of the leaf every row ends in.
         """
         d = self.order.shape[0] - 1
         X, go_left, work = self.X, self.go_left, self.work
         feature: list[int] = []
         threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
+        child: list[int] = []
         value: list[float] = []
         gain: list[float] = []
         leaf_of = np.empty(len(r), dtype=np.intp)
@@ -185,7 +207,7 @@ class _Grower:
             s, e, depth, parent, leaf = stack.pop()
             node = len(feature)
             if parent >= 0:
-                right[parent] = node
+                child[2 * parent + 1] = node
             seg = (self.order if node == 0 else work)[:, s:e]
             found = None if leaf else self._best_split(seg, r)
             if found is None:
@@ -193,8 +215,7 @@ class _Grower:
                 leaf_of[rows] = node
                 feature.append(-1)
                 threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
+                child += node, node
                 value.append(v)
                 gain.append(0.0)
                 continue
@@ -205,8 +226,7 @@ class _Grower:
                 thr = lo_v  # adjacent floats: route left iff value <= lo
             feature.append(f)
             threshold.append(thr)
-            left.append(node + 1)
-            right.append(-1)  # set when the right child is reached
+            child += node + 1, -1  # the right child is set when it is reached
             value.append(0.0)
             gain.append(g)
 
@@ -231,7 +251,7 @@ class _Grower:
             go_left[left_rows] = False
             stack.append((s + nl, e, depth + 1, node, right_leaf))
             stack.append((s, s + nl, depth + 1, -1, left_leaf))
-        return Tree(feature, threshold, left, right, value), gain, leaf_of
+        return (feature, threshold, child, value), gain, leaf_of
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises ValueError below
@@ -261,20 +281,21 @@ def fit(
     base = float(y.mean())
     grower = _Grower(X, cfg)
     raw = dict.fromkeys(names, 0.0)
-    trees: list[Tree] = []
+    trees: list[tuple[list, ...]] = []
     train_mse: list[float] = []
     pred = np.full(len(y), base)
     for _ in range(cfg.n_trees):
         r = y - pred
         tree, gains, leaf_of = grower.grow(r)
-        if tree.depth == 0 and tree.value[0] == 0.0:  # also ends a perfect fit
+        feature, _, _, value = tree
+        if len(feature) == 1 and value[0] == 0.0:  # also ends a perfect fit
             train_mse.append(float(np.mean(r**2)))
             break
         trees.append(tree)
-        for f, g in zip(tree.feature, gains):
+        for f, g in zip(feature, gains):
             if f >= 0:
                 raw[names[f]] += g
-        pred = pred + cfg.shrinkage * tree.value[leaf_of]
+        pred = pred + cfg.shrinkage * np.array(value)[leaf_of]
         if not np.isfinite(pred).all():
             break  # refused below; later trees would fit nan residuals
         train_mse.append(float(np.mean((y - pred) ** 2)))
@@ -283,7 +304,7 @@ def fit(
     # A non-finite base or leaf makes its rows' predictions non-finite.
     if not (np.isfinite(pred).all() and np.isfinite(list(importance.values())).all()):
         raise ValueError("the fit overflows: y is too large for a finite model")
-    return Ensemble(base, tuple(trees), names, importance, tuple(train_mse), cfg.shrinkage)
+    return Ensemble.from_trees(base, trees, names, importance, tuple(train_mse), cfg.shrinkage)
 
 
 def percent_of_peak(raw: dict[str, float]) -> dict[str, float]:
@@ -292,41 +313,16 @@ def percent_of_peak(raw: dict[str, float]) -> dict[str, float]:
     return {n: 100.0 * v / peak if peak > 0 else 0.0 for n, v in raw.items()}
 
 
-class _Forest:
-    """Trees concatenated into one node array, for walking them together.
-
-    ``child[2 * i]`` and ``child[2 * i + 1]`` are node i's left and right
-    children in the concatenation.  A leaf is its own child, so a row that
-    reaches a leaf early stays there while the deeper trees finish.
-    """
-
-    def __init__(self, trees: list[Tree]):
-        sizes = [len(t.feature) for t in trees]
-        self.roots = np.cumsum([0] + sizes[:-1])
-        self.feature = np.concatenate([t.feature for t in trees])
-        self.threshold = np.concatenate([t.threshold for t in trees])
-        self.value = np.concatenate([t.value for t in trees])
-        kids = np.stack(
-            [np.concatenate([t.left for t in trees]), np.concatenate([t.right for t in trees])],
-            axis=1,
-        )
-        kids += np.repeat(self.roots, sizes)[:, None]
-        leaves = np.flatnonzero(self.feature < 0)
-        kids[leaves] = leaves[:, None]
-        self.child = kids.ravel()
-        self.levels = max(t.depth for t in trees)
-
-
-def _leaf_values(forest: _Forest, X: np.ndarray) -> np.ndarray:
+def _leaf_values(model: Ensemble, X: np.ndarray) -> np.ndarray:
     """(rows, trees) values of the leaf each row of X reaches in each tree."""
-    node = np.broadcast_to(forest.roots, (len(X), len(forest.roots)))
+    node = np.broadcast_to(model.trees, (len(X), len(model.trees)))
     row_start = (np.arange(len(X)) * X.shape[1])[:, None]
     flat = X.ravel()
-    for _ in range(forest.levels):
+    for _ in range(model.levels):
         # At a leaf, feature -1 reads some other cell; the self-loop ignores it.
-        go_right = ~(flat[row_start + forest.feature[node]] <= forest.threshold[node])
-        node = forest.child[2 * node + go_right]
-    return forest.value[node]
+        go_right = ~(flat[row_start + model.feature[node]] <= model.threshold[node])
+        node = model.child[2 * node + go_right]
+    return model.value[node]
 
 
 def predict(model: Ensemble, X) -> np.ndarray:
@@ -338,12 +334,11 @@ def predict(model: Ensemble, X) -> np.ndarray:
         )
     out = np.full(len(arr), model.base)
     if model.trees and len(arr):
-        forest = _Forest(model.trees)
         for s in range(0, len(arr), _BLOCK):
             block = out[s : s + _BLOCK]
             terms = np.empty((len(block), len(model.trees) + 1))
             terms[:, 0] = block
-            values = _leaf_values(forest, arr[s : s + _BLOCK])
+            values = _leaf_values(model, arr[s : s + _BLOCK])
             np.multiply(model.shrinkage, values, out=terms[:, 1:])
             # cumsum adds the trees one after another, exactly as
             # out += shrinkage * v per tree would; a pairwise sum would not.
@@ -385,21 +380,18 @@ def save_model(model: Ensemble, path: str) -> None:
         f"base\t{model.base!r}",
         "features\t" + "\t".join(model.feature_names),
     ]
-    for t, tree in enumerate(model.trees):
-        lines.append(f"tree\t{t}\t{model.shrinkage!r}\t{len(tree.feature)}")
-        for i, (f, thr, lt, rt, v) in enumerate(
-            zip(
-                tree.feature.tolist(),
-                tree.threshold.tolist(),
-                tree.left.tolist(),
-                tree.right.tolist(),
-                tree.value.tolist(),
-            )
-        ):
-            if f < 0:
-                lines.append(f"{i}\tleaf\t{v!r}\t-\t-\t-")
+    feature, threshold, child, value = (
+        a.tolist() for a in (model.feature, model.threshold, model.child, model.value)
+    )
+    ends = model.trees[1:] + (len(feature),)
+    for t, (root, end) in enumerate(zip(model.trees, ends)):
+        lines.append(f"tree\t{t}\t{model.shrinkage!r}\t{end - root}")
+        for i in range(root, end):  # node and child indices count from the root
+            if feature[i] < 0:
+                lines.append(f"{i - root}\tleaf\t{value[i]!r}\t-\t-\t-")
             else:
-                lines.append(f"{i}\tsplit\t{f}\t{thr!r}\t{lt}\t{rt}")
+                lt, rt = child[2 * i] - root, child[2 * i + 1] - root
+                lines.append(f"{i - root}\tsplit\t{feature[i]}\t{threshold[i]!r}\t{lt}\t{rt}")
     lines.append("importance")
     for name in model.feature_names:
         lines.append(f"{name}\t{model.importance.get(name, 0.0)!r}")
@@ -455,7 +447,7 @@ def load_model(path: str) -> Ensemble:
         fail(f"shrinkage {shrinkage!r} is not in (0, 1]")
     base = number(float, fields(2, "base")[1])
     names = fields(key="features")[1:]
-    trees: list[Tree] = []
+    trees: list[tuple[list, ...]] = []
     while pos < len(lines) and lines[pos][1].startswith("tree\t"):
         _, t_s, w_s, count_s = fields(4)
         if t_s != str(len(trees)):
@@ -465,7 +457,7 @@ def load_model(path: str) -> Ensemble:
             fail(f"tree weight {w!r} differs from shrinkage {shrinkage!r}")
         if count < 1:
             fail(f"tree has {count} nodes")
-        arrays: tuple[list, ...] = ([], [], [], [], [])
+        feature, threshold, child, value = tree = ([], [], [], [])
         claimed: set[int] = set()  # nodes already some split's child
         for i in range(count):
             parts = fields(6)
@@ -476,7 +468,7 @@ def load_model(path: str) -> Ensemble:
             if parts[1] == "leaf":
                 if parts[3:] != ["-"] * 3:
                     fail("a leaf's last three fields must be '-'")
-                node = (-1, 0.0, -1, -1, number(float, parts[2]))
+                f, thr, kids, v = -1, 0.0, (i, i), number(float, parts[2])
             elif parts[1] == "split":
                 f = number(int, parts[2])
                 if not 0 <= f < len(names):
@@ -488,12 +480,14 @@ def load_model(path: str) -> Ensemble:
                     if k in claimed:
                         fail(f"node {k} has two parents")
                     claimed.add(k)
-                node = (f, number(float, parts[3]), *kids, 0.0)
+                thr, v = number(float, parts[3]), 0.0
             else:
                 fail(f"unknown node kind {parts[1]!r}")
-            for column, v in zip(arrays, node):
-                column.append(v)
-        trees.append(Tree(*arrays))
+            feature.append(f)
+            threshold.append(thr)
+            child += kids
+            value.append(v)
+        trees.append(tree)
     if len(trees) != n_trees:
         lineno = header
         fail(f"n_trees is {n_trees} but the file has {len(trees)} trees")
@@ -507,4 +501,4 @@ def load_model(path: str) -> Ensemble:
         if name not in names:
             fail(f"importance for unknown feature {name!r}")
         importance[name] = number(float, val)
-    return Ensemble(base, tuple(trees), names, importance, shrinkage=shrinkage)
+    return Ensemble.from_trees(base, trees, names, importance, shrinkage=shrinkage)

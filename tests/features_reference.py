@@ -18,7 +18,6 @@ from clickrec.candidates import (
     brccq,
     ctq,
     p_cs,
-    p_ct,
 )
 from clickrec.features import FeatureVector
 from clickrec.logs import ClickStats
@@ -149,12 +148,12 @@ def build_features(
     in_cc = q2 in brccq(q1, stats)
     expansions = ctq(q1, lex, stats)
     f_pcc = p_cc(q1, q2, stats) if in_cc else 0.0
-    f_pct = p_ct(q1, q2, lex, stats) if q2 in expansions else 0.0
     f_pcs = p_cs(q1, q2, st)
 
     freq_q1 = stats.cnt_q.get(q1, 0)
     freq_q2 = stats.cnt_q.get(q2, 0)
     freq_topic = freq_q1 + sum(stats.cnt_q[e] for e in expansions)
+    f_pct = stats.cnt_q[q2] / freq_topic if q2 in expansions else 0.0
 
     len_q1, len_q2 = len(q1), len(q2)
     clen_q1, clen_q2 = len(q1.split()), len(q2.split())

@@ -7,7 +7,9 @@ trainer must match bit for bit: same splits, leaf values, gains,
 importances, training MSE, predictions and model-file bytes.  Since then the
 ``Ensemble.n_trees`` argument, early stopping on a validation pair and
 per-tree weights were dropped, as ``clickrec.gbdt`` no longer has them;
-every tree is weighted by ``Ensemble.shrinkage``.
+every tree is weighted by ``Ensemble.shrinkage``.  ``clickrec.gbdt`` now
+stores a model as one node array, so this module keeps its own ``Ensemble``
+of ``TreeNode`` roots.
 """
 
 from __future__ import annotations
@@ -16,7 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from clickrec.gbdt import Ensemble, TrainConfig
+from clickrec.gbdt import TrainConfig
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    base: float
+    trees: tuple["TreeNode", ...]  # each weighted by shrinkage
+    feature_names: list[str]
+    importance: dict[str, float]  # max-normalized to 100
+    train_mse: tuple[float, ...]
+    shrinkage: float
 
 
 @dataclass

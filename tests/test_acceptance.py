@@ -54,13 +54,13 @@ def test_criterion_1_extractor_oracle_equivalence():
             and " " not in q2[len(q1) + 1 :]
         }
         assert expansions == brute_ctq
+        co_topic = cand.co_topic_strengths(q1, lex, stats)
+        assert set(co_topic) == expansions
+        denom = stats.cnt_q[q1] + sum(stats.cnt_q[e] for e in expansions)
         for q2 in queries:
             assert abs(cand.p_cs(q1, q2, st) - oracle_p_cs(q1, q2, sessions)) < 1e-12
             if q2 in expansions:
-                denom = stats.cnt_q[q1] + sum(stats.cnt_q[e] for e in expansions)
-                assert abs(
-                    cand.p_ct(q1, q2, lex, stats) - stats.cnt_q[q2] / denom
-                ) < 1e-12
+                assert abs(co_topic[q2] - stats.cnt_q[q2] / denom) < 1e-12
     elapsed = time.time() - start
     assert elapsed < 5.0, f"extractor oracle check took {elapsed:.1f}s"
     _report(1, f"extractors match brute-force oracles ({elapsed:.1f}s)")

@@ -10,13 +10,13 @@ from clickrec.candidates import (
     CandidatePair,
     brccq,
     build_session_stats,
+    co_topic_strengths,
     csq,
     ctq,
     detect_facets,
     dump_candidates,
     generate_all,
     p_cs,
-    p_ct,
     url_postings,
 )
 from clickrec.logs import ClickRecord, Session, build_click_stats, clean_log, segment_sessions
@@ -257,19 +257,14 @@ class TestCtqPct:
         stats = self._world()
         lex = detect_facets(stats)
         # cnt(curry)=60, expansions: recipe 10, restaurant 10 -> denominator 80
-        assert abs(p_ct("curry", "curry recipe", lex, stats) - 10 / 80) < 1e-15
-
-    def test_p_ct_requires_membership(self):
-        stats = self._world()
-        lex = detect_facets(stats)
-        with pytest.raises(ValueError):
-            p_ct("curry", "beef recipe", lex, stats)
+        assert abs(co_topic_strengths("curry", lex, stats)["curry recipe"] - 10 / 80) < 1e-15
 
     def test_p_ct_sum_strictly_below_one(self):
         stats = self._world()
         lex = detect_facets(stats)
-        total = sum(p_ct("curry", e, lex, stats) for e in ctq("curry", lex, stats))
-        assert total < 1.0
+        strengths = co_topic_strengths("curry", lex, stats)
+        assert set(strengths) == ctq("curry", lex, stats)
+        assert sum(strengths.values()) < 1.0
 
     def test_ctq_members_are_space_expansions(self, small_world):
         _, _, stats, _ = small_world
@@ -451,7 +446,7 @@ class TestGenerateAll:
             CandidatePair("curry", "curry recipe", "co_topic", 1.0),
             CandidatePair("curry", "curry recipe", "co_session", 1.0),
         ]
-        assert p_ct("curry", "curry recipe", lex, stats) == 1.0
+        assert co_topic_strengths("curry", lex, stats) == {"curry recipe": 1.0}
         assert oracle_p_cs("curry", "curry recipe", sessions) == 1.0
 
 

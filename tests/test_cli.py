@@ -166,20 +166,20 @@ class TestConfigErrors:
 class TestUnlimitedDepth:
     """``max_depth=None`` and ``max_depth=`` both mean no depth limit."""
 
-    def depths(self, base, tmp_path, line):
+    def levels(self, base, tmp_path, line):
+        """The splits on the longest root-to-leaf path of a model trained so."""
         cfg = tmp_path / "depth.cfg"
         cfg.write_text(f"{line}\nn_trees=2\nmin_leaf=1\nshrinkage=1\n")
         features = tmp_path / "features.tsv"
         features.write_text("\n".join(matrix_lines(64)) + "\n")
         code, err = train(base, features, cfg)
         assert code == 0, err
-        model = gbdt.load_model(str(base / "trained" / "model.txt"))
-        return [tree.depth for tree in model.trees]
+        return gbdt.load_model(str(base / "trained" / "model.txt")).levels
 
     @pytest.mark.parametrize("line", ["max_depth=None", "max_depth="])
     def test_trains_unlimited_depth(self, base, tmp_path, line):
-        assert max(self.depths(base, tmp_path, "max_depth=4")) == 4
-        assert max(self.depths(base, tmp_path, line)) > 4
+        assert self.levels(base, tmp_path, "max_depth=4") == 4
+        assert self.levels(base, tmp_path, line) > 4
 
     def test_zero_still_rejected(self, base, tmp_path):
         cfg = tmp_path / "depth.cfg"

@@ -10,7 +10,6 @@ from clickrec.features import FEATURE_NAMES, FeatureVector
 from clickrec.gbdt import (
     Ensemble,
     TrainConfig,
-    Tree,
     fit,
     load_model,
     predict,
@@ -32,13 +31,13 @@ def make_fv(**overrides):
 
 
 def stump(feature, threshold, left_value, right_value):
-    """Root split on x[feature] <= threshold with two leaves, in preorder."""
-    return Tree(
-        feature=[feature, -1, -1],
-        threshold=[threshold, 0.0, 0.0],
-        left=[1, -1, -1],
-        right=[2, -1, -1],
-        value=[0.0, left_value, right_value],
+    """Root split on x[feature] <= threshold with two leaves, in preorder,
+    as Ensemble.from_trees takes a tree."""
+    return (
+        [feature, -1, -1],
+        [threshold, 0.0, 0.0],
+        [1, 2, 1, 1, 2, 2],
+        [0.0, left_value, right_value],
     )
 
 
@@ -77,7 +76,7 @@ class TestFit:
         model = fit(X, y, TrainConfig(n_trees=10, min_leaf=1))
         assert predict(model, X[:1])[0] == 2.5
         assert all(v == 0.0 for v in model.importance.values())
-        assert all((tree.feature < 0).all() for tree in model.trees)
+        assert (model.feature < 0).all()
 
     def test_perfect_fit_stops_with_zero_mse(self):
         # The residuals are all 0, so the next tree is a 0 leaf and is dropped.
@@ -103,12 +102,13 @@ class TestFit:
         cfg = TrainConfig(n_trees=1, shrinkage=1.0, max_depth=1, min_leaf=1)
         model = fit(X, y, cfg)
         assert model.train_mse[-1] < 1e-24
-        tree = model.trees[0]
-        assert tree.feature[0] == 0
-        left = y[X[:, 0] <= tree.threshold[0]]
-        right = y[X[:, 0] > tree.threshold[0]]
-        assert abs(model.base + tree.value[tree.left[0]] - left.mean()) < 1e-12
-        assert abs(model.base + tree.value[tree.right[0]] - right.mean()) < 1e-12
+        root = model.trees[0]
+        assert model.feature[root] == 0
+        left = y[X[:, 0] <= model.threshold[root]]
+        right = y[X[:, 0] > model.threshold[root]]
+        left_leaf, right_leaf = model.child[2 * root : 2 * root + 2]
+        assert abs(model.base + model.value[left_leaf] - left.mean()) < 1e-12
+        assert abs(model.base + model.value[right_leaf] - right.mean()) < 1e-12
 
     def test_mse_non_increasing(self):
         rng = np.random.default_rng(2)
@@ -187,17 +187,15 @@ class TestFit:
 
 class TestPredict:
     def test_zero_tree_model_is_base(self):
-        model = Ensemble(base=1.25, feature_names=["a", "b"])
+        model = Ensemble.from_trees(1.25, [], ["a", "b"], {})
         assert predict(model, [[0.0, 0.0]])[0] == 1.25
 
     def test_one_stump(self):
-        model = Ensemble(
-            base=0.0, trees=[stump(0, 0.5, -1.0, 1.0)], feature_names=["x"], shrinkage=0.1
-        )
+        model = Ensemble.from_trees(0.0, [stump(0, 0.5, -1.0, 1.0)], ["x"], {}, shrinkage=0.1)
         assert predict(model, [[0.2], [0.8]]).tolist() == [-0.1, 0.1]
 
     def test_dimension_mismatch(self):
-        model = Ensemble(base=0.0, feature_names=["a", "b"])
+        model = Ensemble.from_trees(0.0, [], ["a", "b"], {})
         with pytest.raises(ValueError, match=r"got shape \(1, 1\)"):
             predict(model, [[1.0]])
         # A single vector is not a matrix, even with the right length.
@@ -249,12 +247,122 @@ class TestSerialization:
         assert (d / "a.txt").read_bytes() == (d / "b.txt").read_bytes()
 
 
+    def test_tree_count_is_the_files_n_trees(self, tmp_path):
+        # perfbench reads len(model.trees) as the number of trees fit made
+        rng = np.random.default_rng(13)
+        X, y = random_problem(rng)
+        path = tmp_path / "model.txt"
+        # the constant target ends the fit before its first tree
+        for target, n_trees in ((y, 7), (np.full(len(y), 0.5), 0)):
+            model = fit(X, target, TrainConfig(n_trees=7))
+            save_model(model, str(path))
+            assert path.read_text().splitlines()[0] == f"n_trees\t{n_trees}"
+            assert len(model.trees) == len(load_model(str(path)).trees) == n_trees
+
+
+VALUES = st.floats(-1e6, 1e6, allow_nan=False)
+MAX_LEVELS = 8
+
+
+@st.composite
+def preorder_tree(draw, n_features):
+    """A random tree's nodes in preorder, each ("leaf", value) or
+    ("split", feature, threshold, left, right).
+
+    One path from the root, the spine, splits down to a drawn depth, so
+    single leaves and trees deeper than 4 both occur; other nodes split
+    or not at random.
+    """
+    nodes: list = []
+    depth = draw(st.integers(0, MAX_LEVELS))
+
+    def grow(level, spine):
+        i = len(nodes)
+        if spine:
+            leaf = level == depth
+        else:
+            leaf = level == MAX_LEVELS or draw(st.booleans())
+        if leaf:
+            nodes.append(("leaf", draw(VALUES)))
+            return i
+        nodes.append(None)
+        left_spine = spine and draw(st.booleans())
+        left = grow(level + 1, left_spine)
+        right = grow(level + 1, spine and not left_spine)
+        f = draw(st.integers(0, n_features - 1))
+        nodes[i] = ("split", f, draw(VALUES), left, right)
+        return i
+
+    grow(0, True)
+    return nodes
+
+
+def model_file(base, shrinkage, names, trees, importance):
+    """The text of a model file, written out from its definition."""
+    lines = [
+        f"n_trees\t{len(trees)}",
+        f"shrinkage\t{shrinkage!r}",
+        f"base\t{base!r}",
+        "features\t" + "\t".join(names),
+    ]
+    for t, nodes in enumerate(trees):
+        lines.append(f"tree\t{t}\t{shrinkage!r}\t{len(nodes)}")
+        for i, node in enumerate(nodes):
+            if node[0] == "leaf":
+                lines.append(f"{i}\tleaf\t{node[1]!r}\t-\t-\t-")
+            else:
+                lines.append(f"{i}\tsplit\t" + "\t".join(map(repr, node[1:])))
+    lines.append("importance")
+    lines += [f"{name}\t{v!r}" for name, v in zip(names, importance)]
+    return "\n".join(lines) + "\n"
+
+
+def walk(nodes, row):
+    """The leaf value one row reaches in one tree, node by node."""
+    node = nodes[0]
+    while node[0] == "split":
+        _, f, threshold, left, right = node
+        node = nodes[left if row[f] <= threshold else right]
+    return node[1]
+
+
+class TestForestWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_predict_matches_a_walk_of_the_files_trees(self, tmp_path_factory, data, d, seed):
+        names = [f"f{i}" for i in range(d)]
+        trees = data.draw(st.lists(preorder_tree(d), max_size=6))
+        base = data.draw(VALUES)
+        shrinkage = data.draw(st.floats(1e-3, 1.0))
+        importance = data.draw(st.lists(st.floats(0.0, 100.0), min_size=d, max_size=d))
+        path = tmp_path_factory.mktemp("walk") / "model.txt"
+        path.write_text(model_file(base, shrinkage, names, trees, importance))
+        model = load_model(str(path))
+
+        # Cells equal to a threshold or next to one test both sides of each split.
+        rng = np.random.default_rng(seed)
+        thresholds = [n[2] for nodes in trees for n in nodes if n[0] == "split"]
+        pool = thresholds + [float(np.nextafter(t, np.inf)) for t in thresholds]
+        pool += rng.standard_normal(4).tolist()
+        X = rng.choice(pool, (data.draw(st.integers(0, 300)), d))
+
+        expected = []
+        for row in X.tolist():
+            total = base
+            for nodes in trees:
+                total += shrinkage * walk(nodes, row)
+            expected.append(total)
+        assert predict(model, X).tolist() == expected
+        save_model(model, str(path.with_name("saved.txt")))
+        assert path.with_name("saved.txt").read_bytes() == path.read_bytes()
+
+
 class TestRank:
     def _model(self):
         # score = bcos
         idx = FEATURE_NAMES.index("BCos")
-        return Ensemble(
-            base=0.0, trees=[stump(idx, 0.5, 0.0, 1.0)], feature_names=FEATURE_NAMES, shrinkage=1.0
+        return Ensemble.from_trees(
+            0.0, [stump(idx, 0.5, 0.0, 1.0)], FEATURE_NAMES, {}, shrinkage=1.0
         )
 
     def test_empty(self):

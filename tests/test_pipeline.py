@@ -389,7 +389,7 @@ class TestFoldFits:
     def test_without_fork_fits_both_folds_here(self, monkeypatch, dataset):
         # Fold 1's pickled model outgrows a 64 KiB pipe buffer, so the child
         # exits only once its pipe is read: waiting first would hang.
-        cfg = gbdt.TrainConfig(n_trees=80)
+        cfg = gbdt.TrainConfig(n_trees=100)
         X1, y1 = (np.array(col) for col in zip(*(
             (r.fv.values(), r.fv.sim) for r in dataset.rows if pipeline.fold_of(r.q1) == 1
         )))

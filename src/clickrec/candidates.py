@@ -1,10 +1,10 @@
 """Candidate recommendation extraction: co-click, co-topic, co-session.
 
-Each extractor returns the related query set for an input query plus a
-strength probability.  All three are pure functions of count tables
-(ClickStats, SessionStats) that are built once and then only read.  Co-click
-strengths also read url_postings(stats), the URL -> queries index a caller
-builds once per ClickStats.
+Each relation has one strengths function, which maps an input query's
+related queries to their strength probabilities.  All three are pure
+functions of count tables (ClickStats, SessionStats) that are built once and
+then only read.  Co-click strengths also read url_postings(stats), the URL ->
+queries index a caller builds once per ClickStats.
 """
 
 from __future__ import annotations
@@ -130,29 +130,23 @@ def ctq(q1: str, lex: frozenset[str], stats: ClickStats) -> set[str]:
     return out
 
 
-def freq_topic(q1: str, lex: frozenset[str], stats: ClickStats) -> int:
-    """Freq.topic: cnt(q1) plus the counts of its CTQ expansions."""
-    return stats.cnt_q.get(q1, 0) + sum(stats.cnt_q[e] for e in ctq(q1, lex, stats))
+def freq_topic(q1: str, expansions: set[str], stats: ClickStats) -> int:
+    """Freq.topic: cnt(q1) plus the counts of its expansions, ctq(q1, lex, stats)."""
+    return stats.cnt_q.get(q1, 0) + sum(stats.cnt_q[e] for e in expansions)
 
 
 def co_topic_strengths(q1: str, lex: frozenset[str], stats: ClickStats) -> dict[str, float]:
     """P_ct(q1, q2) = cnt(q2) / Freq.topic(q1) for each q2 in ctq(q1), from one ctq."""
     expansions = ctq(q1, lex, stats)
-    freq = stats.cnt_q.get(q1, 0) + sum(stats.cnt_q[e] for e in expansions)
+    freq = freq_topic(q1, expansions, stats)
     return {q2: stats.cnt_q[q2] / freq for q2 in expansions}
 
 
-def csq(q1: str, st: SessionStats) -> set[str]:
-    """Queries immediately following q1 in some session (q1 itself excluded)."""
-    return {q2 for q2 in st.successors.get(q1, ()) if q2 != q1}
-
-
-def p_cs(q1: str, q2: str, st: SessionStats) -> float:
-    """Co-session probability: adjacent q1->q2 count over q1's event count."""
-    occ = st.occurrences.get(q1, 0)
-    if occ == 0:
-        return 0.0
-    return st.successors.get(q1, {}).get(q2, 0) / occ
+def co_session_strengths(q1: str, st: SessionStats) -> dict[str, float]:
+    """P_cs(q1, q2) for each q2 right after q1 in some session, q1 itself
+    excluded: the adjacent q1 -> q2 count over q1's event count."""
+    occ = st.occurrences.get(q1, 0)  # at least 1 when q1 has a successor
+    return {q2: n / occ for q2, n in st.successors.get(q1, {}).items() if q2 != q1}
 
 
 def _ranked(q1: str, kind: str, strengths: dict[str, float]) -> list[CandidatePair]:
@@ -176,7 +170,7 @@ def generate_all(
     by_kind = (
         co_click_strengths(q1, stats, postings),
         co_topic_strengths(q1, lex, stats),
-        {q2: p_cs(q1, q2, st) for q2 in csq(q1, st)},
+        co_session_strengths(q1, st),
     )
     return [p for kind, strengths in zip(KINDS, by_kind) for p in _ranked(q1, kind, strengths)]
 

@@ -13,7 +13,7 @@ import math
 from collections import Counter, namedtuple
 from typing import NamedTuple
 
-from .candidates import CO_CLICK, CO_SESSION, CO_TOPIC, SessionStats, freq_topic
+from .candidates import CO_CLICK, CO_SESSION, CO_TOPIC, SessionStats, ctq, freq_topic
 from .logs import ClickStats
 
 # The 23 ranking features in feature-matrix column order, one row each:
@@ -195,7 +195,7 @@ class FeatureContext:
         compact = "".join(chunks)
         return _Query(
             cnt=stats.cnt_q.get(q, 0),
-            freq_topic=freq_topic(q, self.lex, stats),
+            freq_topic=freq_topic(q, ctq(q, self.lex, stats), stats),
             len=len(q),
             clen=len(chunks),
             ent=_entropy(stats.clicks.get(q, {}).values()),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import codecs
 import math
+import os
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -372,8 +373,8 @@ def rank(
     return scored
 
 
-def save_model(model: Ensemble, path: str) -> None:
-    """Write the plain-text model file; floats use repr for exact round-trip."""
+def _model_lines(model: Ensemble) -> list[str]:
+    """The lines of the model file; floats use repr for exact round-trip."""
     lines = [
         f"n_trees\t{len(model.trees)}",
         f"shrinkage\t{model.shrinkage!r}",
@@ -395,32 +396,41 @@ def save_model(model: Ensemble, path: str) -> None:
     lines.append("importance")
     for name in model.feature_names:
         lines.append(f"{name}\t{model.importance.get(name, 0.0)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return lines
+
+
+def save_model(model: Ensemble, path: str) -> None:
+    """Write the plain-text model file, one line of ``_model_lines`` per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:  # "\n" on every platform
+        fh.write("\n".join(_model_lines(model)) + "\n")
 
 
 def load_model(path: str) -> Ensemble:
-    """Read a model file; a malformed one raises ValueError("path:line: reason")."""
-    lines = [(i, ln) for i, ln in enumerate(read_lines(path), 1) if ln.strip()]
-    # read_lines drops a leading byte-order mark, which save_model never writes.
+    """Read a model file; a malformed one raises ValueError("path:line: reason").
+
+    The file must be exactly what save_model writes for the model it holds,
+    so a load followed by a save never changes it.  The parse checks what
+    building the model needs; one comparison with ``_model_lines`` then
+    refuses every other spelling, at the first line that differs.
+    """
+    lines = read_lines(path)
     with open(path, "rb") as fh:
-        if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8:
-            raise ValueError(f"{path}:1: byte-order mark, which save_model never writes")
-    end = lines[-1][0] + 1 if lines else 1  # the line number past the last line
-    pos, lineno = 0, end
+        data = fh.read()
+    # read_lines drops a leading byte-order mark, which save_model never writes.
+    if data.startswith(codecs.BOM_UTF8):
+        raise ValueError(f"{path}:1: byte-order mark, which save_model never writes")
+    lineno = 0  # of the line read last
 
     def fail(reason: str):
         raise ValueError(f"{path}:{lineno}: {reason}")
 
     def fields(n: int | None = None, key: str | None = None) -> list[str]:
         """The next line's tab-separated fields, checked for count and key."""
-        nonlocal pos, lineno
-        if pos == len(lines):
-            lineno = end
+        nonlocal lineno
+        lineno += 1
+        if lineno > len(lines):
             fail("unexpected end of file")
-        lineno, text = lines[pos]
-        pos += 1
-        parts = text.split("\t")
+        parts = lines[lineno - 1].split("\t")
         if key is not None and parts[0] != key:
             fail(f"expected {key!r}, found {parts[0]!r}")
         if n is not None and len(parts) != n:
@@ -428,46 +438,32 @@ def load_model(path: str) -> Ensemble:
         return parts
 
     def number(kind, text: str):
-        """``text`` as ``kind``, refused unless save_model would write it so."""
         try:
             value = kind(text)
         except ValueError:
             fail(f"bad {kind.__name__} {text!r}")
         if kind is float and not math.isfinite(value):
             fail(f"non-finite float {text!r}")
-        written = repr(value) if kind is float else str(value)
-        if text != written:
-            fail(f"{kind.__name__} {text!r} is written {written!r}")
         return value
 
-    n_trees = number(int, fields(2, "n_trees")[1])
-    header = lineno
+    fields(2, "n_trees")
     shrinkage = number(float, fields(2, "shrinkage")[1])
     if not 0.0 < shrinkage <= 1.0:
         fail(f"shrinkage {shrinkage!r} is not in (0, 1]")
     base = number(float, fields(2, "base")[1])
     names = fields(key="features")[1:]
     trees: list[tuple[list, ...]] = []
-    while pos < len(lines) and lines[pos][1].startswith("tree\t"):
-        _, t_s, w_s, count_s = fields(4)
-        if t_s != str(len(trees)):
-            fail(f"expected tree index {len(trees)}, found {t_s!r}")
-        w, count = number(float, w_s), number(int, count_s)
-        if w != shrinkage:
-            fail(f"tree weight {w!r} differs from shrinkage {shrinkage!r}")
+    while lineno < len(lines) and lines[lineno].startswith("tree\t"):
+        count = number(int, fields(4)[3])
         if count < 1:
             fail(f"tree has {count} nodes")
         feature, threshold, child, value = tree = ([], [], [], [])
         claimed: set[int] = set()  # nodes already some split's child
         for i in range(count):
             parts = fields(6)
-            if parts[0] != str(i):
-                fail(f"expected node index {i}, found {parts[0]!r}")
             if i > 0 and i not in claimed:  # every parent precedes its children
                 fail(f"node {i} is no split's child")
             if parts[1] == "leaf":
-                if parts[3:] != ["-"] * 3:
-                    fail("a leaf's last three fields must be '-'")
                 f, thr, kids, v = -1, 0.0, (i, i), number(float, parts[2])
             elif parts[1] == "split":
                 f = number(int, parts[2])
@@ -488,17 +484,22 @@ def load_model(path: str) -> Ensemble:
             child += kids
             value.append(v)
         trees.append(tree)
-    if len(trees) != n_trees:
-        lineno = header
-        fail(f"n_trees is {n_trees} but the file has {len(trees)} trees")
-    if pos == len(lines):
-        lineno = end
-        fail("missing importance section")
-    fields(1, "importance")
+    if lineno < len(lines):  # a missing section is refused below
+        fields(1, "importance")
     importance: dict[str, float] = {}
-    while pos < len(lines):
+    while lineno < len(lines):
         name, val = fields(2)
-        if name not in names:
-            fail(f"importance for unknown feature {name!r}")
         importance[name] = number(float, val)
-    return Ensemble.from_trees(base, trees, names, importance, shrinkage=shrinkage)
+    model = Ensemble.from_trees(base, trees, names, importance, shrinkage=shrinkage)
+
+    written = ("\n".join(_model_lines(model)) + "\n").encode()
+    if data != written:
+        at = len(os.path.commonprefix([data, written]))  # the first byte that differs
+        lineno = data.count(b"\n", 0, at) + 1
+
+        def line(text: bytes) -> str:  # line lineno of text, with its line ending
+            ln = text.splitlines(keepends=True)[lineno - 1 : lineno]
+            return repr(ln[0].decode()) if ln else "the end of the file"
+
+        fail(f"save_model writes {line(written)} here, found {line(data)}")
+    return model

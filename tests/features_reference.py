@@ -13,12 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from clickrec.candidates import (
-    SessionStats,
-    brccq,
-    ctq,
-    p_cs,
-)
+from clickrec.candidates import SessionStats, brccq, ctq
 from clickrec.features import FeatureVector
 from clickrec.logs import ClickStats
 
@@ -148,7 +143,8 @@ def build_features(
     in_cc = q2 in brccq(q1, stats)
     expansions = ctq(q1, lex, stats)
     f_pcc = p_cc(q1, q2, stats) if in_cc else 0.0
-    f_pcs = p_cs(q1, q2, st)
+    occ = st.occurrences.get(q1, 0)
+    f_pcs = st.successors.get(q1, {}).get(q2, 0) / occ if occ else 0.0
 
     freq_q1 = stats.cnt_q.get(q1, 0)
     freq_q2 = stats.cnt_q.get(q2, 0)

@@ -44,7 +44,8 @@ def test_criterion_1_extractor_oracle_equivalence():
         for p in cand.generate_all(q1, stats, st, lex, postings):
             if p.kind == cand.CO_CLICK:
                 assert p.strength == oracle_p_cc(q1, p.q2, records)
-        assert cand.csq(q1, st) == oracle_csq(q1, sessions)
+        co_session = cand.co_session_strengths(q1, st)
+        assert set(co_session) == oracle_csq(q1, sessions)
         expansions = cand.ctq(q1, lex, stats)
         brute_ctq = {
             q2
@@ -58,7 +59,7 @@ def test_criterion_1_extractor_oracle_equivalence():
         assert set(co_topic) == expansions
         denom = stats.cnt_q[q1] + sum(stats.cnt_q[e] for e in expansions)
         for q2 in queries:
-            assert abs(cand.p_cs(q1, q2, st) - oracle_p_cs(q1, q2, sessions)) < 1e-12
+            assert abs(co_session.get(q2, 0.0) - oracle_p_cs(q1, q2, sessions)) < 1e-12
             if q2 in expansions:
                 assert abs(co_topic[q2] - stats.cnt_q[q2] / denom) < 1e-12
     elapsed = time.time() - start

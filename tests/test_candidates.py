@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clickrec import candidates as cand
 from clickrec.candidates import (
     CO_CLICK,
     KINDS,
     CandidatePair,
     brccq,
     build_session_stats,
+    co_session_strengths,
     co_topic_strengths,
-    csq,
     ctq,
     detect_facets,
     dump_candidates,
     generate_all,
-    p_cs,
     url_postings,
 )
 from clickrec.logs import ClickRecord, Session, build_click_stats, clean_log, segment_sessions
@@ -325,47 +325,47 @@ class TestCsqPcs:
 
     def test_adjacency(self):
         sessions = _sessions_from_queries([["ana", "jal"]])
-        assert csq("ana", sessions) == {"jal"}
+        assert set(co_session_strengths("ana", sessions)) == {"jal"}
 
     def test_singleton_contributes_nothing(self):
         sessions = _sessions_from_queries([["a"]])
-        assert csq("a", sessions) == set()
+        assert co_session_strengths("a", sessions) == {}
 
     def test_both_directions_counted_separately(self):
         sessions = _sessions_from_queries([["a", "b", "a"]])
-        assert csq("a", sessions) == {"b"}
-        assert csq("b", sessions) == {"a"}
+        assert set(co_session_strengths("a", sessions)) == {"b"}
+        assert set(co_session_strengths("b", sessions)) == {"a"}
 
     def test_p_cs_fraction(self):
         seqs = [["q1", "q2"]] * 4 + [["q1", "zz"]] * 6
         sessions = _sessions_from_queries(seqs)
-        assert abs(p_cs("q1", "q2", sessions) - 0.4) < 1e-15
+        assert abs(co_session_strengths("q1", sessions)["q2"] - 0.4) < 1e-15
 
     def test_never_adjacent_zero(self):
         sessions = _sessions_from_queries([["a", "b"]])
-        assert p_cs("a", "c", sessions) == 0.0
+        assert "c" not in co_session_strengths("a", sessions)
 
     def test_always_followed_gives_one(self):
         sessions = _sessions_from_queries([["a", "b"]] * 5)
-        assert p_cs("a", "b", sessions) == 1.0
+        assert co_session_strengths("a", sessions) == {"b": 1.0}
 
     def test_p_cs_sums_to_at_most_one(self, small_world):
         _, _, _, sessions = small_world
         st = build_session_stats(sessions)
         for q1 in st.occurrences:
-            total = sum(
-                p_cs(q1, q2, st) for q2 in st.successors.get(q1, {}) if q2 != q1
-            )
-            assert total <= 1.0 + 1e-12
+            assert sum(co_session_strengths(q1, st).values()) <= 1.0 + 1e-12
 
     def test_matches_oracle(self, small_world):
+        # q2 == q1 included: segment_sessions never repeats a query back to
+        # back, so the oracle gives 0.0 for it too
         _, _, _, sessions = small_world
         st = build_session_stats(sessions)
         queries = sorted(st.occurrences)
         for q1 in queries:
-            assert csq(q1, st) == oracle_csq(q1, sessions)
+            strengths = co_session_strengths(q1, st)
+            assert set(strengths) == oracle_csq(q1, sessions)
             for q2 in queries:
-                assert abs(p_cs(q1, q2, st) - oracle_p_cs(q1, q2, sessions)) < 1e-12
+                assert abs(strengths.get(q2, 0.0) - oracle_p_cs(q1, q2, sessions)) < 1e-12
 
 
 def key_ordered(pairs):
@@ -448,6 +448,17 @@ class TestGenerateAll:
         ]
         assert co_topic_strengths("curry", lex, stats) == {"curry recipe": 1.0}
         assert oracle_p_cs("curry", "curry recipe", sessions) == 1.0
+
+    def test_one_ctq_scan_per_query(self, small_world, monkeypatch):
+        # P_ct and its Freq.topic denominator come from the same expansions
+        _, _, stats, sessions = small_world
+        lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
+        scans = []
+        monkeypatch.setattr(cand, "ctq", lambda q1, *args: scans.append(q1) or ctq(q1, *args))
+        st = build_session_stats(sessions)
+        for q1 in stats.cnt_q:
+            generate(q1, stats, st, lex)
+        assert scans == list(stats.cnt_q)
 
 
 def fstring_dump(pairs):

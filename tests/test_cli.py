@@ -202,11 +202,13 @@ class TestModelErrors:
     def test_tree_weight_differs_from_shrinkage(self, base, tmp_path, lines):
         i = [n for n, ln in enumerate(lines) if ln.startswith("tree\t")][1]
         parts = lines[i].split("\t")
+        assert parts[2] == "0.5"
         parts[2] = "0.25"
-        lines[i] = "\t".join(parts)
+        want, lines[i] = lines[i], "\t".join(parts)
         path, code, err = self.rank_with(base, tmp_path, lines)
         assert code == 1
-        assert err.startswith(f"error: {path}:{i + 1}: tree weight 0.25 differs from shrinkage 0.5")
+        reason = "save_model writes %r here, found %r" % (want + "\n", lines[i] + "\n")
+        assert err.startswith(f"error: {path}:{i + 1}: {reason}"), err
 
     def test_non_finite_leaf_value(self, base, tmp_path, lines):
         i = next(n for n, ln in enumerate(lines) if "\tleaf\t" in ln)
@@ -219,6 +221,7 @@ class TestModelErrors:
 
     def test_features_differ_from_matrix_columns(self, base, tmp_path, lines):
         lines[3] += "\textra"
+        lines.append("extra\t0.0")  # the importance line save_model writes for it
         path, code, err = self.rank_with(base, tmp_path, lines)
         assert code == 1
         assert err.startswith(f"error: {path}: the model's features are not the feature"), err
@@ -496,6 +499,9 @@ class TestFuzz:
         path.write_text(mutate((base / "model" / "model.txt").read_text(), "\t", mutation))
         code, err = rank(base, base / "features.tsv", path)
         assert clean_outcome(code, err, path), err
+        if code == 0:  # only a file save_model writes loads, so a save gives it back
+            gbdt.save_model(gbdt.load_model(str(path)), str(base / "resaved_model.txt"))
+            assert (base / "resaved_model.txt").read_bytes() == path.read_bytes()
 
     @settings(max_examples=150, deadline=None)
     @given(edits(LOG_CHARS, LOG_TOKENS))

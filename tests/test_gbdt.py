@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -401,6 +402,12 @@ class TestMalformedModel:
     def first(self, lines, kind):
         return next(i for i, ln in enumerate(lines) if ln.split("\t")[1:2] == [kind])
 
+    def differs(self, i, want, found):
+        """The refusal at line i + 1, where save_model writes want (None: the
+        file ends) and the file holds found."""
+        want, found = ("the end of the file" if ln is None else repr(ln + "\n") for ln in (want, found))
+        return re.escape(f"model.txt:{i + 1}: save_model writes {want} here, found {found}")
+
     def test_truncated_file(self, tmp_path, lines):
         cut = self.first(lines, "leaf")
         with pytest.raises(ValueError, match=rf"model.txt:{cut + 1}: unexpected end of file"):
@@ -452,21 +459,21 @@ class TestMalformedModel:
     def test_tree_index_out_of_order(self, tmp_path, lines):
         # save_model numbers the trees 0, 1, 2, ..., so a load and save would renumber
         i = [j for j, ln in enumerate(lines) if ln.startswith("tree\t")][1]
-        lines[i] = lines[i].replace("tree\t1\t", "tree\t9\t")
-        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: expected tree index 1, found '9'"):
+        want, lines[i] = lines[i], lines[i].replace("tree\t1\t", "tree\t9\t")
+        with pytest.raises(ValueError, match=self.differs(i, want, lines[i])):
             self.load(tmp_path, lines)
 
     def test_node_index_out_of_order(self, tmp_path, lines):
         i = self.first(lines, "split")
         assert lines[i].startswith("0\tsplit\t")
-        lines[i] = "7" + lines[i][1:]
-        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: expected node index 0, found '7'"):
+        want, lines[i] = lines[i], "7" + lines[i][1:]
+        with pytest.raises(ValueError, match=self.differs(i, want, lines[i])):
             self.load(tmp_path, lines)
 
     def test_leaf_fields_past_the_value(self, tmp_path, lines):
         i = self.first(lines, "leaf")
-        lines[i] = "\t".join(lines[i].split("\t")[:3] + ["x", "y", "z"])
-        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: a leaf's last three fields must be '-'"):
+        want, lines[i] = lines[i], "\t".join(lines[i].split("\t")[:3] + ["x", "y", "z"])
+        with pytest.raises(ValueError, match=self.differs(i, want, lines[i])):
             self.load(tmp_path, lines)
 
     def test_node_no_split_reaches(self, tmp_path):
@@ -481,12 +488,12 @@ class TestMalformedModel:
 
     def test_tree_count_differs_from_header(self, tmp_path, lines):
         lines[0] = "n_trees\t4"
-        with pytest.raises(ValueError, match=r"model.txt:1: n_trees is 4 but the file has 3 trees"):
+        with pytest.raises(ValueError, match=self.differs(0, "n_trees\t3", "n_trees\t4")):
             self.load(tmp_path, lines)
 
     def test_missing_importance_section(self, tmp_path, lines):
         lines = lines[: lines.index("importance")]
-        with pytest.raises(ValueError, match=rf"model.txt:{len(lines) + 1}: missing importance section"):
+        with pytest.raises(ValueError, match=self.differs(len(lines), "importance", None)):
             self.load(tmp_path, lines)
 
     @pytest.mark.parametrize("value", ["0.0", "-0.5", "1.5"])
@@ -499,18 +506,63 @@ class TestMalformedModel:
 
     def test_importance_for_unknown_feature(self, tmp_path, lines):
         # save_model would drop the line, so a load and save would change the file
-        lines.insert(lines.index("importance") + 1, "zzz\t1.0")
-        i = lines.index("zzz\t1.0")
-        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: importance for unknown feature 'zzz'"):
+        i = lines.index("importance") + 1
+        lines.insert(i, "zzz\t1.0")
+        with pytest.raises(ValueError, match=self.differs(i, lines[i + 1], "zzz\t1.0")):
             self.load(tmp_path, lines)
 
-    def test_missing_and_repeated_importance_names_load(self, tmp_path, lines):
-        # fit writes a repeated name when feature_names repeats one
-        start = lines.index("importance") + 1
-        lines[start + 1] = lines[start].split("\t")[0] + "\t50.0"
-        del lines[start + 2]
-        model = self.load(tmp_path, lines)
-        assert set(model.importance) < set(model.feature_names)
+    def test_repeated_feature_name_loads_and_resaves(self, tmp_path):
+        # fit writes a repeated name, and an importance line for each copy
+        X, y = random_problem(np.random.default_rng(11), d=3)
+        model = fit(X, y, TrainConfig(n_trees=3, max_depth=2), feature_names=["a", "b", "a"])
+        save_model(model, str(tmp_path / "good.txt"))
+        lines = (tmp_path / "good.txt").read_text().splitlines()
+        assert lines[3] == "features\ta\tb\ta" and lines[-1].startswith("a\t")
+        save_model(self.load(tmp_path, lines), str(tmp_path / "again.txt"))
+        assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "good.txt").read_bytes()
+        # importance lines that disagree with the header are refused at their line
+        i = len(lines) - 1
+        with pytest.raises(ValueError, match=self.differs(i, lines[i], lines[i - 1])):
+            self.load(tmp_path, [*lines[:i], lines[i - 1]])  # b's line for the second a
+        with pytest.raises(ValueError, match=self.differs(i, lines[i], None)):
+            self.load(tmp_path, lines[:i])  # the second a's line dropped
+
+    @pytest.mark.parametrize(
+        "edit", ["repeated_importance", "dropped_importance", "swapped_importance", "blank_line"]
+    )
+    def test_lines_save_model_would_not_write(self, tmp_path, lines, edit):
+        # each used to load, and a save then wrote another file
+        i = lines.index("importance") + 2  # the second importance line
+        if edit == "blank_line":  # in the header, a tree, the importance lines and at the end
+            for j in (1, self.first(lines, "leaf"), i, len(lines)):
+                with pytest.raises(ValueError, match=rf"model.txt:{j + 1}: expected "):
+                    self.load(tmp_path, [*lines[:j], "", *lines[j:]])
+            return
+        want = lines[i]
+        if edit == "repeated_importance":
+            lines.insert(i, lines[i - 1])
+        elif edit == "dropped_importance":
+            want = want.split("\t")[0] + "\t0.0"  # save_model's line for a feature without one
+            del lines[i]
+        else:
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        with pytest.raises(ValueError, match=self.differs(i, want, lines[i])):
+            self.load(tmp_path, lines)
+
+    def test_line_endings_save_model_never_writes(self, tmp_path, lines):
+        # read_lines reads each of them as the same lines
+        path = tmp_path / "model.txt"
+        text = "\n".join(lines) + "\n"
+        last = len(lines) - 1
+        for bad, i, found in [
+            (text.replace("\n", "\r\n"), 0, lines[0] + "\r\n"),
+            (text.replace(lines[1] + "\n", lines[1] + "\r", 1), 1, lines[1] + "\r"),
+            (text[:-1], last, lines[last]),
+        ]:
+            path.write_bytes(bad.encode())
+            reason = "save_model writes %r here, found %r" % (lines[i] + "\n", found)
+            with pytest.raises(ValueError, match=re.escape(f"model.txt:{i + 1}: {reason}")):
+                load_model(str(path))
 
     @pytest.mark.parametrize("i, line", [(1, "shrinkage\t-0.5"), (-1, "zzz\t1.0")])
     def test_cli_rank_refuses_what_fit_never_writes(self, tmp_path, lines, capsys, i, line):
@@ -528,17 +580,9 @@ class TestMalformedModel:
         assert err.startswith(f"error: {path}:{i + 1}: "), err
 
     @pytest.mark.parametrize(
-        "i, line, reason",
-        [
-            (0, "n_trees\t+0", "int '+0' is written '0'"),
-            (1, "shrinkage\t0.50", "float '0.50' is written '0.5'"),
-            (2, "base\t1e0", "float '1e0' is written '1.0'"),
-            (5, "f0\t0", "float '0' is written '0.0'"),
-        ],
+        "i, line", [(0, "n_trees\t+0"), (1, "shrinkage\t0.50"), (2, "base\t1e0"), (5, "f0\t0")]
     )
-    def test_cli_rank_refuses_numbers_save_model_writes_otherwise(
-        self, tmp_path, capsys, i, line, reason
-    ):
+    def test_cli_rank_refuses_numbers_save_model_writes_otherwise(self, tmp_path, capsys, i, line):
         # each loads to the value of the original line, so a load and save
         # would rewrite the number and change the file
         from clickrec import cli
@@ -547,7 +591,7 @@ class TestMalformedModel:
             "n_trees\t0", "shrinkage\t0.5", "base\t1.0", "features\tf0", "importance", "f0\t0.0"
         ]
         assert self.load(tmp_path, lines).trees == ()
-        lines[i] = line
+        want, lines[i] = lines[i], line
         path = tmp_path / "model.txt"
         path.write_text("\n".join(lines) + "\n")
         code = cli.main(
@@ -555,7 +599,7 @@ class TestMalformedModel:
         )
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {path}:{i + 1}: {reason}"), err
+        assert re.match(f"error: {re.escape(str(tmp_path))}/{self.differs(i, want, line)}", err), err
 
     def test_cli_rank_reports_error(self, tmp_path, lines, capsys):
         from clickrec import cli

@@ -84,7 +84,7 @@ class TestSynth:
         sibling_moves = 0
         for i in range(SMALL["n_topics"]):
             t = f"t{i:03d}"
-            for q2 in cand.csq(t, st):
+            for q2 in cand.co_session_strengths(t, st):
                 if q2.startswith("t") and " " not in q2 and q2 != t:
                     g1, g2 = i // synth.SIBLINGS_PER_GROUP, int(q2[1:]) // synth.SIBLINGS_PER_GROUP
                     if g1 == g2:

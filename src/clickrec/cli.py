@@ -58,10 +58,16 @@ def _apply(cfg, path: str | None):
     return cfg
 
 
-def _write(path: str, lines: list[str]) -> None:
+def _write(path: str, lines: list[str], tail: bytes = b"") -> None:
+    """Write each line and its newline ("\n" alone for no lines), then the
+    bytes of tail, which is already UTF-8."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for line in lines or [""]:
+            fh.write(line)
+            fh.write("\n")
+        fh.flush()
+        fh.buffer.write(tail)
 
 
 def _parse_file(path: str, parse):
@@ -137,12 +143,13 @@ def cmd_assign(args) -> int:
     return 0
 
 
-def _build_dataset(args):
+def _dataset(build, args):
+    """build (pipeline.build_dataset or feature_matrix) on the log and taxonomy."""
     stats, sessions, lex = _prepare(args.log)
     pairs = pipeline.generate_candidates(stats, sessions, lex)
     assignments = _assignments(stats, args.taxonomy)
     clusters = taxonomy.cluster_trivial_variants(stats)
-    dataset = pipeline.build_dataset(
+    return build(
         pairs,
         stats,
         sessions,
@@ -152,23 +159,12 @@ def _build_dataset(args):
         neg_ratio=args.neg_ratio,
         seed=args.seed or 0,
     )
-    return dataset
-
-
-def _dataset_matrix_rows(dataset):
-    return [
-        (r.q1, r.q2, "+".join(sorted(r.kinds)) if r.kinds else "-", r.fv)
-        for r in dataset.rows
-    ]
 
 
 def cmd_features(args) -> int:
-    dataset = _build_dataset(args)
-    _write(
-        os.path.join(args.out, "features.tsv"),
-        feat.feature_matrix_lines(_dataset_matrix_rows(dataset)),
-    )
-    print(f"{len(dataset.rows)} feature rows")
+    matrix = _dataset(pipeline.feature_matrix, args)
+    _write(os.path.join(args.out, "features.tsv"), matrix.lines, matrix.tail)
+    print(f"{matrix.rows} feature rows")
     return 0
 
 
@@ -206,7 +202,7 @@ def cmd_rank(args) -> int:
 
 def cmd_crossval(args) -> int:
     cfg = _apply(gbdt.TrainConfig(), args.config)
-    report = pipeline.run_crossval(_build_dataset(args), cfg)
+    report = pipeline.run_crossval(_dataset(pipeline.build_dataset, args), cfg)
     _write(os.path.join(args.out, "report.tsv"), report.lines())
     for m in pipeline.ALL_METHODS:
         n, a = report.metrics[m]

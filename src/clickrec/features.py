@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .candidates import CO_CLICK, CO_SESSION, CO_TOPIC, SessionStats, ctq, freq_topic
@@ -267,13 +268,20 @@ def build_features(
     )
 
 
-def feature_matrix_lines(rows: list[tuple[str, str, str, FeatureVector]]) -> list[str]:
-    """TSV dump: header, then q1/q2/kind keys followed by numeric columns."""
-    lines = ["\t".join(_COLUMNS)]
-    row = "%s\t%s\t%s\t" + "\t".join(["%.12g"] * _N_FEATURES) + "\t"
+_ROW = "%s\t%s\t%s\t" + "\t".join(["%.12g"] * _N_FEATURES) + "\t"
+
+
+def feature_matrix_lines(rows: Iterable[tuple[str, str, str, FeatureVector]]) -> list[str]:
+    """TSV dump: header, then matrix_row_lines(rows)."""
+    return ["\t".join(_COLUMNS), *matrix_row_lines(rows)]
+
+
+def matrix_row_lines(rows: Iterable[tuple[str, str, str, FeatureVector]]) -> list[str]:
+    """One feature matrix line per row: q1/q2/kind keys, then numeric columns."""
+    lines = []
     for q1, q2, kind, fv in rows:
         sim = "-" if fv.sim is None else "%.12g" % fv.sim
-        lines.append(row % (q1, q2, kind, *fv.values()) + sim)
+        lines.append(_ROW % (q1, q2, kind, *fv.values()) + sim)
     return lines
 
 

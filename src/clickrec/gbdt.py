@@ -58,7 +58,8 @@ class Ensemble:
     """``base`` plus ``shrinkage`` times each tree's leaf, all trees in one node array.
 
     The trees lie one after another, each in preorder; ``trees`` holds their
-    roots.  A split node i sends a row to ``child[2 * i]`` when
+    roots, and ``roots`` holds them as the array ``predict`` starts from.
+    A split node i sends a row to ``child[2 * i]`` when
     ``x[feature[i]] <= threshold[i]`` and to ``child[2 * i + 1]`` otherwise.
     A leaf has feature -1 and holds ``value`` (split nodes keep 0).  It is its
     own child, so a row that reaches a leaf early stays there while the
@@ -72,6 +73,7 @@ class Ensemble:
     train_mse: tuple[float, ...]
     shrinkage: float
     trees: tuple[int, ...]
+    roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     child: np.ndarray
@@ -98,6 +100,7 @@ class Ensemble:
             train_mse,
             shrinkage,
             trees=roots,
+            roots=np.array(roots, dtype=np.intp),
             feature=np.array(feature, dtype=np.intp),
             threshold=np.array([x for t in trees for x in t[1]], dtype=np.float64),
             child=np.array(child, dtype=np.intp),
@@ -316,7 +319,7 @@ def percent_of_peak(raw: dict[str, float]) -> dict[str, float]:
 
 def _leaf_values(model: Ensemble, X: np.ndarray) -> np.ndarray:
     """(rows, trees) values of the leaf each row of X reaches in each tree."""
-    node = np.broadcast_to(model.trees, (len(X), len(model.trees)))
+    node = np.broadcast_to(model.roots, (len(X), len(model.roots)))
     row_start = (np.arange(len(X)) * X.shape[1])[:, None]
     flat = X.ravel()
     for _ in range(model.levels):

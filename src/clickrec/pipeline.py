@@ -11,7 +11,8 @@ import random
 import signal
 import zlib
 from collections import Counter
-from typing import NamedTuple, NoReturn
+from collections.abc import Callable
+from typing import NamedTuple, NoReturn, TypeVar
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import evaluation as ev
 from . import gbdt
 from .candidates import CandidatePair, build_session_stats
 from .features import FEATURE_NAMES, FeatureContext, FeatureVector, build_features
+from .features import feature_matrix_lines, matrix_row_lines
 from .logs import ClickStats, Session, nogc
 from .taxonomy import CategoryAssignment, grade, query_similarity
 
@@ -98,21 +100,82 @@ def build_dataset(
 
     pairs must be generate_candidates(stats, sessions, lex): a row's P_cc,
     P_ct and P_cs are the strengths its pairs carry, 0 for a kind it lacks.
-    Rows are dropped when either query lacks a voted category or when q2 is
-    a trivial variant of q1.  Negatives are drawn uniformly from categorized
-    queries, excluding self pairs, existing pairs and variant mates; their
-    target is their true computed category similarity.  Raises ValueError
-    when neg_ratio x the candidate rows exceeds the free pairs left to draw.
+    _select_rows chooses the rows and their order, and raises ValueError when
+    too few pairs are free for the negatives; _row_builder's step builds each
+    row.
+    """
+    keys = _select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
+    build_row = _row_builder(stats, sessions, lex, assignments)
+    return Dataset([build_row(*key) for key in keys])
+
+
+class FeatureMatrix(NamedTuple):
+    """The feature matrix file: lines, each with a newline, then tail."""
+
+    rows: int  # the rows below the header
+    lines: list[str]  # the header, then the first rows' lines
+    tail: bytes  # the UTF-8 text of the other rows' lines, each ended by "\n"
+
+
+def feature_matrix(
+    pairs: list[CandidatePair],
+    stats: ClickStats,
+    sessions: list[Session],
+    lex: frozenset[str],
+    assignments: dict[str, CategoryAssignment],
+    clusters: dict[str, int],
+    neg_ratio: float = 1.0,
+    seed: int = 0,
+) -> FeatureMatrix:
+    """feature_matrix_lines of build_dataset's rows, for the same arguments.
+
+    Once the rows are selected, a forked child builds and formats the second
+    half of them while this process does the first (_fork_halves), and sends
+    back only the text of its lines, so its rows never exist here as objects.
+    """
+    keys = _select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
+    build_row = _row_builder(stats, sessions, lex, assignments)
+    h = len(keys) // 2
+
+    def matrix_rows(part):
+        for key in part:
+            r = build_row(*key)
+            yield r.q1, r.q2, "+".join(sorted(r.kinds)) or "-", r.fv
+
+    def child_text() -> bytes:
+        lines = matrix_row_lines(matrix_rows(keys[h:]))
+        return "".join([line + "\n" for line in lines]).encode("utf-8")
+
+    head, tail = _fork_halves(lambda: feature_matrix_lines(matrix_rows(keys[:h])), child_text)
+    return FeatureMatrix(len(keys), head, tail)
+
+
+def _select_rows(
+    pairs: list[CandidatePair],
+    stats: ClickStats,
+    assignments: dict[str, CategoryAssignment],
+    clusters: dict[str, int],
+    neg_ratio: float,
+    seed: int,
+) -> list[tuple[str, str, dict[str, float]]]:
+    """The (q1, q2, strengths) key of each dataset row, in row order.
+
+    Candidate pairs come first, grouped as {(q1, q2): {kind: strength}} in
+    sorted order, then random negatives with empty strengths.  A pair is
+    dropped when either query lacks a voted category or when q2 is a trivial
+    variant of q1.  Negatives are drawn uniformly from categorized queries,
+    excluding self pairs, existing pairs and variant mates.  Raises
+    ValueError when neg_ratio x the candidate rows exceeds the free pairs
+    left to draw.
     """
     if not (math.isfinite(neg_ratio) and neg_ratio >= 0):
         raise ValueError("neg_ratio must be a finite number >= 0")
-    ctx = FeatureContext(stats, build_session_stats(sessions), lex)
 
     def categorized(q: str) -> bool:
         a = assignments.get(q)
         return a is not None and bool(a.votes)
 
-    rows: list[DatasetRow] = []
+    keys: list[tuple[str, str, dict[str, float]]] = []
     taken: set[tuple[str, str]] = set()
 
     def add_row(q1: str, q2: str, strengths: dict[str, float]) -> None:
@@ -121,8 +184,7 @@ def build_dataset(
             return
         if clusters.get(q1) is not None and clusters.get(q1) == clusters.get(q2):
             return
-        fv = build_features(q1, q2, ctx, strengths, sim=query_similarity(q1, q2, assignments))
-        rows.append(DatasetRow(q1, q2, frozenset(strengths), fv))
+        keys.append((q1, q2, strengths))
         taken.add((q1, q2))
 
     grouped: dict[tuple[str, str], dict[str, float]] = {}
@@ -130,7 +192,7 @@ def build_dataset(
         grouped.setdefault((p.q1, p.q2), {})[p.kind] = p.strength
     for (q1, q2), strengths in sorted(grouped.items()):
         add_row(q1, q2, strengths)
-    n_candidates = len(rows)
+    n_candidates = len(keys)
 
     pool = sorted(q for q in stats.cnt_q if categorized(q))
     wanted = neg_ratio * n_candidates
@@ -149,10 +211,32 @@ def build_dataset(
         )
     n_neg = math.ceil(wanted)
     rng = random.Random(seed)
-    while len(rows) < n_candidates + n_neg:
+    while len(keys) < n_candidates + n_neg:
         add_row(rng.choice(pool), rng.choice(pool), {})
+    return keys
 
-    return Dataset(rows)
+
+def _row_builder(
+    stats: ClickStats,
+    sessions: list[Session],
+    lex: frozenset[str],
+    assignments: dict[str, CategoryAssignment],
+) -> Callable[[str, str, dict[str, float]], DatasetRow]:
+    """The per-row step: (q1, q2, strengths) -> its DatasetRow.
+
+    The target is the pair's true computed category similarity.  One
+    FeatureContext serves every row, and rows with equal kinds share one
+    frozenset.
+    """
+    ctx = FeatureContext(stats, build_session_stats(sessions), lex)
+    kind_sets: dict[frozenset[str], frozenset[str]] = {}
+
+    def build_row(q1: str, q2: str, strengths: dict[str, float]) -> DatasetRow:
+        fv = build_features(q1, q2, ctx, strengths, sim=query_similarity(q1, q2, assignments))
+        kinds = frozenset(strengths)
+        return DatasetRow(q1, q2, kind_sets.setdefault(kinds, kinds), fv)
+
+    return build_row
 
 
 def _fit_folds(
@@ -161,12 +245,32 @@ def _fit_folds(
     """gbdt.fit on each fold's (X, y), fold 1 in a forked child meanwhile.
 
     A fit holds the GIL, so only a second process overlaps the two.  The
-    models and errors are those of fitting fold 0, then fold 1, here: fold
-    0's error first, then fold 1's with its type and message.  The child is
-    reaped on every path.  Where os.fork is missing or fails, fold 1 is fit
-    here after fold 0.
+    models and errors are those of fitting fold 0, then fold 1, here.
     """
     (X0, y0), (X1, y1) = folds
+    model0, data = _fork_halves(
+        lambda: gbdt.fit(X0, y0, cfg, feature_names=FEATURE_NAMES),
+        lambda: pickle.dumps(
+            gbdt.fit(X1, y1, cfg, feature_names=FEATURE_NAMES), pickle.HIGHEST_PROTOCOL
+        ),
+    )
+    return [model0, pickle.loads(data)]
+
+
+_T = TypeVar("_T")
+_SENT, _RAISED = b"s", b"r"  # the first byte a _child writes
+
+
+def _fork_halves(here: Callable[[], _T], there: Callable[[], bytes]) -> tuple[_T, bytes]:
+    """(here(), there()), with there() run in a forked child meanwhile.
+
+    The child sends there()'s bytes, or the exception it raised, pickled,
+    back through a pipe.  Errors are those of calling here(), then there(),
+    in one process: here()'s first (the child is killed), then there()'s
+    with its type and message; a child that exits another way raises
+    ChildProcessError.  The child is reaped on every path.  Where os.fork is
+    missing or fails, there() runs here after here().
+    """
     pid = -1
     if hasattr(os, "fork"):
         others = _other_cpus()
@@ -177,15 +281,16 @@ def _fit_folds(
             os.close(read_fd)
             os.close(write_fd)
     if pid < 0:
-        return [gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES) for X, y in folds]
+        return here(), there()
     if pid == 0:
-        _fit_in_child(X1, y1, cfg, read_fd, write_fd, others)
+        _child(there, read_fd, write_fd, others)
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         try:
-            model0 = gbdt.fit(X0, y0, cfg, feature_names=FEATURE_NAMES)
-            # Read to EOF before waitpid: a pickled fold model outgrows the
-            # pipe buffer, so the child cannot exit until it is read.
+            mine = here()
+            # Read to EOF before waitpid: what the child sends can outgrow
+            # the pipe buffer, so the child cannot exit until it is read.
+            raised = pipe.read(1) == _RAISED
             data = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -194,11 +299,10 @@ def _fit_folds(
             _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
-        raise ChildProcessError(f"the process fitting fold 1 exited with status {code}")
-    outcome, value = pickle.loads(data)
-    if outcome == "error":
-        raise value
-    return [model0, value]
+        raise ChildProcessError(f"the forked child process exited with status {code}")
+    if raised:
+        raise pickle.loads(data)
+    return mine, data
 
 
 def _other_cpus() -> set[int]:
@@ -215,10 +319,10 @@ def _other_cpus() -> set[int]:
         return set()
 
 
-def _fit_in_child(
-    X, y, cfg: gbdt.TrainConfig, read_fd: int, write_fd: int, others: set[int]
+def _child(
+    there: Callable[[], bytes], read_fd: int, write_fd: int, others: set[int]
 ) -> NoReturn:
-    """Fit (X, y), pickle ("ok", model) or ("error", exc) to write_fd, exit.
+    """Write _SENT and there(), or _RAISED and its pickled exception, to write_fd; exit.
 
     It first moves to one of ``others``, the CPUs besides the parent's.
     It leaves only through os._exit, so it never returns into the caller's
@@ -227,21 +331,22 @@ def _fit_in_child(
     status = 1
     try:
         os.close(read_fd)
-        gc.disable()  # one fit, then exit: nothing to collect
+        gc.disable()  # one task, then exit: nothing to collect
         if others:
             # Fork can start the child on the parent's CPU, and the balancer
-            # can leave both fits there for half a fit while a CPU idles.
+            # can leave both processes there for half a task while a CPU idles.
             # Move off once, then let the scheduler place the child freely.
             with contextlib.suppress(OSError):
                 allowed = os.sched_getaffinity(0)
                 os.sched_setaffinity(0, others)
                 os.sched_setaffinity(0, allowed)
         try:
-            outcome = ("ok", gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES))
+            tag, data = _SENT, there()
         except Exception as exc:
-            outcome = ("error", exc)
+            tag, data = _RAISED, pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as pipe:
-            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            pipe.write(tag)
+            pipe.write(data)
         status = 0
     finally:
         os._exit(status)

@@ -6,6 +6,7 @@ a traceback.  ``rank --q1`` also reads its query as the log parser would.
 
 import contextlib
 import io
+import os
 import random
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clickrec import cli, gbdt, synth
+from clickrec import cli, gbdt, pipeline, synth
 from clickrec.features import FEATURE_NAMES, FEATURES, FeatureVector, feature_matrix_lines
 
 # Training keys, then synth keys, which a training config may also hold.
@@ -29,6 +30,21 @@ n_users=30
 n_topics=16
 n_trees=3
 """
+
+
+@pytest.mark.parametrize(
+    "lines, tail",
+    [
+        ([], b""),
+        (["one"], b""),
+        (["q\u00e9\t\u3042", "", "\U0001f600 x"], b""),
+        (["h"], "\u3042\n".encode()),
+    ],
+)
+def test_write_gives_the_joined_lines(tmp_path, lines, tail):
+    path = tmp_path / "new" / "out.tsv"
+    cli._write(str(path), lines, tail)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8") + tail
 
 
 def matrix_lines(n_rows=8):
@@ -411,6 +427,43 @@ class TestNegRatio:
         assert code == 1
         assert err.startswith(f"error: {reason}"), err
         assert "Traceback" not in err
+
+
+class TestNoProcessLeft:
+    """features and crossval reap the child they fork, whatever it does."""
+
+    @pytest.mark.parametrize("child", ["succeeds", "raises", "dies"])
+    @pytest.mark.parametrize("command", ["features", "crossval"])
+    def test_no_child_left(self, monkeypatch, corpus, tmp_path, command, child):
+        parent = os.getpid()
+
+        def failing_in_child(fn):
+            def wrapper(*args, **kwargs):
+                if os.getpid() != parent:
+                    if child == "dies":
+                        os._exit(3)
+                    raise ValueError("failed in the child")
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        if child != "succeeds":
+            # The features child computes its rows' targets; the crossval
+            # child fits fold 1.
+            monkeypatch.setattr(
+                pipeline, "query_similarity", failing_in_child(pipeline.query_similarity)
+            )
+            monkeypatch.setattr(gbdt, "fit", failing_in_child(gbdt.fit))
+        (tmp_path / "train.cfg").write_text("n_trees=3\nmin_leaf=1\n")
+        code, err = run("--config", tmp_path / "train.cfg", "--out", tmp_path / "out", command,
+                        "--log", corpus / "clicks.tsv", "--taxonomy", corpus / "taxonomy.tsv")
+        assert (code, err) == {
+            "succeeds": (0, ""),
+            "raises": (1, "error: failed in the child\n"),
+            "dies": (1, "error: the forked child process exited with status 3\n"),
+        }[child]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # Each makes any UTF-8 text invalid wherever it is inserted: a lone

@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestDataset:
         for r in dataset.rows:
             assert assignments[r.q1].votes and assignments[r.q2].votes
 
+    def test_equal_kinds_share_one_frozenset(self, world, dataset):
+        _, stats, sessions, lex, _, _ = world
+        strengths = {}
+        for p in pipeline.generate_candidates(stats, sessions, lex):
+            strengths.setdefault((p.q1, p.q2), {})[p.kind] = p.strength
+        shared = {}
+        for r in dataset.rows:
+            assert r.kinds == frozenset(strengths.get((r.q1, r.q2), {}))
+            assert shared.setdefault(r.kinds, r.kinds) is r.kinds
+        assert len(shared) > 2
+
     def test_neg_ratio_zero(self, world):
         _, stats, sessions, lex, assignments, clusters = world
         pairs = pipeline.generate_candidates(stats, sessions, lex)
@@ -157,8 +169,9 @@ class TestDataset:
         assert n_neg == n_pos
 
 
-def three_queries(clicked, clusters, neg_ratio):
-    """build_dataset over queries a, b and c, one URL each, all categorized.
+def three_query_inputs(clicked, clusters):
+    """build_dataset's arguments over queries a, b and c, one URL each, all
+    categorized, up to neg_ratio and seed.
 
     One session goes a -> b, so (a, b) is the only candidate pair; only the
     clicked queries are in the click counts, so only they can be drawn.
@@ -174,9 +187,12 @@ def three_queries(clicked, clusters, neg_ratio):
     assignments = {q: taxonomy.CategoryAssignment(q, ("x",), {("x",): 1}) for q in "abc"}
     pairs = pipeline.generate_candidates(stats, sessions, lex)
     assert [(p.q1, p.q2) for p in pairs] == [("a", "b")]
-    return pipeline.build_dataset(
-        pairs, stats, sessions, lex, assignments, clusters, neg_ratio=neg_ratio
-    )
+    return pairs, stats, sessions, lex, assignments, clusters
+
+
+def three_queries(clicked, clusters, neg_ratio):
+    """build_dataset over three_query_inputs(clicked, clusters)."""
+    return pipeline.build_dataset(*three_query_inputs(clicked, clusters), neg_ratio=neg_ratio)
 
 
 class TestNegativeSampling:
@@ -277,6 +293,126 @@ def test_many_variant_mates_leave_enough_free_pairs():
     negatives = [(r.q1, r.q2) for r in dataset.rows if not r.kinds]
     assert len(negatives) == 100
     assert all("z" in pair for pair in negatives)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def dataset_matrix(args, **kw) -> bytes:
+    """features.tsv's bytes: feature_matrix_lines over build_dataset's rows."""
+    rows = [
+        (r.q1, r.q2, "+".join(sorted(r.kinds)) or "-", r.fv)
+        for r in pipeline.build_dataset(*args, **kw).rows
+    ]
+    return ("\n".join(features.feature_matrix_lines(rows)) + "\n").encode("utf-8")
+
+
+def split_matrix(args, **kw) -> bytes:
+    """pipeline.feature_matrix's bytes, after checking which process built which rows."""
+    matrix = pipeline.feature_matrix(*args, **kw)
+    assert len(matrix.lines) == 1 + matrix.rows // 2
+    assert matrix.tail.count(b"\n") == matrix.rows - matrix.rows // 2
+    return ("\n".join(matrix.lines) + "\n").encode("utf-8") + matrix.tail
+
+
+@st.composite
+def matrix_worlds(draw):
+    """build_dataset's arguments, up to neg_ratio and seed, for a random log
+    over non-ASCII queries with random categories (some queries get none)
+    and variant clusters (some queries are in none)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    words = draw(st.lists(st.text("a\u00e9\u3042\U0001f600", min_size=1, max_size=3),
+                          min_size=1, max_size=8))
+    names = [f"q{i} {w}" for i, w in enumerate(words)]
+    records = random_records(
+        rng, draw(st.integers(1, 80)), n_users=draw(st.integers(1, 6)),
+        n_queries=len(names), n_urls=draw(st.integers(1, 8)),
+    )
+    records = [r._replace(query=names[int(r.query[1:])]) for r in records]
+    stats = logs.build_click_stats(records)
+    sessions = logs.segment_sessions(records)
+    lex = frozenset()
+    assignments, clusters = {}, {}
+    for q in sorted(stats.cnt_q):
+        if rng.random() < 0.8:
+            path = rng.choice([("a",), ("a", "b"), ("c",)])
+            assignments[q] = taxonomy.CategoryAssignment(q, path, {path: 1})
+        if rng.random() < 0.3:
+            clusters[q] = rng.randrange(3)
+    pairs = pipeline.generate_candidates(stats, sessions, lex)
+    return pairs, stats, sessions, lex, assignments, clusters
+
+
+class TestFeatureMatrix:
+    """feature_matrix builds its second half of the rows in a forked child."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_worlds(), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_same_bytes_as_the_datasets_matrix(self, args, neg_ratio):
+        try:
+            want = dataset_matrix(args, neg_ratio=neg_ratio, seed=4)
+        except ValueError as exc:  # too few free pairs for the negatives
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                pipeline.feature_matrix(*args, neg_ratio=neg_ratio, seed=4)
+            return
+        assert split_matrix(args, neg_ratio=neg_ratio, seed=4) == want
+        with mock.patch.object(os, "fork", side_effect=OSError("no fork")):
+            assert split_matrix(args, neg_ratio=neg_ratio, seed=4) == want
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "clusters, neg_ratio, n_rows",
+        [({"a": 0, "b": 0}, 0, 0), ({}, 0, 1), ({}, 2, 3), ({}, 4, 5)],
+    )
+    def test_few_rows(self, clusters, neg_ratio, n_rows):
+        args = three_query_inputs("abc", clusters)
+        want = dataset_matrix(args, neg_ratio=neg_ratio)
+        assert want.count(b"\n") == 1 + n_rows
+        assert split_matrix(args, neg_ratio=neg_ratio) == want
+        assert_no_child_left()
+
+    @staticmethod
+    def fail_on(monkeypatch, world, halves, exit_code=None):
+        """Patch query_similarity to fail on the first row of each half named.
+
+        It raises ValueError("<half> row failed in process <pid>"), or with
+        exit_code it leaves its process through os._exit(exit_code).
+        """
+        _, stats, sessions, lex, assignments, clusters = world
+        pairs = pipeline.generate_candidates(stats, sessions, lex)
+        keys = pipeline._select_rows(pairs, stats, assignments, clusters, 1.0, 0)
+        first = {"parent": keys[0][:2], "child": keys[len(keys) // 2][:2]}
+        failing = {first[half]: half for half in halves}
+        similarity = pipeline.query_similarity
+
+        def failing_similarity(q1, q2, assignments):
+            half = failing.get((q1, q2))
+            if half is not None:
+                if exit_code is not None:
+                    os._exit(exit_code)
+                raise ValueError(f"{half} row failed in process {os.getpid()}")
+            return similarity(q1, q2, assignments)
+
+        monkeypatch.setattr(pipeline, "query_similarity", failing_similarity)
+        return pairs, stats, sessions, lex, assignments, clusters
+
+    @pytest.mark.parametrize("halves", [("child",), ("parent",), ("parent", "child")])
+    def test_errors_come_in_row_order(self, monkeypatch, world, halves):
+        args = self.fail_on(monkeypatch, world, halves)
+        with pytest.raises(ValueError, match=r"^\w+ row failed in process \d+$") as info:
+            pipeline.feature_matrix(*args)
+        half, pid = str(info.value).split()[0], int(str(info.value).split()[-1])
+        assert half == halves[0]
+        assert (pid == os.getpid()) == (half == "parent")
+        assert_no_child_left()
+
+    def test_child_that_dies_is_an_error(self, monkeypatch, world):
+        args = self.fail_on(monkeypatch, world, ("child",), exit_code=3)
+        with pytest.raises(ChildProcessError, match="exited with status 3"):
+            pipeline.feature_matrix(*args)
+        assert_no_child_left()
 
 
 @pytest.fixture(scope="module")

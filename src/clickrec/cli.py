@@ -143,26 +143,18 @@ def cmd_assign(args) -> int:
     return 0
 
 
-def _dataset(build, args):
-    """build (pipeline.build_dataset or feature_matrix) on the log and taxonomy."""
+def _rows(args):
+    """pipeline.select_rows' keys and pipeline.row_builder's step for the log and taxonomy."""
     stats, sessions, lex = _prepare(args.log)
     pairs = pipeline.generate_candidates(stats, sessions, lex)
     assignments = _assignments(stats, args.taxonomy)
     clusters = taxonomy.cluster_trivial_variants(stats)
-    return build(
-        pairs,
-        stats,
-        sessions,
-        lex,
-        assignments,
-        clusters,
-        neg_ratio=args.neg_ratio,
-        seed=args.seed or 0,
-    )
+    keys = pipeline.select_rows(pairs, stats, assignments, clusters, args.neg_ratio, args.seed or 0)
+    return keys, pipeline.row_builder(stats, sessions, lex, assignments)
 
 
 def cmd_features(args) -> int:
-    matrix = _dataset(pipeline.feature_matrix, args)
+    matrix = pipeline.feature_matrix(*_rows(args))
     _write(os.path.join(args.out, "features.tsv"), matrix.lines, matrix.tail)
     print(f"{matrix.rows} feature rows")
     return 0
@@ -202,7 +194,7 @@ def cmd_rank(args) -> int:
 
 def cmd_crossval(args) -> int:
     cfg = _apply(gbdt.TrainConfig(), args.config)
-    report = pipeline.run_crossval(_dataset(pipeline.build_dataset, args), cfg)
+    report = pipeline.run_crossval(*_rows(args), cfg)
     _write(os.path.join(args.out, "report.tsv"), report.lines())
     for m in pipeline.ALL_METHODS:
         n, a = report.metrics[m]

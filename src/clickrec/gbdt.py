@@ -413,8 +413,9 @@ def load_model(path: str) -> Ensemble:
 
     The file must be exactly what save_model writes for the model it holds,
     so a load followed by a save never changes it.  The parse checks what
-    building the model needs; one comparison with ``_model_lines`` then
-    refuses every other spelling, at the first line that differs.
+    building the model needs, and each node line's index, so a node line
+    lost or added is named where it is; one comparison with ``_model_lines``
+    then refuses every other spelling, at the first line that differs.
     """
     lines = read_lines(path)
     with open(path, "rb") as fh:
@@ -464,6 +465,9 @@ def load_model(path: str) -> Ensemble:
         claimed: set[int] = set()  # nodes already some split's child
         for i in range(count):
             parts = fields(6)
+            if parts[0] != str(i):  # a node line lost, added or misnumbered
+                rest = lines[lineno - 1][len(parts[0]) :] + "\n"
+                fail(f"save_model writes {str(i) + rest!r} here, found {parts[0] + rest!r}")
             if i > 0 and i not in claimed:  # every parent precedes its children
                 fail(f"node {i} is no split's child")
             if parts[1] == "leaf":

@@ -41,6 +41,10 @@ class Dataset(NamedTuple):
     rows: list[DatasetRow]  # every pair of a q1 is in fold fold_of(q1)
 
 
+RowKey = tuple[str, str, dict[str, float]]  # (q1, q2, strengths), as select_rows gives
+RowStep = Callable[[str, str, dict[str, float]], DatasetRow]  # as row_builder gives
+
+
 class CrossvalReport(NamedTuple):
     metrics: dict[str, tuple[float, float]]  # method -> (NDCG5, MAP)
     wilcoxon: dict[str, tuple[float, float] | None]  # vs-method -> (stat, p)
@@ -100,12 +104,12 @@ def build_dataset(
 
     pairs must be generate_candidates(stats, sessions, lex): a row's P_cc,
     P_ct and P_cs are the strengths its pairs carry, 0 for a kind it lacks.
-    _select_rows chooses the rows and their order, and raises ValueError when
-    too few pairs are free for the negatives; _row_builder's step builds each
-    row.
+    select_rows chooses the rows and their order, and raises ValueError when
+    too few pairs are free for the negatives; row_builder's step builds each
+    row, all in this process.
     """
-    keys = _select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
-    build_row = _row_builder(stats, sessions, lex, assignments)
+    keys = select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
+    build_row = row_builder(stats, sessions, lex, assignments)
     return Dataset([build_row(*key) for key in keys])
 
 
@@ -117,24 +121,13 @@ class FeatureMatrix(NamedTuple):
     tail: bytes  # the UTF-8 text of the other rows' lines, each ended by "\n"
 
 
-def feature_matrix(
-    pairs: list[CandidatePair],
-    stats: ClickStats,
-    sessions: list[Session],
-    lex: frozenset[str],
-    assignments: dict[str, CategoryAssignment],
-    clusters: dict[str, int],
-    neg_ratio: float = 1.0,
-    seed: int = 0,
-) -> FeatureMatrix:
-    """feature_matrix_lines of build_dataset's rows, for the same arguments.
+def feature_matrix(keys: list[RowKey], build_row: RowStep) -> FeatureMatrix:
+    """feature_matrix_lines of the rows build_row builds for keys, in key order.
 
-    Once the rows are selected, a forked child builds and formats the second
-    half of them while this process does the first (_fork_halves), and sends
-    back only the text of its lines, so its rows never exist here as objects.
+    A forked child builds and formats the second half of the rows while
+    this process does the first (_fork_halves), and sends back only the
+    text of its lines, so its rows never exist here as objects.
     """
-    keys = _select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
-    build_row = _row_builder(stats, sessions, lex, assignments)
     h = len(keys) // 2
 
     def matrix_rows(part):
@@ -150,14 +143,14 @@ def feature_matrix(
     return FeatureMatrix(len(keys), head, tail)
 
 
-def _select_rows(
+def select_rows(
     pairs: list[CandidatePair],
     stats: ClickStats,
     assignments: dict[str, CategoryAssignment],
     clusters: dict[str, int],
     neg_ratio: float,
     seed: int,
-) -> list[tuple[str, str, dict[str, float]]]:
+) -> list[RowKey]:
     """The (q1, q2, strengths) key of each dataset row, in row order.
 
     Candidate pairs come first, grouped as {(q1, q2): {kind: strength}} in
@@ -216,12 +209,12 @@ def _select_rows(
     return keys
 
 
-def _row_builder(
+def row_builder(
     stats: ClickStats,
     sessions: list[Session],
     lex: frozenset[str],
     assignments: dict[str, CategoryAssignment],
-) -> Callable[[str, str, dict[str, float]], DatasetRow]:
+) -> RowStep:
     """The per-row step: (q1, q2, strengths) -> its DatasetRow.
 
     The target is the pair's true computed category similarity.  One
@@ -239,24 +232,6 @@ def _row_builder(
     return build_row
 
 
-def _fit_folds(
-    folds: list[tuple[np.ndarray, np.ndarray]], cfg: gbdt.TrainConfig
-) -> list[gbdt.Ensemble]:
-    """gbdt.fit on each fold's (X, y), fold 1 in a forked child meanwhile.
-
-    A fit holds the GIL, so only a second process overlaps the two.  The
-    models and errors are those of fitting fold 0, then fold 1, here.
-    """
-    (X0, y0), (X1, y1) = folds
-    model0, data = _fork_halves(
-        lambda: gbdt.fit(X0, y0, cfg, feature_names=FEATURE_NAMES),
-        lambda: pickle.dumps(
-            gbdt.fit(X1, y1, cfg, feature_names=FEATURE_NAMES), pickle.HIGHEST_PROTOCOL
-        ),
-    )
-    return [model0, pickle.loads(data)]
-
-
 _T = TypeVar("_T")
 _SENT, _RAISED = b"s", b"r"  # the first byte a _child writes
 
@@ -269,17 +244,18 @@ def _fork_halves(here: Callable[[], _T], there: Callable[[], bytes]) -> tuple[_T
     in one process: here()'s first (the child is killed), then there()'s
     with its type and message; a child that exits another way raises
     ChildProcessError.  The child is reaped on every path.  Where os.fork is
-    missing or fails, there() runs here after here().
+    missing, or a pipe or a fork cannot be made, there() runs here after
+    here().
     """
-    pid = -1
+    pid, fds = -1, ()
     if hasattr(os, "fork"):
         others = _other_cpus()
-        read_fd, write_fd = os.pipe()
         try:
+            fds = read_fd, write_fd = os.pipe()
             pid = os.fork()
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in fds:
+                os.close(fd)
     if pid < 0:
         return here(), there()
     if pid == 0:
@@ -352,34 +328,48 @@ def _child(
         os._exit(status)
 
 
-def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig) -> CrossvalReport:
+def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) -> CrossvalReport:
     """Two-fold CV: train on one fold, rank candidate rows of the other.
 
-    Besides the learned model, the single-signal rankings and unweighted
-    sums of min-max-normalized signals are evaluated on the same folds.
-    Each method is one score per test candidate; a query's candidates are
-    ranked by (-score, q2).
+    The rows are those build_row builds for keys, and a key's fold is
+    fold_of(q1).  Besides the learned model, the single-signal rankings and
+    unweighted sums of min-max-normalized signals are evaluated on the same
+    folds.  Each method is one score per test candidate; a query's
+    candidates are ranked by (-score, q2).
+
+    A fit holds the GIL, so only a second process overlaps the two: a forked
+    child builds fold 1's rows and fits them while this process does fold 0
+    (_fork_halves).  The child sends back its model and its candidate rows'
+    features and targets, pickled, and no row object.
     """
-    for f in (0, 1):
-        if not any(fold_of(r.q1) == f for r in dataset.rows):
+    folds = [[key for key in keys if fold_of(key[0]) == f] for f in (0, 1)]
+    for f, fold in enumerate(folds):
+        if not fold:
             raise ValueError(f"fold {f} is empty")
+
+    def fit_fold(fold: list[RowKey]) -> tuple[gbdt.Ensemble, np.ndarray, np.ndarray]:
+        """The fold's model, then its candidate rows' features and targets."""
+        rows = [build_row(*key) for key in fold]
+        X = np.array([r.fv.values() for r in rows])
+        y = np.array([r.fv.sim for r in rows])
+        del rows  # the fit needs only the matrix
+        is_candidate = np.array([bool(key[2]) for key in fold])
+        return gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES), X[is_candidate], y[is_candidate]
+
+    fit0, data = _fork_halves(
+        lambda: fit_fold(folds[0]),
+        lambda: pickle.dumps(fit_fold(folds[1]), pickle.HIGHEST_PROTOCOL),
+    )
+    fits = [fit0, pickle.loads(data)]
 
     rankings: dict[str, list[list[float]]] = {m: [] for m in ALL_METHODS}
     raw_importance = {n: 0.0 for n in FEATURE_NAMES}
-
-    folds = []
-    for train_fold in (0, 1):
-        train_rows = [r for r in dataset.rows if fold_of(r.q1) == train_fold]
-        X = np.array([r.fv.values() for r in train_rows])
-        y = np.array([r.fv.sim for r in train_rows])
-        folds.append((X, y))
-
-    for train_fold, model in enumerate(_fit_folds(folds, cfg)):
+    for train_fold, (model, _, _) in enumerate(fits):
         for name, val in model.importance.items():
             raw_importance[name] += val
 
-        test_cand = [r for r in dataset.rows if r.kinds and fold_of(r.q1) != train_fold]
-        X_cand = np.array([r.fv.values() for r in test_cand]).reshape(-1, len(FEATURE_NAMES))
+        _, X_cand, y_cand = fits[1 - train_fold]
+        test_cand = [key for key in folds[1 - train_fold] if key[2]]
         scores = {"GBDT": gbdt.predict(model, X_cand)}
         normed = {}
         for p in SINGLE_METHODS:
@@ -390,15 +380,15 @@ def run_crossval(dataset: Dataset, cfg: gbdt.TrainConfig) -> CrossvalReport:
         for m in COMBO_METHODS:
             scores[m] = sum((normed[p] for p in m.split("+")), np.zeros(len(test_cand)))
         scores = {m: col.tolist() for m, col in scores.items()}
-        grades = [grade(r.fv.sim)[1] for r in test_cand]
+        grades = [grade(sim)[1] for sim in y_cand.tolist()]
 
         by_q1: dict[str, list[int]] = {}
-        for i, r in enumerate(test_cand):
-            by_q1.setdefault(r.q1, []).append(i)
+        for i, (q1, _, _) in enumerate(test_cand):
+            by_q1.setdefault(q1, []).append(i)
         for q1 in sorted(by_q1):
             for m in ALL_METHODS:
                 score = scores[m]
-                order = sorted(by_q1[q1], key=lambda i: (-score[i], test_cand[i].q2))
+                order = sorted(by_q1[q1], key=lambda i: (-score[i], test_cand[i][1]))
                 rankings[m].append([grades[i] for i in order])
 
     ndcg = {m: [ev.ndcg5(r) for r in rankings[m]] for m in ALL_METHODS}

@@ -190,12 +190,11 @@ def test_criterion_6_end_to_end_direction_of_effect():
     index = taxonomy.load_taxonomy(taxo)
     assignments = {q: taxonomy.assign_category(q, index) for q in stats.queries}
     clusters = taxonomy.cluster_trivial_variants(stats)
-    dataset = pipeline.build_dataset(
-        pairs, stats, sessions, lex, assignments, clusters, seed=cfg.seed
-    )
-    assert len({r.q1 for r in dataset.rows}) >= 200, "needs >= 200 original queries"
-    assert len(dataset.rows) >= 5000, "needs >= 5000 pairs"
-    report = pipeline.run_crossval(dataset, gbdt.TrainConfig(n_trees=100))
+    keys = pipeline.select_rows(pairs, stats, assignments, clusters, 1.0, cfg.seed)
+    assert len({q1 for q1, _, _ in keys}) >= 200, "needs >= 200 original queries"
+    assert len(keys) >= 5000, "needs >= 5000 pairs"
+    build_row = pipeline.row_builder(stats, sessions, lex, assignments)
+    report = pipeline.run_crossval(keys, build_row, gbdt.TrainConfig(n_trees=100))
     g_ndcg, g_map = report.metrics["GBDT"]
     for m in pipeline.SINGLE_METHODS:
         s_ndcg, s_map = report.metrics[m]

@@ -5,6 +5,7 @@ a traceback.  ``rank --q1`` also reads its query as the log parser would.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_output_bytes as pinned
 from clickrec import cli, gbdt, pipeline, synth
 from clickrec.features import FEATURE_NAMES, FEATURES, FeatureVector, feature_matrix_lines
 
@@ -427,6 +429,33 @@ class TestNegRatio:
         assert code == 1
         assert err.startswith(f"error: {reason}"), err
         assert "Traceback" not in err
+
+
+def test_no_command_builds_the_whole_dataset(monkeypatch, tmp_path):
+    """features and crossval keep their pinned bytes without build_dataset,
+    which builds every row in one process."""
+    (tmp_path / "corpus.cfg").write_text(pinned.CONFIG)
+
+    def run_pinned(out, *argv):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["--config", str(tmp_path / "corpus.cfg"), "--seed", "5",
+                             "--out", str(tmp_path / out), *map(str, argv)])
+        assert code == 0
+        return stdout.getvalue()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_dataset called")
+
+    run_pinned("data", "synth")
+    monkeypatch.setattr(pipeline, "build_dataset", refuse)
+    data = tmp_path / "data"
+    inputs = ["--log", data / "clicks.tsv", "--taxonomy", data / "taxonomy.tsv"]
+    run_pinned("features", "features", *inputs)
+    (tmp_path / "crossval.txt").write_text(run_pinned("crossval", "crossval", *inputs))
+    names = ["features/features.tsv", "crossval/report.tsv", "crossval.txt"]
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+    assert got == {name: pinned.DIGESTS[name] for name in names}
 
 
 class TestNoProcessLeft:

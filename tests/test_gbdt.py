@@ -486,6 +486,16 @@ class TestMalformedModel:
         with pytest.raises(ValueError, match=r"model.txt:7: node 1 is no split's child"):
             self.load(tmp_path, lines)
 
+    @pytest.mark.parametrize("tree", [0, 1])
+    def test_node_line_lost(self, tmp_path, lines, tree):
+        # Node 2's line is read as node 1's; without the index check node 1
+        # would parse and the fault would be named a line later.
+        i = [j for j, ln in enumerate(lines) if ln.startswith("1\t")][tree]
+        del lines[i]
+        assert lines[i].startswith("2\t")
+        with pytest.raises(ValueError, match=self.differs(i, "1" + lines[i][1:], lines[i])):
+            self.load(tmp_path, lines)
+
     def test_tree_count_differs_from_header(self, tmp_path, lines):
         lines[0] = "n_trees\t4"
         with pytest.raises(ValueError, match=self.differs(0, "n_trees\t3", "n_trees\t4")):

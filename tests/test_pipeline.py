@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import os
 import pickle
 import random
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import crossval_reference
 from clickrec import candidates as cand
 from clickrec import features, gbdt, logs, pipeline, synth, taxonomy
 from conftest import cli_env, random_records
@@ -46,6 +49,21 @@ def dataset(world):
     return pipeline.build_dataset(
         pairs, stats, sessions, lex, assignments, clusters, seed=2
     )
+
+
+def split_rows(args, neg_ratio=1.0, seed=0):
+    """select_rows' keys and row_builder's step for build_dataset's arguments."""
+    pairs, stats, sessions, lex, assignments, clusters = args
+    keys = pipeline.select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
+    return keys, pipeline.row_builder(stats, sessions, lex, assignments)
+
+
+@pytest.fixture(scope="module")
+def rows(world):
+    """The keys and row step of the dataset fixture's rows."""
+    _, stats, sessions, lex, assignments, clusters = world
+    pairs = pipeline.generate_candidates(stats, sessions, lex)
+    return split_rows((pairs, stats, sessions, lex, assignments, clusters), seed=2)
 
 
 class TestSynth:
@@ -311,7 +329,7 @@ def dataset_matrix(args, **kw) -> bytes:
 
 def split_matrix(args, **kw) -> bytes:
     """pipeline.feature_matrix's bytes, after checking which process built which rows."""
-    matrix = pipeline.feature_matrix(*args, **kw)
+    matrix = pipeline.feature_matrix(*split_rows(args, **kw))
     assert len(matrix.lines) == 1 + matrix.rows // 2
     assert matrix.tail.count(b"\n") == matrix.rows - matrix.rows // 2
     return ("\n".join(matrix.lines) + "\n").encode("utf-8") + matrix.tail
@@ -355,7 +373,7 @@ class TestFeatureMatrix:
             want = dataset_matrix(args, neg_ratio=neg_ratio, seed=4)
         except ValueError as exc:  # too few free pairs for the negatives
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                pipeline.feature_matrix(*args, neg_ratio=neg_ratio, seed=4)
+                pipeline.feature_matrix(*split_rows(args, neg_ratio=neg_ratio, seed=4))
             return
         assert split_matrix(args, neg_ratio=neg_ratio, seed=4) == want
         with mock.patch.object(os, "fork", side_effect=OSError("no fork")):
@@ -382,7 +400,7 @@ class TestFeatureMatrix:
         """
         _, stats, sessions, lex, assignments, clusters = world
         pairs = pipeline.generate_candidates(stats, sessions, lex)
-        keys = pipeline._select_rows(pairs, stats, assignments, clusters, 1.0, 0)
+        keys = pipeline.select_rows(pairs, stats, assignments, clusters, 1.0, 0)
         first = {"parent": keys[0][:2], "child": keys[len(keys) // 2][:2]}
         failing = {first[half]: half for half in halves}
         similarity = pipeline.query_similarity
@@ -402,7 +420,7 @@ class TestFeatureMatrix:
     def test_errors_come_in_row_order(self, monkeypatch, world, halves):
         args = self.fail_on(monkeypatch, world, halves)
         with pytest.raises(ValueError, match=r"^\w+ row failed in process \d+$") as info:
-            pipeline.feature_matrix(*args)
+            pipeline.feature_matrix(*split_rows(args))
         half, pid = str(info.value).split()[0], int(str(info.value).split()[-1])
         assert half == halves[0]
         assert (pid == os.getpid()) == (half == "parent")
@@ -411,13 +429,13 @@ class TestFeatureMatrix:
     def test_child_that_dies_is_an_error(self, monkeypatch, world):
         args = self.fail_on(monkeypatch, world, ("child",), exit_code=3)
         with pytest.raises(ChildProcessError, match="exited with status 3"):
-            pipeline.feature_matrix(*args)
+            pipeline.feature_matrix(*split_rows(args))
         assert_no_child_left()
 
 
 @pytest.fixture(scope="module")
-def report(dataset):
-    return pipeline.run_crossval(dataset, gbdt.TrainConfig(n_trees=40))
+def report(rows):
+    return pipeline.run_crossval(*rows, gbdt.TrainConfig(n_trees=40))
 
 
 class TestCrossval:
@@ -435,10 +453,10 @@ class TestCrossval:
         assert sum(1 for ln in lines if ln.startswith("wilcoxon\t")) == 3
         assert sum(1 for ln in lines if ln.startswith("importance\t")) == 23
 
-    def test_determinism(self, dataset):
+    def test_determinism(self, rows):
         cfg = gbdt.TrainConfig(n_trees=10)
-        r1 = pipeline.run_crossval(dataset, cfg)
-        r2 = pipeline.run_crossval(dataset, cfg)
+        r1 = pipeline.run_crossval(*rows, cfg)
+        r2 = pipeline.run_crossval(*rows, cfg)
         assert r1.lines() == r2.lines()
 
     def test_degenerate_counts_queries_with_only_zero_grades(self):
@@ -447,7 +465,7 @@ class TestCrossval:
         # other query has one sim-0 candidate and two that grade above 0.
         assert [pipeline.fold_of(f"q{i}") for i in range(8)] == [0] * 4 + [1] * 4
         rng = random.Random(11)
-        rows = []
+        rows = {}
         for i in range(8):
             q1 = f"q{i}"
             sims = [0.0, 0.0, 0.0] if i % 4 == 0 else [0.0, 0.2, 0.9]
@@ -455,17 +473,42 @@ class TestCrossval:
                 values = [rng.randint(0, 9) if typ is int else rng.random()
                           for _, _, typ in features.FEATURES]
                 fv = features.FeatureVector(*values, sim=sim)
-                rows.append(pipeline.DatasetRow(q1, f"{q1}r{j}", frozenset({"co_click"}), fv))
+                q2 = f"{q1}r{j}"
+                rows[q1, q2] = pipeline.DatasetRow(q1, q2, frozenset({"co_click"}), fv)
+        keys = [(q1, q2, {"co_click": 1.0}) for q1, q2 in rows]
         report = pipeline.run_crossval(
-            pipeline.Dataset(rows), gbdt.TrainConfig(n_trees=3, min_leaf=1)
+            keys, lambda q1, q2, strengths: rows[q1, q2], gbdt.TrainConfig(n_trees=3, min_leaf=1)
         )
         assert report.n_queries == 8
         assert report.n_degenerate == 2
 
-    def test_empty_fold_detected(self, dataset):
-        broken = pipeline.Dataset([r for r in dataset.rows if pipeline.fold_of(r.q1) == 0])
+    def test_empty_fold_detected(self, rows):
+        keys, build_row = rows
+        broken = [key for key in keys if pipeline.fold_of(key[0]) == 0]
         with pytest.raises(ValueError):
-            pipeline.run_crossval(broken, gbdt.TrainConfig(n_trees=2))
+            pipeline.run_crossval(broken, build_row, gbdt.TrainConfig(n_trees=2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_worlds(), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_same_report_as_the_reference(self, args, neg_ratio):
+        """Forked, without a fork and by the one-process reference: one report, or one error."""
+        cfg = gbdt.TrainConfig(n_trees=3, min_leaf=1)
+        error = None
+        try:
+            dataset = pipeline.build_dataset(*args, neg_ratio=neg_ratio, seed=4)
+            want = crossval_reference.run_crossval(dataset, cfg).lines()
+        except ValueError as exc:  # an empty fold, a fold too small to fit or too few free pairs
+            error = exc
+        no_fork = mock.patch.object(os, "fork", side_effect=OSError("no fork"))
+        for context in (contextlib.nullcontext(), no_fork):
+            with context:
+                if error is None:
+                    report = pipeline.run_crossval(*split_rows(args, neg_ratio, 4), cfg)
+                    assert report.lines() == want
+                else:
+                    with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                        pipeline.run_crossval(*split_rows(args, neg_ratio, 4), cfg)
+        assert_no_child_left()
 
 
 class TestFoldFits:
@@ -506,23 +549,23 @@ class TestFoldFits:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("folds", [(1,), (0,), (0, 1)])
-    def test_errors_come_in_fold_order(self, monkeypatch, dataset, folds):
+    def test_errors_come_in_fold_order(self, monkeypatch, dataset, rows, folds):
         self.fail_on(monkeypatch, dataset, folds)
         with pytest.raises(ValueError, match=r"^fold \d failed in process \d+$") as info:
-            pipeline.run_crossval(dataset, self.CFG)
+            pipeline.run_crossval(*rows, self.CFG)
         fold, pid = map(int, re.findall(r"\d+", str(info.value)))
         assert fold == min(folds)
         # Fold 1's error comes from the child, fold 0's from this process.
         assert (pid == os.getpid()) == (fold == 0)
         self.assert_no_child_left()
 
-    def test_child_that_dies_is_an_error(self, monkeypatch, dataset):
+    def test_child_that_dies_is_an_error(self, monkeypatch, dataset, rows):
         self.fail_on(monkeypatch, dataset, (1,), exit_code=3)
         with pytest.raises(ChildProcessError, match="exited with status 3"):
-            pipeline.run_crossval(dataset, self.CFG)
+            pipeline.run_crossval(*rows, self.CFG)
         self.assert_no_child_left()
 
-    def test_without_fork_fits_both_folds_here(self, monkeypatch, dataset):
+    def test_without_fork_fits_both_folds_here(self, monkeypatch, dataset, rows):
         # Fold 1's pickled model outgrows a 64 KiB pipe buffer, so the child
         # exits only once its pipe is read: waiting first would hang.
         cfg = gbdt.TrainConfig(n_trees=100)
@@ -534,7 +577,7 @@ class TestFoldFits:
         handler = signal.signal(signal.SIGALRM, self.timeout)
         signal.alarm(60)
         try:
-            forked = pipeline.run_crossval(dataset, cfg)
+            forked = pipeline.run_crossval(*rows, cfg)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, handler)
@@ -552,8 +595,29 @@ class TestFoldFits:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(gbdt, "fit", recording_fit)
-        assert pipeline.run_crossval(dataset, cfg).lines() == forked.lines()
+        assert pipeline.run_crossval(*rows, cfg).lines() == forked.lines()
         assert pids == [os.getpid()] * 2
+
+
+@pytest.mark.parametrize("run", ["feature_matrix", "run_crossval"])
+def test_a_pipe_that_cannot_be_made_runs_both_halves_here(monkeypatch, rows, run):
+    """A full descriptor table falls back like a failed fork, not to an error."""
+    output = {
+        "feature_matrix": lambda: pipeline.feature_matrix(*rows),
+        "run_crossval": lambda: pipeline.run_crossval(*rows, gbdt.TrainConfig(n_trees=5)).lines(),
+    }[run]
+    forked = output()
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    def refuse():
+        raise AssertionError("os.fork called without a pipe")
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert output() == forked
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
@@ -570,7 +634,7 @@ class TestChildPlacement:
         else:
             assert others == set()
 
-    def test_child_moves_then_restores_its_mask(self, monkeypatch, dataset):
+    def test_child_moves_then_restores_its_mask(self, monkeypatch, rows):
         allowed = os.sched_getaffinity(0)
         calls = []
         set_affinity = os.sched_setaffinity
@@ -592,13 +656,13 @@ class TestChildPlacement:
         monkeypatch.setattr(os, "sched_setaffinity", recording_set)
         monkeypatch.setattr(gbdt, "fit", report_calls)
         with pytest.raises(ValueError) as info:
-            pipeline.run_crossval(dataset, self.CFG)
+            pipeline.run_crossval(*rows, self.CFG)
         assert str(info.value) == repr([sorted(others), sorted(allowed)])
         assert calls == []  # only the child moved
         assert os.sched_getaffinity(0) == allowed
 
-    def test_no_other_cpu_means_no_move(self, monkeypatch, dataset):
-        expected = pipeline.run_crossval(dataset, self.CFG).lines()
+    def test_no_other_cpu_means_no_move(self, monkeypatch, rows):
+        expected = pipeline.run_crossval(*rows, self.CFG).lines()
 
         def refuse(pid, cpus):
             raise AssertionError("sched_setaffinity called")
@@ -606,17 +670,17 @@ class TestChildPlacement:
         monkeypatch.setattr(pipeline, "_other_cpus", set)
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         # A call would end the child with status 1: a ChildProcessError here.
-        assert pipeline.run_crossval(dataset, self.CFG).lines() == expected
+        assert pipeline.run_crossval(*rows, self.CFG).lines() == expected
 
-    def test_a_refused_move_still_fits(self, monkeypatch, dataset):
-        expected = pipeline.run_crossval(dataset, self.CFG).lines()
+    def test_a_refused_move_still_fits(self, monkeypatch, rows):
+        expected = pipeline.run_crossval(*rows, self.CFG).lines()
 
         def refuse(pid, cpus):
             raise OSError("not permitted")
 
         monkeypatch.setattr(pipeline, "_other_cpus", lambda: {0})
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
-        assert pipeline.run_crossval(dataset, self.CFG).lines() == expected
+        assert pipeline.run_crossval(*rows, self.CFG).lines() == expected
 
 
 class TestCLI:

@@ -58,16 +58,13 @@ def _apply(cfg, path: str | None):
     return cfg
 
 
-def _write(path: str, lines: list[str], tail: bytes = b"") -> None:
-    """Write each line and its newline ("\n" alone for no lines), then the
-    bytes of tail, which is already UTF-8."""
+def _write(path: str, lines: list[str]) -> None:
+    """Write each line and its newline ("\n" alone for no lines)."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines or [""]:
             fh.write(line)
             fh.write("\n")
-        fh.flush()
-        fh.buffer.write(tail)
 
 
 def _parse_file(path: str, parse):
@@ -154,9 +151,9 @@ def _rows(args):
 
 
 def cmd_features(args) -> int:
-    matrix = pipeline.feature_matrix(*_rows(args))
-    _write(os.path.join(args.out, "features.tsv"), matrix.lines, matrix.tail)
-    print(f"{matrix.rows} feature rows")
+    lines = pipeline.feature_matrix(*_rows(args))
+    _write(os.path.join(args.out, "features.tsv"), lines)
+    print(f"{len(lines) - 1} feature rows")
     return 0
 
 

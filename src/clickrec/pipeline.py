@@ -42,7 +42,7 @@ class Dataset(NamedTuple):
 
 
 RowKey = tuple[str, str, dict[str, float]]  # (q1, q2, strengths), as select_rows gives
-RowStep = Callable[[str, str, dict[str, float]], DatasetRow]  # as row_builder gives
+RowStep = Callable[[str, str, dict[str, float]], FeatureVector]  # as row_builder gives
 
 
 class CrossvalReport(NamedTuple):
@@ -106,41 +106,38 @@ def build_dataset(
     P_ct and P_cs are the strengths its pairs carry, 0 for a kind it lacks.
     select_rows chooses the rows and their order, and raises ValueError when
     too few pairs are free for the negatives; row_builder's step builds each
-    row, all in this process.
+    row's features, all in this process.  Rows with equal kinds share one
+    frozenset.
     """
     keys = select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
     build_row = row_builder(stats, sessions, lex, assignments)
-    return Dataset([build_row(*key) for key in keys])
+    kind_sets: dict[frozenset[str], frozenset[str]] = {}
+    rows = []
+    for q1, q2, strengths in keys:
+        kinds = frozenset(strengths)
+        fv = build_row(q1, q2, strengths)
+        rows.append(DatasetRow(q1, q2, kind_sets.setdefault(kinds, kinds), fv))
+    return Dataset(rows)
 
 
-class FeatureMatrix(NamedTuple):
-    """The feature matrix file: lines, each with a newline, then tail."""
-
-    rows: int  # the rows below the header
-    lines: list[str]  # the header, then the first rows' lines
-    tail: bytes  # the UTF-8 text of the other rows' lines, each ended by "\n"
-
-
-def feature_matrix(keys: list[RowKey], build_row: RowStep) -> FeatureMatrix:
+def feature_matrix(keys: list[RowKey], build_row: RowStep) -> list[str]:
     """feature_matrix_lines of the rows build_row builds for keys, in key order.
 
     A forked child builds and formats the second half of the rows while
-    this process does the first (_fork_halves), and sends back only the
-    text of its lines, so its rows never exist here as objects.
+    this process does the first (_fork_halves), and sends back only their
+    lines, so its rows never exist here as objects.
     """
     h = len(keys) // 2
 
     def matrix_rows(part):
-        for key in part:
-            r = build_row(*key)
-            yield r.q1, r.q2, "+".join(sorted(r.kinds)) or "-", r.fv
+        for q1, q2, strengths in part:
+            yield q1, q2, "+".join(sorted(strengths)) or "-", build_row(q1, q2, strengths)
 
-    def child_text() -> bytes:
-        lines = matrix_row_lines(matrix_rows(keys[h:]))
-        return "".join([line + "\n" for line in lines]).encode("utf-8")
-
-    head, tail = _fork_halves(lambda: feature_matrix_lines(matrix_rows(keys[:h])), child_text)
-    return FeatureMatrix(len(keys), head, tail)
+    head, tail = _fork_halves(
+        lambda: feature_matrix_lines(matrix_rows(keys[:h])),
+        lambda: matrix_row_lines(matrix_rows(keys[h:])),
+    )
+    return head + tail
 
 
 def select_rows(
@@ -215,32 +212,29 @@ def row_builder(
     lex: frozenset[str],
     assignments: dict[str, CategoryAssignment],
 ) -> RowStep:
-    """The per-row step: (q1, q2, strengths) -> its DatasetRow.
+    """The per-row step: (q1, q2, strengths) -> the pair's FeatureVector.
 
-    The target is the pair's true computed category similarity.  One
-    FeatureContext serves every row, and rows with equal kinds share one
-    frozenset.
+    Its target, sim, is the pair's true computed category similarity.  One
+    FeatureContext serves every row.
     """
     ctx = FeatureContext(stats, build_session_stats(sessions), lex)
-    kind_sets: dict[frozenset[str], frozenset[str]] = {}
 
-    def build_row(q1: str, q2: str, strengths: dict[str, float]) -> DatasetRow:
-        fv = build_features(q1, q2, ctx, strengths, sim=query_similarity(q1, q2, assignments))
-        kinds = frozenset(strengths)
-        return DatasetRow(q1, q2, kind_sets.setdefault(kinds, kinds), fv)
+    def build_row(q1: str, q2: str, strengths: dict[str, float]) -> FeatureVector:
+        return build_features(q1, q2, ctx, strengths, sim=query_similarity(q1, q2, assignments))
 
     return build_row
 
 
 _T = TypeVar("_T")
-_SENT, _RAISED = b"s", b"r"  # the first byte a _child writes
+_U = TypeVar("_U")
 
 
-def _fork_halves(here: Callable[[], _T], there: Callable[[], bytes]) -> tuple[_T, bytes]:
+def _fork_halves(here: Callable[[], _T], there: Callable[[], _U]) -> tuple[_T, _U]:
     """(here(), there()), with there() run in a forked child meanwhile.
 
-    The child sends there()'s bytes, or the exception it raised, pickled,
-    back through a pipe.  Errors are those of calling here(), then there(),
+    The child sends what there() returned, or the exception it raised, back
+    through a pipe as one pickle, which is loaded only once the child has
+    exited with status 0.  Errors are those of calling here(), then there(),
     in one process: here()'s first (the child is killed), then there()'s
     with its type and message; a child that exits another way raises
     ChildProcessError.  The child is reaped on every path.  Where os.fork is
@@ -266,7 +260,6 @@ def _fork_halves(here: Callable[[], _T], there: Callable[[], bytes]) -> tuple[_T
             mine = here()
             # Read to EOF before waitpid: what the child sends can outgrow
             # the pipe buffer, so the child cannot exit until it is read.
-            raised = pipe.read(1) == _RAISED
             data = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -276,9 +269,10 @@ def _fork_halves(here: Callable[[], _T], there: Callable[[], bytes]) -> tuple[_T
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise ChildProcessError(f"the forked child process exited with status {code}")
+    raised, theirs = pickle.loads(data)
     if raised:
-        raise pickle.loads(data)
-    return mine, data
+        raise theirs
+    return mine, theirs
 
 
 def _other_cpus() -> set[int]:
@@ -295,14 +289,13 @@ def _other_cpus() -> set[int]:
         return set()
 
 
-def _child(
-    there: Callable[[], bytes], read_fd: int, write_fd: int, others: set[int]
-) -> NoReturn:
-    """Write _SENT and there(), or _RAISED and its pickled exception, to write_fd; exit.
+def _child(there: Callable[[], object], read_fd: int, write_fd: int, others: set[int]) -> NoReturn:
+    """Pickle (False, there()), or (True, the exception it raised), to write_fd; exit.
 
     It first moves to one of ``others``, the CPUs besides the parent's.
     It leaves only through os._exit, so it never returns into the caller's
-    stack, runs no atexit handler and flushes no inherited buffer.
+    stack, runs no atexit handler and flushes no inherited buffer.  A value
+    or exception that cannot be pickled ends it with status 1.
     """
     status = 1
     try:
@@ -317,12 +310,11 @@ def _child(
                 os.sched_setaffinity(0, others)
                 os.sched_setaffinity(0, allowed)
         try:
-            tag, data = _SENT, there()
+            sent = False, there()
         except Exception as exc:
-            tag, data = _RAISED, pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+            sent = True, exc
         with open(write_fd, "wb") as pipe:
-            pipe.write(tag)
-            pipe.write(data)
+            pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
@@ -340,7 +332,7 @@ def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) 
     A fit holds the GIL, so only a second process overlaps the two: a forked
     child builds fold 1's rows and fits them while this process does fold 0
     (_fork_halves).  The child sends back its model and its candidate rows'
-    features and targets, pickled, and no row object.
+    features and targets, and no row object.
     """
     folds = [[key for key in keys if fold_of(key[0]) == f] for f in (0, 1)]
     for f, fold in enumerate(folds):
@@ -349,18 +341,14 @@ def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) 
 
     def fit_fold(fold: list[RowKey]) -> tuple[gbdt.Ensemble, np.ndarray, np.ndarray]:
         """The fold's model, then its candidate rows' features and targets."""
-        rows = [build_row(*key) for key in fold]
-        X = np.array([r.fv.values() for r in rows])
-        y = np.array([r.fv.sim for r in rows])
-        del rows  # the fit needs only the matrix
+        fvs = [build_row(*key) for key in fold]
+        X = np.array([fv.values() for fv in fvs])
+        y = np.array([fv.sim for fv in fvs])
+        del fvs  # the fit needs only the matrix
         is_candidate = np.array([bool(key[2]) for key in fold])
         return gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES), X[is_candidate], y[is_candidate]
 
-    fit0, data = _fork_halves(
-        lambda: fit_fold(folds[0]),
-        lambda: pickle.dumps(fit_fold(folds[1]), pickle.HIGHEST_PROTOCOL),
-    )
-    fits = [fit0, pickle.loads(data)]
+    fits = _fork_halves(lambda: fit_fold(folds[0]), lambda: fit_fold(folds[1]))
 
     rankings: dict[str, list[list[float]]] = {m: [] for m in ALL_METHODS}
     raw_importance = {n: 0.0 for n in FEATURE_NAMES}

@@ -20,6 +20,19 @@ def collector_left_enabled():
         pytest.fail("test left the cyclic garbage collector disabled")
 
 
+def assert_no_child_left():
+    """This process has no child, running or exited and unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def child_left_unreaped():
+    """Fail any test that leaves a child process unreaped."""
+    yield
+    assert_no_child_left()
+
+
 def cli_env() -> dict[str, str]:
     """Environment for ``python -m clickrec.cli`` run from any directory."""
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import crossval_reference
 from clickrec import candidates as cand
 from clickrec import features, gbdt, logs, pipeline, synth, taxonomy
-from conftest import cli_env, random_records
+from conftest import assert_no_child_left, cli_env, random_records
 
 
 SMALL = dict(n_topics=16, n_users=30, n_events=6000, seed=5)
@@ -313,9 +313,25 @@ def test_many_variant_mates_leave_enough_free_pairs():
     assert all("z" in pair for pair in negatives)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def no_fork():
+    """A patch that makes os.fork fail, as where no process can be started."""
+    return mock.patch.object(os, "fork", side_effect=OSError("no fork"))
 
 
 def dataset_matrix(args, **kw) -> bytes:
@@ -327,12 +343,20 @@ def dataset_matrix(args, **kw) -> bytes:
     return ("\n".join(features.feature_matrix_lines(rows)) + "\n").encode("utf-8")
 
 
-def split_matrix(args, **kw) -> bytes:
-    """pipeline.feature_matrix's bytes, after checking which process built which rows."""
-    matrix = pipeline.feature_matrix(*split_rows(args, **kw))
-    assert len(matrix.lines) == 1 + matrix.rows // 2
-    assert matrix.tail.count(b"\n") == matrix.rows - matrix.rows // 2
-    return ("\n".join(matrix.lines) + "\n").encode("utf-8") + matrix.tail
+def split_matrix(args, forked=True, **kw) -> bytes:
+    """pipeline.feature_matrix's bytes, after checking that this process
+    built the first half of the rows in key order, and the second half too
+    unless forked."""
+    keys, build_row = split_rows(args, **kw)
+    built_here = []
+
+    def recording_build_row(*key):
+        built_here.append(key)
+        return build_row(*key)
+
+    lines = pipeline.feature_matrix(keys, recording_build_row)
+    assert built_here == (keys[: len(keys) // 2] if forked else keys)
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 @st.composite
@@ -376,8 +400,8 @@ class TestFeatureMatrix:
                 pipeline.feature_matrix(*split_rows(args, neg_ratio=neg_ratio, seed=4))
             return
         assert split_matrix(args, neg_ratio=neg_ratio, seed=4) == want
-        with mock.patch.object(os, "fork", side_effect=OSError("no fork")):
-            assert split_matrix(args, neg_ratio=neg_ratio, seed=4) == want
+        with no_fork():
+            assert split_matrix(args, forked=False, neg_ratio=neg_ratio, seed=4) == want
         assert_no_child_left()
 
     @pytest.mark.parametrize(
@@ -477,7 +501,7 @@ class TestCrossval:
                 rows[q1, q2] = pipeline.DatasetRow(q1, q2, frozenset({"co_click"}), fv)
         keys = [(q1, q2, {"co_click": 1.0}) for q1, q2 in rows]
         report = pipeline.run_crossval(
-            keys, lambda q1, q2, strengths: rows[q1, q2], gbdt.TrainConfig(n_trees=3, min_leaf=1)
+            keys, lambda q1, q2, strengths: rows[q1, q2].fv, gbdt.TrainConfig(n_trees=3, min_leaf=1)
         )
         assert report.n_queries == 8
         assert report.n_degenerate == 2
@@ -499,8 +523,7 @@ class TestCrossval:
             want = crossval_reference.run_crossval(dataset, cfg).lines()
         except ValueError as exc:  # an empty fold, a fold too small to fit or too few free pairs
             error = exc
-        no_fork = mock.patch.object(os, "fork", side_effect=OSError("no fork"))
-        for context in (contextlib.nullcontext(), no_fork):
+        for context in (contextlib.nullcontext(), no_fork()):
             with context:
                 if error is None:
                     report = pipeline.run_crossval(*split_rows(args, neg_ratio, 4), cfg)
@@ -509,6 +532,45 @@ class TestCrossval:
                     with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
                         pipeline.run_crossval(*split_rows(args, neg_ratio, 4), cfg)
         assert_no_child_left()
+
+
+class TestForkHalves:
+    """_fork_halves sends what the child's half returns back as one pickle."""
+
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_a_value_larger_than_the_pipe_buffer(self, forked):
+        # The child can exit only once this process has read its pipe.
+        value = [str(i).rjust(100, "x") for i in range(2000)]
+        assert len(pickle.dumps(value, pickle.HIGHEST_PROTOCOL)) > 65536
+        with deadline(60), contextlib.nullcontext() if forked else no_fork():
+            mine, theirs = pipeline._fork_halves(os.getpid, lambda: (os.getpid(), value))
+        assert mine == os.getpid()
+        assert (theirs[0] != mine) == forked
+        assert theirs[1] == value
+        assert_no_child_left()
+
+    def test_an_unpicklable_value_is_an_error(self):
+        def there():
+            return lambda: None
+
+        with pytest.raises(ChildProcessError, match="exited with status 1"):
+            pipeline._fork_halves(lambda: None, there)
+        assert_no_child_left()
+        with no_fork():
+            assert pipeline._fork_halves(lambda: None, there)[1]() is None
+
+    def test_an_unpicklable_exception_is_an_error(self):
+        class LocalError(Exception):
+            pass
+
+        def there():
+            raise LocalError("raised by there()")
+
+        with pytest.raises(ChildProcessError, match="exited with status 1"):
+            pipeline._fork_halves(lambda: None, there)
+        assert_no_child_left()
+        with no_fork(), pytest.raises(LocalError, match=r"^raised by there\(\)$"):
+            pipeline._fork_halves(lambda: None, there)
 
 
 class TestFoldFits:
@@ -539,15 +601,6 @@ class TestFoldFits:
 
         monkeypatch.setattr(gbdt, "fit", failing_fit)
 
-    @staticmethod
-    def timeout(signum, frame):
-        raise TimeoutError("run_crossval did not return within 60 s")
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("folds", [(1,), (0,), (0, 1)])
     def test_errors_come_in_fold_order(self, monkeypatch, dataset, rows, folds):
         self.fail_on(monkeypatch, dataset, folds)
@@ -557,13 +610,13 @@ class TestFoldFits:
         assert fold == min(folds)
         # Fold 1's error comes from the child, fold 0's from this process.
         assert (pid == os.getpid()) == (fold == 0)
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_child_that_dies_is_an_error(self, monkeypatch, dataset, rows):
         self.fail_on(monkeypatch, dataset, (1,), exit_code=3)
         with pytest.raises(ChildProcessError, match="exited with status 3"):
             pipeline.run_crossval(*rows, self.CFG)
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_without_fork_fits_both_folds_here(self, monkeypatch, dataset, rows):
         # Fold 1's pickled model outgrows a 64 KiB pipe buffer, so the child
@@ -574,17 +627,9 @@ class TestFoldFits:
         )))
         model1 = gbdt.fit(X1, y1, cfg, feature_names=features.FEATURE_NAMES)
         assert len(pickle.dumps(("ok", model1), pickle.HIGHEST_PROTOCOL)) > 65536
-        handler = signal.signal(signal.SIGALRM, self.timeout)
-        signal.alarm(60)
-        try:
+        with deadline(60):
             forked = pipeline.run_crossval(*rows, cfg)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, handler)
-        self.assert_no_child_left()
-
-        def no_fork():
-            raise OSError("no fork")
+        assert_no_child_left()
 
         pids = []
         fit = gbdt.fit
@@ -593,9 +638,9 @@ class TestFoldFits:
             pids.append(os.getpid())
             return fit(X, y, cfg, **kw)
 
-        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(gbdt, "fit", recording_fit)
-        assert pipeline.run_crossval(*rows, cfg).lines() == forked.lines()
+        with no_fork():
+            assert pipeline.run_crossval(*rows, cfg).lines() == forked.lines()
         assert pids == [os.getpid()] * 2
 
 

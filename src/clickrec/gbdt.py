@@ -61,6 +61,8 @@ class Ensemble:
     roots, and ``roots`` holds them as the array ``predict`` starts from.
     A split node i sends a row to ``child[2 * i]`` when
     ``x[feature[i]] <= threshold[i]`` and to ``child[2 * i + 1]`` otherwise.
+    Preorder fixes both: the left child is node i + 1, and the right child
+    is the first node past the left child's subtree.
     A leaf has feature -1 and holds ``value`` (split nodes keep 0).  It is its
     own child, so a row that reaches a leaf early stays there while the
     deeper trees finish: ``levels`` steps, the splits on the longest
@@ -82,17 +84,21 @@ class Ensemble:
 
     @classmethod
     def from_trees(cls, base, trees, feature_names, importance, train_mse=(), shrinkage=0.1):
-        """The model of preorder trees, each (feature, threshold, child, value)
-        lists laid out as in the class, with child indices counted from the
-        tree's root.
+        """The model of trees, each (feature, threshold, value) lists of its
+        nodes in preorder; one backward pass derives ``child`` and ``levels``.
         """
         roots = tuple(accumulate([0] + [len(t[0]) for t in trees]))[:-1]
         feature = [f for t in trees for f in t[0]]
-        child = [c + root for t, root in zip(trees, roots) for c in t[2]]
-        level = [0] * len(feature)
-        for i, f in enumerate(feature):
-            if f >= 0:  # preorder: a parent's level is set before its children's
-                level[child[2 * i]] = level[child[2 * i + 1]] = level[i] + 1
+        n = len(feature)
+        child = [i // 2 for i in range(2 * n)]  # a leaf is its own child
+        end = list(range(1, n + 1))  # one past the last node of i's subtree
+        height = [0] * n  # the splits on the longest path down from i
+        for i in reversed(range(n)):
+            if feature[i] >= 0:
+                right = end[i + 1]
+                child[2 * i : 2 * i + 2] = i + 1, right
+                end[i] = end[right]
+                height[i] = 1 + max(height[i + 1], height[right])
         return cls(
             base,
             feature_names,
@@ -104,8 +110,8 @@ class Ensemble:
             feature=np.array(feature, dtype=np.intp),
             threshold=np.array([x for t in trees for x in t[1]], dtype=np.float64),
             child=np.array(child, dtype=np.intp),
-            value=np.array([v for t in trees for v in t[3]], dtype=np.float64),
-            levels=max(level, default=0),
+            value=np.array([v for t in trees for v in t[2]], dtype=np.float64),
+            levels=max(height, default=0),
         )
 
 
@@ -200,18 +206,15 @@ class _Grower:
         X, go_left, work = self.X, self.go_left, self.work
         feature: list[int] = []
         threshold: list[float] = []
-        child: list[int] = []
         value: list[float] = []
         gain: list[float] = []
         leaf_of = np.empty(len(r), dtype=np.intp)
-        # (start, end, depth, parent whose right child this is or -1,
-        #  (rows, value) for a node already known to be a leaf, else None)
-        stack = [(0, len(r), 0, -1, self._leaf(0, self.order[d], r))]
+        # (start, end, depth, (rows, value) for a node already known to be a
+        #  leaf, else None); left children are pushed last, so nodes pop in preorder
+        stack = [(0, len(r), 0, self._leaf(0, self.order[d], r))]
         while stack:
-            s, e, depth, parent, leaf = stack.pop()
+            s, e, depth, leaf = stack.pop()
             node = len(feature)
-            if parent >= 0:
-                child[2 * parent + 1] = node
             seg = (self.order if node == 0 else work)[:, s:e]
             found = None if leaf else self._best_split(seg, r)
             if found is None:
@@ -219,7 +222,6 @@ class _Grower:
                 leaf_of[rows] = node
                 feature.append(-1)
                 threshold.append(0.0)
-                child += node, node
                 value.append(v)
                 gain.append(0.0)
                 continue
@@ -230,7 +232,6 @@ class _Grower:
                 thr = lo_v  # adjacent floats: route left iff value <= lo
             feature.append(f)
             threshold.append(thr)
-            child += node + 1, -1  # the right child is set when it is reached
             value.append(0.0)
             gain.append(g)
 
@@ -253,9 +254,9 @@ class _Grower:
                 if right_half is not None:
                     work[:, s + nl : e] = right_half.reshape(d + 1, e - s - nl)
             go_left[left_rows] = False
-            stack.append((s + nl, e, depth + 1, node, right_leaf))
-            stack.append((s, s + nl, depth + 1, -1, left_leaf))
-        return (feature, threshold, child, value), gain, leaf_of
+            stack.append((s + nl, e, depth + 1, right_leaf))
+            stack.append((s, s + nl, depth + 1, left_leaf))
+        return (feature, threshold, value), gain, leaf_of
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises ValueError below
@@ -291,7 +292,7 @@ def fit(
     for _ in range(cfg.n_trees):
         r = y - pred
         tree, gains, leaf_of = grower.grow(r)
-        feature, _, _, value = tree
+        feature, _, value = tree
         if len(feature) == 1 and value[0] == 0.0:  # also ends a perfect fit
             train_mse.append(float(np.mean(r**2)))
             break
@@ -414,8 +415,10 @@ def load_model(path: str) -> Ensemble:
     The file must be exactly what save_model writes for the model it holds,
     so a load followed by a save never changes it.  The parse checks what
     building the model needs, and each node line's index, so a node line
-    lost or added is named where it is; one comparison with ``_model_lines``
-    then refuses every other spelling, at the first line that differs.
+    lost or added is named where it is.  A tree's nodes run until its
+    preorder closes, which fixes its node count and child indices; one
+    comparison with ``_model_lines`` then refuses every other spelling,
+    those fields included, at the first line that differs.
     """
     lines = read_lines(path)
     with open(path, "rb") as fh:
@@ -458,37 +461,28 @@ def load_model(path: str) -> Ensemble:
     names = fields(key="features")[1:]
     trees: list[tuple[list, ...]] = []
     while lineno < len(lines) and lines[lineno].startswith("tree\t"):
-        count = number(int, fields(4)[3])
-        if count < 1:
-            fail(f"tree has {count} nodes")
-        feature, threshold, child, value = tree = ([], [], [], [])
-        claimed: set[int] = set()  # nodes already some split's child
-        for i in range(count):
+        fields(4)  # the node count and child indices are left to the comparison
+        feature, threshold, value = tree = ([], [], [])
+        unread = 1  # subtrees begun and not yet read: a split begins two
+        while unread:
+            i = len(feature)
             parts = fields(6)
             if parts[0] != str(i):  # a node line lost, added or misnumbered
                 rest = lines[lineno - 1][len(parts[0]) :] + "\n"
                 fail(f"save_model writes {str(i) + rest!r} here, found {parts[0] + rest!r}")
-            if i > 0 and i not in claimed:  # every parent precedes its children
-                fail(f"node {i} is no split's child")
             if parts[1] == "leaf":
-                f, thr, kids, v = -1, 0.0, (i, i), number(float, parts[2])
+                f, thr, v = -1, 0.0, number(float, parts[2])
+                unread -= 1
             elif parts[1] == "split":
                 f = number(int, parts[2])
                 if not 0 <= f < len(names):
                     fail(f"feature index {f} out of range")
-                kids = number(int, parts[4]), number(int, parts[5])
-                for k in kids:
-                    if not i < k < count:
-                        fail(f"child index {k} out of range")
-                    if k in claimed:
-                        fail(f"node {k} has two parents")
-                    claimed.add(k)
                 thr, v = number(float, parts[3]), 0.0
+                unread += 1
             else:
                 fail(f"unknown node kind {parts[1]!r}")
             feature.append(f)
             threshold.append(thr)
-            child += kids
             value.append(v)
         trees.append(tree)
     if lineno < len(lines):  # a missing section is refused below

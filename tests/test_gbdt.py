@@ -34,12 +34,7 @@ def make_fv(**overrides):
 def stump(feature, threshold, left_value, right_value):
     """Root split on x[feature] <= threshold with two leaves, in preorder,
     as Ensemble.from_trees takes a tree."""
-    return (
-        [feature, -1, -1],
-        [threshold, 0.0, 0.0],
-        [1, 2, 1, 1, 2, 2],
-        [0.0, left_value, right_value],
-    )
+    return [feature, -1, -1], [threshold, 0.0, 0.0], [0.0, left_value, right_value]
 
 
 def random_problem(rng, n=80, d=5):
@@ -423,18 +418,16 @@ class TestMalformedModel:
         i = self.first(lines, "split")
         parts = lines[i].split("\t")
         parts[5] = "99"
-        lines[i] = "\t".join(parts)
-        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: child index 99 out of range"):
+        want, lines[i] = lines[i], "\t".join(parts)
+        with pytest.raises(ValueError, match=self.differs(i, want, lines[i])):
             self.load(tmp_path, lines)
 
     def test_node_with_two_parents(self, tmp_path, lines):
-        # A node reached from two splits has no one depth, so the level-by-
-        # level walk could stop a row at a split node.
         i = self.first(lines, "split")
         parts = lines[i].split("\t")
         parts[4] = parts[5]
-        lines[i] = "\t".join(parts)
-        with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: node {parts[5]} has two parents"):
+        want, lines[i] = lines[i], "\t".join(parts)
+        with pytest.raises(ValueError, match=self.differs(i, want, lines[i])):
             self.load(tmp_path, lines)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -483,7 +476,27 @@ class TestMalformedModel:
             "0\tleaf\t1.0\t-\t-\t-", "1\tleaf\t2.0\t-\t-\t-", "2\tleaf\t3.0\t-\t-\t-",
             "importance", "f0\t0.0",
         ]
-        with pytest.raises(ValueError, match=r"model.txt:7: node 1 is no split's child"):
+        # The root closes the tree, so line 7 must start the importance section.
+        with pytest.raises(ValueError, match=r"model.txt:7: expected 'importance', found '1'"):
+            self.load(tmp_path, lines)
+
+    @pytest.mark.parametrize("edit", ["not_preorder", "+1", "-1", "0", "abc"])
+    def test_tree_shape_differs(self, tmp_path, lines, edit):
+        # A tree's node count and child indices follow from its preorder node
+        # kinds, so they are refused where they differ from save_model's.
+        if edit == "not_preorder":  # parents precede children; the root's left child is node 2
+            lines = [
+                "n_trees\t1", "shrinkage\t0.5", "base\t0.0", "features\tf0", "tree\t0\t0.5\t5",
+                "0\tsplit\t0\t0.5\t2\t1", "1\tsplit\t0\t0.25\t3\t4", "2\tleaf\t1.0\t-\t-\t-",
+                "3\tleaf\t2.0\t-\t-\t-", "4\tleaf\t3.0\t-\t-\t-", "importance", "f0\t100.0",
+            ]
+            i, want = 5, "0\tsplit\t0\t0.5\t1\t4"
+        else:  # the first tree's node count
+            i, want = 4, lines[4]
+            head, count = want.rsplit("\t", 1)
+            count = {"+1": str(int(count) + 1), "-1": str(int(count) - 1)}.get(edit, edit)
+            lines[i] = f"{head}\t{count}"
+        with pytest.raises(ValueError, match=self.differs(i, want, lines[i])):
             self.load(tmp_path, lines)
 
     @pytest.mark.parametrize("tree", [0, 1])

@@ -26,7 +26,6 @@ import codecs
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -57,8 +56,8 @@ class TrainConfig:
 class Ensemble:
     """``base`` plus ``shrinkage`` times each tree's leaf, all trees in one node array.
 
-    The trees lie one after another, each in preorder; ``trees`` holds their
-    roots, and ``roots`` holds them as the array ``predict`` starts from.
+    The trees lie one after another, each in preorder; ``trees`` is the
+    read-only array of each tree's root node, which ``predict`` starts from.
     A split node i sends a row to ``child[2 * i]`` when
     ``x[feature[i]] <= threshold[i]`` and to ``child[2 * i + 1]`` otherwise.
     Preorder fixes both: the left child is node i + 1, and the right child
@@ -74,8 +73,7 @@ class Ensemble:
     importance: dict[str, float]  # max-normalized to 100
     train_mse: tuple[float, ...]
     shrinkage: float
-    trees: tuple[int, ...]
-    roots: np.ndarray
+    trees: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     child: np.ndarray
@@ -87,7 +85,8 @@ class Ensemble:
         """The model of trees, each (feature, threshold, value) lists of its
         nodes in preorder; one backward pass derives ``child`` and ``levels``.
         """
-        roots = tuple(accumulate([0] + [len(t[0]) for t in trees]))[:-1]
+        starts = np.cumsum([0] + [len(t[0]) for t in trees], dtype=np.intp)[:-1]
+        starts.flags.writeable = False
         feature = [f for t in trees for f in t[0]]
         n = len(feature)
         child = [i // 2 for i in range(2 * n)]  # a leaf is its own child
@@ -105,8 +104,7 @@ class Ensemble:
             importance,
             train_mse,
             shrinkage,
-            trees=roots,
-            roots=np.array(roots, dtype=np.intp),
+            trees=starts,
             feature=np.array(feature, dtype=np.intp),
             threshold=np.array([x for t in trees for x in t[1]], dtype=np.float64),
             child=np.array(child, dtype=np.intp),
@@ -320,7 +318,7 @@ def percent_of_peak(raw: dict[str, float]) -> dict[str, float]:
 
 def _leaf_values(model: Ensemble, X: np.ndarray) -> np.ndarray:
     """(rows, trees) values of the leaf each row of X reaches in each tree."""
-    node = np.broadcast_to(model.roots, (len(X), len(model.roots)))
+    node = np.broadcast_to(model.trees, (len(X), len(model.trees)))
     row_start = (np.arange(len(X)) * X.shape[1])[:, None]
     flat = X.ravel()
     for _ in range(model.levels):
@@ -338,7 +336,7 @@ def predict(model: Ensemble, X) -> np.ndarray:
             f"expected a (rows, {len(model.feature_names)}) matrix, got shape {arr.shape}"
         )
     out = np.full(len(arr), model.base)
-    if model.trees and len(arr):
+    if len(model.trees) and len(arr):
         for s in range(0, len(arr), _BLOCK):
             block = out[s : s + _BLOCK]
             terms = np.empty((len(block), len(model.trees) + 1))
@@ -388,8 +386,8 @@ def _model_lines(model: Ensemble) -> list[str]:
     feature, threshold, child, value = (
         a.tolist() for a in (model.feature, model.threshold, model.child, model.value)
     )
-    ends = model.trees[1:] + (len(feature),)
-    for t, (root, end) in enumerate(zip(model.trees, ends)):
+    starts = model.trees.tolist()
+    for t, (root, end) in enumerate(zip(starts, starts[1:] + [len(feature)])):
         lines.append(f"tree\t{t}\t{model.shrinkage!r}\t{end - root}")
         for i in range(root, end):  # node and child indices count from the root
             if feature[i] < 0:

@@ -12,6 +12,7 @@ import signal
 import zlib
 from collections import Counter
 from collections.abc import Callable
+from itertools import groupby
 from typing import NamedTuple, NoReturn, TypeVar
 
 import numpy as np
@@ -151,47 +152,41 @@ def select_rows(
     """The (q1, q2, strengths) key of each dataset row, in row order.
 
     Candidate pairs come first, grouped as {(q1, q2): {kind: strength}} in
-    sorted order, then random negatives with empty strengths.  A pair is
-    dropped when either query lacks a voted category or when q2 is a trivial
-    variant of q1.  Negatives are drawn uniformly from categorized queries,
-    excluding self pairs, existing pairs and variant mates.  Raises
-    ValueError when neg_ratio x the candidate rows exceeds the free pairs
-    left to draw.
+    sorted order, then random negatives with empty strengths, all in one
+    insertion-ordered dict {(q1, q2): strengths}.  One filter drops self
+    pairs, pairs already chosen, a q1 or q2 without a voted category and
+    variant mates, in that order.  Negatives are drawn uniformly from the
+    voted queries in the click counts.  Raises ValueError when neg_ratio x
+    the candidate rows exceeds the free pairs left to draw.
     """
     if not (math.isfinite(neg_ratio) and neg_ratio >= 0):
         raise ValueError("neg_ratio must be a finite number >= 0")
-
-    def categorized(q: str) -> bool:
-        a = assignments.get(q)
-        return a is not None and bool(a.votes)
-
-    keys: list[tuple[str, str, dict[str, float]]] = []
-    taken: set[tuple[str, str]] = set()
+    voted = {q for q, a in assignments.items() if a.votes}
+    rows: dict[tuple[str, str], dict[str, float]] = {}
 
     def add_row(q1: str, q2: str, strengths: dict[str, float]) -> None:
         """Add the (q1, q2) row unless a filter drops it."""
-        if q1 == q2 or (q1, q2) in taken or not (categorized(q1) and categorized(q2)):
+        if q1 == q2 or (q1, q2) in rows or q1 not in voted or q2 not in voted:
             return
         if clusters.get(q1) is not None and clusters.get(q1) == clusters.get(q2):
             return
-        keys.append((q1, q2, strengths))
-        taken.add((q1, q2))
+        rows[q1, q2] = strengths
 
     grouped: dict[tuple[str, str], dict[str, float]] = {}
     for p in pairs:
         grouped.setdefault((p.q1, p.q2), {})[p.kind] = p.strength
     for (q1, q2), strengths in sorted(grouped.items()):
         add_row(q1, q2, strengths)
-    n_candidates = len(keys)
+    n_candidates = len(rows)
 
-    pool = sorted(q for q in stats.cnt_q if categorized(q))
+    in_pool = voted.intersection(stats.cnt_q)
+    pool = sorted(in_pool)
     wanted = neg_ratio * n_candidates
     # The ordered pairs add_row accepts: distinct pool queries that are
     # neither a candidate row nor variant mates.  No candidate row is a
     # mate, so no pair is subtracted twice.
-    in_pool = set(pool)
     free = len(pool) * (len(pool) - 1)
-    free -= sum(q1 in in_pool and q2 in in_pool for q1, q2 in taken)
+    free -= sum(q1 in in_pool and q2 in in_pool for q1, q2 in rows)
     sizes = Counter(clusters[q] for q in pool if clusters.get(q) is not None)
     free -= sum(c * (c - 1) for c in sizes.values())
     if wanted > free:
@@ -201,9 +196,9 @@ def select_rows(
         )
     n_neg = math.ceil(wanted)
     rng = random.Random(seed)
-    while len(keys) < n_candidates + n_neg:
+    while len(rows) < n_candidates + n_neg:
         add_row(rng.choice(pool), rng.choice(pool), {})
-    return keys
+    return [(q1, q2, strengths) for (q1, q2), strengths in rows.items()]
 
 
 def row_builder(
@@ -320,14 +315,20 @@ def _child(there: Callable[[], object], read_fd: int, write_fd: int, others: set
         os._exit(status)
 
 
+def _min_max(col: np.ndarray) -> np.ndarray:
+    """col scaled by its minimum and maximum to [0, 1]; zeros when they are equal."""
+    lo, hi = (col.min(), col.max()) if len(col) else (0.0, 0.0)
+    return (col - lo) / (hi - lo) if hi > lo else np.zeros(len(col))
+
+
 def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) -> CrossvalReport:
     """Two-fold CV: train on one fold, rank candidate rows of the other.
 
     The rows are those build_row builds for keys, and a key's fold is
     fold_of(q1).  Besides the learned model, the single-signal rankings and
     unweighted sums of min-max-normalized signals are evaluated on the same
-    folds.  Each method is one score per test candidate; a query's
-    candidates are ranked by (-score, q2).
+    folds.  Each method is one score per test candidate, and its rankings
+    of a fold are one sort by (q1, -score, q2), split by q1.
 
     A fit holds the GIL, so only a second process overlaps the two: a forked
     child builds fold 1's rows and fits them while this process does fold 0
@@ -352,32 +353,21 @@ def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) 
 
     rankings: dict[str, list[list[float]]] = {m: [] for m in ALL_METHODS}
     raw_importance = {n: 0.0 for n in FEATURE_NAMES}
-    for train_fold, (model, _, _) in enumerate(fits):
+    for (model, _, _), (_, X_cand, y_cand), fold in zip(fits, fits[::-1], folds[::-1]):
         for name, val in model.importance.items():
             raw_importance[name] += val
 
-        _, X_cand, y_cand = fits[1 - train_fold]
-        test_cand = [key for key in folds[1 - train_fold] if key[2]]
-        scores = {"GBDT": gbdt.predict(model, X_cand)}
-        normed = {}
-        for p in SINGLE_METHODS:
-            col = X_cand[:, FEATURE_NAMES.index(p)]
-            scores[p] = col
-            lo, hi = (col.min(), col.max()) if len(col) else (0.0, 0.0)
-            normed[p] = (col - lo) / (hi - lo) if hi > lo else np.zeros(len(col))
+        cand = [key[:2] for key in fold if key[2]]  # each test candidate's (q1, q2)
+        scores = {p: X_cand[:, FEATURE_NAMES.index(p)] for p in SINGLE_METHODS}
+        scores["GBDT"] = gbdt.predict(model, X_cand)
         for m in COMBO_METHODS:
-            scores[m] = sum((normed[p] for p in m.split("+")), np.zeros(len(test_cand)))
-        scores = {m: col.tolist() for m, col in scores.items()}
+            scores[m] = sum((_min_max(scores[p]) for p in m.split("+")), np.zeros(len(cand)))
         grades = [grade(sim)[1] for sim in y_cand.tolist()]
-
-        by_q1: dict[str, list[int]] = {}
-        for i, (q1, _, _) in enumerate(test_cand):
-            by_q1.setdefault(q1, []).append(i)
-        for q1 in sorted(by_q1):
-            for m in ALL_METHODS:
-                score = scores[m]
-                order = sorted(by_q1[q1], key=lambda i: (-score[i], test_cand[i][1]))
-                rankings[m].append([grades[i] for i in order])
+        for m in ALL_METHODS:
+            score = scores[m].tolist()
+            order = sorted(range(len(cand)), key=lambda i: (cand[i][0], -score[i], cand[i][1]))
+            for _, group in groupby(order, key=lambda i: cand[i][0]):
+                rankings[m].append([grades[i] for i in group])
 
     ndcg = {m: [ev.ndcg5(r) for r in rankings[m]] for m in ALL_METHODS}
     metrics = {

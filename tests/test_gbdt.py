@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 import re
 
@@ -77,16 +78,21 @@ class TestFit:
     def test_perfect_fit_stops_with_zero_mse(self):
         # The residuals are all 0, so the next tree is a 0 leaf and is dropped.
         model = fit([[0.0], [1.0]], [3.0, 3.0], TrainConfig(n_trees=5, min_leaf=1))
-        assert model.trees == () and model.train_mse == (0.0,)
+        assert len(model.trees) == 0 and model.train_mse == (0.0,)
 
     def test_fit_and_load_build_frozen_models(self, tmp_path):
         X, y = random_problem(np.random.default_rng(12))
         model = fit(X, y, TrainConfig(n_trees=3))
         save_model(model, str(tmp_path / "model.txt"))
         loaded = load_model(str(tmp_path / "model.txt"))
-        assert type(model.trees) is tuple and type(model.train_mse) is tuple
-        assert type(loaded.trees) is tuple and len(loaded.trees) == 3
-        for m in (model, loaded):
+        assert type(model.train_mse) is tuple and len(loaded.trees) == 3
+        # the forked crossval child sends its model back as a pickle
+        sent = pickle.loads(pickle.dumps(model, pickle.HIGHEST_PROTOCOL))
+        for m in (model, loaded, sent):
+            assert type(m.trees) is np.ndarray and m.trees.dtype == np.intp
+            assert not m.trees.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                m.trees[0] = 0
             for f in dataclasses.fields(m):
                 with pytest.raises(AttributeError):
                     setattr(m, f.name, getattr(m, f.name))
@@ -444,7 +450,7 @@ class TestMalformedModel:
     def test_non_finite_header_value(self, tmp_path, i, key):
         # a model with no trees, whose shrinkage no tree weight is checked against
         lines = ["n_trees\t0", "shrinkage\t0.5", "base\t0.0", "features\tf0", "importance", "f0\t0.0"]
-        assert self.load(tmp_path, lines).trees == ()
+        assert len(self.load(tmp_path, lines).trees) == 0
         lines[i] = f"{key}\tnan"
         with pytest.raises(ValueError, match=rf"model.txt:{i + 1}: non-finite float 'nan'"):
             self.load(tmp_path, lines)
@@ -613,7 +619,7 @@ class TestMalformedModel:
         lines = [
             "n_trees\t0", "shrinkage\t0.5", "base\t1.0", "features\tf0", "importance", "f0\t0.0"
         ]
-        assert self.load(tmp_path, lines).trees == ()
+        assert len(self.load(tmp_path, lines).trees) == 0
         want, lines[i] = lines[i], line
         path = tmp_path / "model.txt"
         path.write_text("\n".join(lines) + "\n")

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import crossval_reference
+import rows_reference
 from clickrec import candidates as cand
 from clickrec import features, gbdt, logs, pipeline, synth, taxonomy
 from conftest import assert_no_child_left, cli_env, random_records
@@ -311,6 +312,55 @@ def test_many_variant_mates_leave_enough_free_pairs():
     negatives = [(r.q1, r.q2) for r in dataset.rows if not r.kinds]
     assert len(negatives) == 100
     assert all("z" in pair for pair in negatives)
+
+
+@st.composite
+def row_worlds(draw):
+    """select_rows' inputs up to neg_ratio and seed.  Candidate pairs join any
+    two of a few queries, self pairs and repeated pairs included.  Only some
+    queries are clicked, so some pairs lead to a query missing from the click
+    counts.  A query has votes, an assignment without votes or none, also
+    outside the click counts, and few variant clusters make mates common,
+    among the candidates too."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    queries = [f"q{i}" for i in range(draw(st.integers(1, 12)))]
+    clicked = [q for q in queries if rng.random() < 0.8]
+    stats = logs.build_click_stats([logs.ClickRecord(0, "u", q, f"http://{q}", 1) for q in clicked])
+    n_clusters = draw(st.integers(1, 4))
+    assignments, clusters = {}, {}
+    for q in queries:
+        if (r := rng.random()) < 0.9:
+            votes = {("x",): 1} if r < 0.75 else {}
+            assignments[q] = taxonomy.CategoryAssignment(q, ("x",) if votes else None, votes)
+        if rng.random() < 0.5:
+            clusters[q] = rng.randrange(n_clusters)
+    pairs = [
+        cand.CandidatePair(*rng.choices(queries, k=2), rng.choice(cand.KINDS), rng.random())
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+    return pairs, stats, assignments, clusters
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_worlds(), st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.integers(0, 3))
+def test_select_rows_matches_the_reference(world, neg_ratio, seed):
+    """The reference's keys in its order, or its error type and message."""
+    args = (*world, neg_ratio, seed)
+    try:
+        want = rows_reference.select_rows(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            pipeline.select_rows(*args)
+    else:
+        assert pipeline.select_rows(*args) == want
+
+
+@pytest.mark.parametrize("neg_ratio", [0.0, 1.0, 2.0])
+def test_select_rows_matches_the_reference_on_a_synthetic_log(world, neg_ratio):
+    _, stats, sessions, lex, assignments, clusters = world
+    args = (pipeline.generate_candidates(stats, sessions, lex), stats, assignments, clusters)
+    want = rows_reference.select_rows(*args, neg_ratio, 3)
+    assert pipeline.select_rows(*args, neg_ratio, 3) == want
 
 
 @contextlib.contextmanager

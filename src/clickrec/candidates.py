@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .logs import ClickStats, Session
+from .logs import ClickStats, Session, nogc
 
 CO_CLICK = "co_click"
 CO_TOPIC = "co_topic"
@@ -35,6 +35,7 @@ class SessionStats(NamedTuple):
     total_pairs: int
 
 
+@nogc
 def build_session_stats(sessions: list[Session]) -> SessionStats:
     occurrences: dict[str, int] = {}
     successors: dict[str, dict[str, int]] = {}

@@ -86,12 +86,11 @@ def _parse_log(path: str):
 
 
 def _prepare(log_path: str):
-    """Parse + clean a log and build every shared structure."""
+    """Parse + clean a log; build its click counts, one SessionStats and facets."""
     parsed = _parse_log(log_path)
     stats = logmod.build_click_stats(logmod.clean_log(parsed.records))
-    sessions = logmod.segment_sessions(parsed.records)
-    lex = cand.detect_facets(stats)
-    return stats, sessions, lex
+    st = cand.build_session_stats(logmod.segment_sessions(parsed.records))
+    return stats, st, cand.detect_facets(stats)
 
 
 def _assignments(stats, taxonomy_path: str):
@@ -124,8 +123,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    stats, sessions, lex = _prepare(args.log)
-    pairs = pipeline.generate_candidates(stats, sessions, lex)
+    stats, st, lex = _prepare(args.log)
+    pairs = pipeline.candidate_pairs(stats, st, lex)
     _write(os.path.join(args.out, "candidates.tsv"), cand.dump_candidates(pairs))
     print(f"{len(pairs)} candidate pairs")
     return 0
@@ -142,12 +141,12 @@ def cmd_assign(args) -> int:
 
 def _rows(args):
     """pipeline.select_rows' keys and pipeline.row_builder's step for the log and taxonomy."""
-    stats, sessions, lex = _prepare(args.log)
-    pairs = pipeline.generate_candidates(stats, sessions, lex)
+    stats, st, lex = _prepare(args.log)
+    pairs = pipeline.candidate_pairs(stats, st, lex)
     assignments = _assignments(stats, args.taxonomy)
     clusters = taxonomy.cluster_trivial_variants(stats)
     keys = pipeline.select_rows(pairs, stats, assignments, clusters, args.neg_ratio, args.seed or 0)
-    return keys, pipeline.row_builder(stats, sessions, lex, assignments)
+    return keys, pipeline.row_builder(stats, st, lex, assignments)
 
 
 def cmd_features(args) -> int:

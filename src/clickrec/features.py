@@ -171,25 +171,21 @@ class _Query(NamedTuple):
 
 
 class FeatureContext:
-    """Per-query feature inputs, computed the first time a query is met.
+    """Per-query feature inputs: ``queries`` describes every query of the
+    click counts when the context is built, and is only read after that.
 
     One context serves every pair built over the same count tables, so
-    build_features does only the work that depends on both queries.
+    build_features does only the work that depends on both queries; it
+    describes a q2 outside the click counts on the spot, without storing it.
     """
 
     def __init__(self, stats: ClickStats, st: SessionStats, lex: frozenset[str]):
         self.stats = stats
         self.st = st
         self.lex = lex
-        self._queries: dict[str, _Query] = {}
+        self.queries = {q: self.describe(q) for q in stats.cnt_q}
 
-    def query(self, q: str) -> _Query:
-        info = self._queries.get(q)
-        if info is None:
-            info = self._queries[q] = self._describe(q)
-        return info
-
-    def _describe(self, q: str) -> _Query:
+    def describe(self, q: str) -> _Query:
         stats = self.stats
         succ = self.st.successors.get(q, {})
         chunks = q.split()
@@ -226,7 +222,7 @@ def build_features(
     stats, st = ctx.stats, ctx.st
     if q1 not in stats.clicks:
         raise KeyError(f"unknown query: {q1!r}")
-    a, b = ctx.query(q1), ctx.query(q2)
+    a, b = ctx.queries[q1], ctx.queries.get(q2) or ctx.describe(q2)
 
     mb_leven = levenshtein(q1, q2)
     # An ASCII string's UTF-8 bytes are its code points.

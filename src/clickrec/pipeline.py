@@ -20,7 +20,7 @@ import numpy as np
 from . import candidates as cand
 from . import evaluation as ev
 from . import gbdt
-from .candidates import CandidatePair, build_session_stats
+from .candidates import CandidatePair, SessionStats, build_session_stats
 from .features import FEATURE_NAMES, FeatureContext, FeatureVector, build_features
 from .features import feature_matrix_lines, matrix_row_lines
 from .logs import ClickStats, Session, nogc
@@ -78,12 +78,16 @@ def fold_of(q1: str) -> int:
     return zlib.crc32(q1.encode("utf-8")) & 1
 
 
-@nogc
 def generate_candidates(
     stats: ClickStats, sessions: list[Session], lex: frozenset[str]
 ) -> list[CandidatePair]:
+    """candidate_pairs over the SessionStats of sessions."""
+    return candidate_pairs(stats, build_session_stats(sessions), lex)
+
+
+@nogc
+def candidate_pairs(stats: ClickStats, st: SessionStats, lex: frozenset[str]) -> list[CandidatePair]:
     """Candidate pairs for every logged query, in deterministic order."""
-    st = build_session_stats(sessions)
     postings = cand.url_postings(stats)
     out: list[CandidatePair] = []
     for q1 in stats.queries:
@@ -111,7 +115,7 @@ def build_dataset(
     frozenset.
     """
     keys = select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
-    build_row = row_builder(stats, sessions, lex, assignments)
+    build_row = row_builder(stats, build_session_stats(sessions), lex, assignments)
     kind_sets: dict[frozenset[str], frozenset[str]] = {}
     rows = []
     for q1, q2, strengths in keys:
@@ -203,16 +207,16 @@ def select_rows(
 
 def row_builder(
     stats: ClickStats,
-    sessions: list[Session],
+    st: SessionStats,
     lex: frozenset[str],
     assignments: dict[str, CategoryAssignment],
 ) -> RowStep:
     """The per-row step: (q1, q2, strengths) -> the pair's FeatureVector.
 
     Its target, sim, is the pair's true computed category similarity.  One
-    FeatureContext serves every row.
+    FeatureContext, built whole here, serves every row and any forked child.
     """
-    ctx = FeatureContext(stats, build_session_stats(sessions), lex)
+    ctx = FeatureContext(stats, st, lex)
 
     def build_row(q1: str, q2: str, strengths: dict[str, float]) -> FeatureVector:
         return build_features(q1, q2, ctx, strengths, sim=query_similarity(q1, q2, assignments))

@@ -193,7 +193,7 @@ def test_criterion_6_end_to_end_direction_of_effect():
     keys = pipeline.select_rows(pairs, stats, assignments, clusters, 1.0, cfg.seed)
     assert len({q1 for q1, _, _ in keys}) >= 200, "needs >= 200 original queries"
     assert len(keys) >= 5000, "needs >= 5000 pairs"
-    build_row = pipeline.row_builder(stats, sessions, lex, assignments)
+    build_row = pipeline.row_builder(stats, cand.build_session_stats(sessions), lex, assignments)
     report = pipeline.run_crossval(keys, build_row, gbdt.TrainConfig(n_trees=100))
     g_ndcg, g_map = report.metrics["GBDT"]
     for m in pipeline.SINGLE_METHODS:

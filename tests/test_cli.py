@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_output_bytes as pinned
+from clickrec import candidates as cand
 from clickrec import cli, gbdt, pipeline, synth
 from clickrec.features import FEATURE_NAMES, FEATURES, FeatureVector, feature_matrix_lines
 
@@ -448,6 +449,37 @@ def test_no_command_builds_the_whole_dataset(monkeypatch, tmp_path):
     names = ["features/features.tsv", "crossval/report.tsv", "crossval.txt"]
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
     assert got == {name: pinned.DIGESTS[name] for name in names}
+
+
+def test_one_session_stats_per_run(monkeypatch, tmp_path):
+    """features, crossval and candidates each build the session table once.
+
+    os.fork is removed, so both halves of the forked work run, and are
+    counted, in this process."""
+    built = []
+    build = cand.build_session_stats
+
+    def counted(sessions):
+        built.append(1)
+        return build(sessions)
+
+    monkeypatch.setattr(cand, "build_session_stats", counted)
+    monkeypatch.setattr(pipeline, "build_session_stats", counted)
+    monkeypatch.delattr(os, "fork")
+    (tmp_path / "corpus.cfg").write_text(pinned.CONFIG)
+    pinned_run = ["--config", tmp_path / "corpus.cfg", "--seed", "5", "--out"]
+    assert run(*pinned_run, tmp_path / "data", "synth") == (0, "")
+    log, taxo = tmp_path / "data" / "clicks.tsv", tmp_path / "data" / "taxonomy.tsv"
+    builds = {}
+    for command, inputs in [
+        ("features", ["--log", log, "--taxonomy", taxo]),
+        ("crossval", ["--log", log, "--taxonomy", taxo]),
+        ("candidates", ["--log", log]),
+    ]:
+        built.clear()
+        assert run(*pinned_run, tmp_path / command, command, *inputs) == (0, "")
+        builds[command] = len(built)
+    assert builds == {"features": 1, "crossval": 1, "candidates": 1}
 
 
 class TestNoProcessLeft:

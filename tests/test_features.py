@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickrec.candidates import build_session_stats, detect_facets, generate_all, url_postings
@@ -18,6 +18,7 @@ from clickrec.features import (
 )
 from clickrec.logs import ClickRecord, build_click_stats, segment_sessions
 from conftest import random_records
+from test_features_equivalence import ALPHABET, worlds
 
 
 def oracle_levenshtein(a, b):
@@ -397,6 +398,26 @@ class TestBuildFeatures:
         assert parsed[0][0] == "curry" and parsed[0][2] == "co_topic"
         for got, want in zip(parsed[0][3].values(), fv.values()):
             assert abs(got - want) < 1e-9
+
+
+class TestFeatureContextBuiltWhole:
+    """FeatureContext describes every query of the click counts when it is
+    built; build_features only reads that table afterwards."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(worlds(), st.text(ALPHABET + " ", min_size=1, max_size=6))
+    def test_queries_do_not_change_after_init(self, world, unknown):
+        stats, sst, names = world
+        lex = detect_facets(stats, min_distinct=1, min_query_freq=1)
+        ctx = FeatureContext(stats, sst, lex)
+        assert list(ctx.queries) == list(stats.cnt_q)
+        before = dict(ctx.queries)
+        for q1 in stats.cnt_q:
+            # names may hold queries outside the click counts; unknown may too.
+            for q2 in [*names, unknown]:
+                build_features(q1, q2, ctx, {})
+        assert list(ctx.queries) == list(before)
+        assert all(ctx.queries[q] is info for q, info in before.items())
 
 
 def fstring_matrix_lines(rows):

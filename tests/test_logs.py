@@ -377,6 +377,7 @@ class TestCollectorPause:
             lambda seen: clean_log(_watched(records, seen)),
             lambda seen: segment_sessions(_watched(records, seen)),
             lambda seen: pipeline.generate_candidates(stats, _watched(sessions, seen), lex),
+            lambda seen: candidates.build_session_stats(_watched(sessions, seen)),
         ]
         for call in calls:
             seen = []

@@ -56,7 +56,7 @@ def split_rows(args, neg_ratio=1.0, seed=0):
     """select_rows' keys and row_builder's step for build_dataset's arguments."""
     pairs, stats, sessions, lex, assignments, clusters = args
     keys = pipeline.select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
-    return keys, pipeline.row_builder(stats, sessions, lex, assignments)
+    return keys, pipeline.row_builder(stats, cand.build_session_stats(sessions), lex, assignments)
 
 
 @pytest.fixture(scope="module")

@@ -156,6 +156,21 @@ def _ranked(q1: str, kind: str, strengths: dict[str, float]) -> list[CandidatePa
     return [CandidatePair(q1, q2, kind, -neg) for neg, q2 in order]
 
 
+def strengths(
+    q1: str,
+    stats: ClickStats,
+    st: SessionStats,
+    lex: frozenset[str],
+    postings: dict[str, list[str]],
+) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
+    """q1's {q2: strength} dicts in KINDS order; postings is url_postings(stats)."""
+    return (
+        co_click_strengths(q1, stats, postings),
+        co_topic_strengths(q1, lex, stats),
+        co_session_strengths(q1, st),
+    )
+
+
 def generate_all(
     q1: str,
     stats: ClickStats,
@@ -163,17 +178,13 @@ def generate_all(
     lex: frozenset[str],
     postings: dict[str, list[str]],
 ) -> list[CandidatePair]:
-    """Union of the three extractors, one CandidatePair per (q2, kind).
+    """q1's strengths as pairs, one CandidatePair per (q2, kind).
 
-    postings is url_postings(stats).  Self-pairs are removed.  Order is
-    deterministic: kind, then strength descending, then q2.
+    postings is url_postings(stats).  Order is deterministic: kind, then
+    strength descending, then q2.
     """
-    by_kind = (
-        co_click_strengths(q1, stats, postings),
-        co_topic_strengths(q1, lex, stats),
-        co_session_strengths(q1, st),
-    )
-    return [p for kind, strengths in zip(KINDS, by_kind) for p in _ranked(q1, kind, strengths)]
+    by_kind = strengths(q1, stats, st, lex, postings)
+    return [p for kind, s in zip(KINDS, by_kind) for p in _ranked(q1, kind, s)]
 
 
 def dump_candidates(pairs: list[CandidatePair]) -> list[str]:

@@ -142,10 +142,10 @@ def cmd_assign(args) -> int:
 def _rows(args):
     """pipeline.select_rows' keys and pipeline.row_builder's step for the log and taxonomy."""
     stats, st, lex = _prepare(args.log)
-    pairs = pipeline.candidate_pairs(stats, st, lex)
+    rows = pipeline.candidate_rows(stats, st, lex)
     assignments = _assignments(stats, args.taxonomy)
     clusters = taxonomy.cluster_trivial_variants(stats)
-    keys = pipeline.select_rows(pairs, stats, assignments, clusters, args.neg_ratio, args.seed or 0)
+    keys = pipeline.select_rows(rows, stats, assignments, clusters, args.neg_ratio, args.seed or 0)
     return keys, pipeline.row_builder(stats, st, lex, assignments)
 
 

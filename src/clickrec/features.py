@@ -215,9 +215,9 @@ def build_features(
 ) -> FeatureVector:
     """Assemble the full feature vector for a (q1, q2) pair.
 
-    strengths maps a candidate kind to the pair's strength in that relation
-    (CandidatePair.strength); a kind it lacks has strength 0.  The other
-    features are always populated.
+    strengths maps a candidate kind to the pair's strength in that relation,
+    as pipeline.candidate_rows gives it; a kind it lacks has strength 0.  The
+    other features are always populated.
     """
     stats, st = ctx.stats, ctx.st
     if q1 not in stats.clicks:

@@ -95,6 +95,21 @@ def candidate_pairs(stats: ClickStats, st: SessionStats, lex: frozenset[str]) ->
     return out
 
 
+@nogc
+def candidate_rows(stats: ClickStats, st: SessionStats, lex: frozenset[str]) -> list[RowKey]:
+    """Every logged query's (q1, q2, strengths) rows in (q1, q2) order: the
+    pairs of candidate_pairs grouped by (q1, q2), kinds in KINDS order."""
+    postings = cand.url_postings(stats)
+    out: list[RowKey] = []
+    for q1 in stats.queries:
+        merged: dict[str, dict[str, float]] = {}
+        for kind, by_q2 in zip(cand.KINDS, cand.strengths(q1, stats, st, lex, postings)):
+            for q2, s in by_q2.items():
+                merged.setdefault(q2, {})[kind] = s
+        out.extend((q1, q2, merged[q2]) for q2 in sorted(merged))
+    return out
+
+
 def build_dataset(
     pairs: list[CandidatePair],
     stats: ClickStats,
@@ -107,15 +122,15 @@ def build_dataset(
 ) -> Dataset:
     """Join candidates into feature rows and add random negative pairs.
 
-    pairs must be generate_candidates(stats, sessions, lex): a row's P_cc,
-    P_ct and P_cs are the strengths its pairs carry, 0 for a kind it lacks.
-    select_rows chooses the rows and their order, and raises ValueError when
-    too few pairs are free for the negatives; row_builder's step builds each
-    row's features, all in this process.  Rows with equal kinds share one
-    frozenset.
+    select_rows picks the rows from candidate_rows, so a row's P_cc, P_ct and
+    P_cs are its strengths, 0 for a kind it lacks; it raises ValueError when
+    too few pairs are free for the negatives.  row_builder's step builds every
+    row in this process; rows with equal kinds share one frozenset.  pairs is
+    unread: the benchmark's serve set-up passes generate_candidates' pairs.
     """
-    keys = select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
-    build_row = row_builder(stats, build_session_stats(sessions), lex, assignments)
+    st = build_session_stats(sessions)
+    keys = select_rows(candidate_rows(stats, st, lex), stats, assignments, clusters, neg_ratio, seed)
+    build_row = row_builder(stats, st, lex, assignments)
     kind_sets: dict[frozenset[str], frozenset[str]] = {}
     rows = []
     for q1, q2, strengths in keys:
@@ -146,7 +161,7 @@ def feature_matrix(keys: list[RowKey], build_row: RowStep) -> list[str]:
 
 
 def select_rows(
-    pairs: list[CandidatePair],
+    candidates: list[RowKey],
     stats: ClickStats,
     assignments: dict[str, CategoryAssignment],
     clusters: dict[str, int],
@@ -155,13 +170,13 @@ def select_rows(
 ) -> list[RowKey]:
     """The (q1, q2, strengths) key of each dataset row, in row order.
 
-    Candidate pairs come first, grouped as {(q1, q2): {kind: strength}} in
-    sorted order, then random negatives with empty strengths, all in one
-    insertion-ordered dict {(q1, q2): strengths}.  One filter drops self
-    pairs, pairs already chosen, a q1 or q2 without a voted category and
-    variant mates, in that order.  Negatives are drawn uniformly from the
-    voted queries in the click counts.  Raises ValueError when neg_ratio x
-    the candidate rows exceeds the free pairs left to draw.
+    The candidates, rows in (q1, q2) order as candidate_rows gives them,
+    come first in the order given, then random negatives with empty
+    strengths, all in one insertion-ordered dict {(q1, q2): strengths}.  One
+    filter drops self pairs, pairs already chosen, a q1 or q2 without a
+    voted category and variant mates, in that order.  Negatives are drawn
+    uniformly from the voted queries in the click counts.  Raises ValueError
+    when neg_ratio x the candidate rows exceeds the free pairs left to draw.
     """
     if not (math.isfinite(neg_ratio) and neg_ratio >= 0):
         raise ValueError("neg_ratio must be a finite number >= 0")
@@ -176,10 +191,7 @@ def select_rows(
             return
         rows[q1, q2] = strengths
 
-    grouped: dict[tuple[str, str], dict[str, float]] = {}
-    for p in pairs:
-        grouped.setdefault((p.q1, p.q2), {})[p.kind] = p.strength
-    for (q1, q2), strengths in sorted(grouped.items()):
+    for q1, q2, strengths in candidates:
         add_row(q1, q2, strengths)
     n_candidates = len(rows)
 
@@ -361,16 +373,16 @@ def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) 
         for name, val in model.importance.items():
             raw_importance[name] += val
 
-        cand = [key[:2] for key in fold if key[2]]  # each test candidate's (q1, q2)
+        test_pairs = [key[:2] for key in fold if key[2]]  # each test candidate's (q1, q2)
         scores = {p: X_cand[:, FEATURE_NAMES.index(p)] for p in SINGLE_METHODS}
         scores["GBDT"] = gbdt.predict(model, X_cand)
         for m in COMBO_METHODS:
-            scores[m] = sum((_min_max(scores[p]) for p in m.split("+")), np.zeros(len(cand)))
+            scores[m] = sum((_min_max(scores[p]) for p in m.split("+")), np.zeros(len(test_pairs)))
         grades = [grade(sim)[1] for sim in y_cand.tolist()]
         for m in ALL_METHODS:
             score = scores[m].tolist()
-            order = sorted(range(len(cand)), key=lambda i: (cand[i][0], -score[i], cand[i][1]))
-            for _, group in groupby(order, key=lambda i: cand[i][0]):
+            order = sorted(range(len(test_pairs)), key=lambda i: (test_pairs[i][0], -score[i], test_pairs[i][1]))
+            for _, group in groupby(order, key=lambda i: test_pairs[i][0]):
                 rankings[m].append([grades[i] for i in group])
 
     ndcg = {m: [ev.ndcg5(r) for r in rankings[m]] for m in ALL_METHODS}

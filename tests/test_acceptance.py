@@ -186,14 +186,15 @@ def test_criterion_6_end_to_end_direction_of_effect():
     stats = logs.build_click_stats(records)
     sessions = logs.segment_sessions(parsed.records)
     lex = cand.detect_facets(stats)
-    pairs = pipeline.generate_candidates(stats, sessions, lex)
+    sst = cand.build_session_stats(sessions)
+    rows = pipeline.candidate_rows(stats, sst, lex)
     index = taxonomy.load_taxonomy(taxo)
     assignments = {q: taxonomy.assign_category(q, index) for q in stats.queries}
     clusters = taxonomy.cluster_trivial_variants(stats)
-    keys = pipeline.select_rows(pairs, stats, assignments, clusters, 1.0, cfg.seed)
+    keys = pipeline.select_rows(rows, stats, assignments, clusters, 1.0, cfg.seed)
     assert len({q1 for q1, _, _ in keys}) >= 200, "needs >= 200 original queries"
     assert len(keys) >= 5000, "needs >= 5000 pairs"
-    build_row = pipeline.row_builder(stats, cand.build_session_stats(sessions), lex, assignments)
+    build_row = pipeline.row_builder(stats, sst, lex, assignments)
     report = pipeline.run_crossval(keys, build_row, gbdt.TrainConfig(n_trees=100))
     g_ndcg, g_map = report.metrics["GBDT"]
     for m in pipeline.SINGLE_METHODS:

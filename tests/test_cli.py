@@ -426,7 +426,8 @@ class TestNegRatio:
 
 def test_no_command_builds_the_whole_dataset(monkeypatch, tmp_path):
     """features and crossval keep their pinned bytes without build_dataset,
-    which builds every row in one process."""
+    which builds every row in one process, and without a candidate pair:
+    their rows come from candidate_rows."""
     (tmp_path / "corpus.cfg").write_text(pinned.CONFIG)
 
     def run_pinned(out, *argv):
@@ -437,11 +438,15 @@ def test_no_command_builds_the_whole_dataset(monkeypatch, tmp_path):
         assert code == 0
         return stdout.getvalue()
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("build_dataset called")
+    def refusal(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        return refuse
 
     run_pinned("data", "synth")
-    monkeypatch.setattr(pipeline, "build_dataset", refuse)
+    for module, name in [(pipeline, "build_dataset"), (cand, "generate_all"), (pipeline, "candidate_pairs")]:
+        monkeypatch.setattr(module, name, refusal(name))
     data = tmp_path / "data"
     inputs = ["--log", data / "clicks.tsv", "--taxonomy", data / "taxonomy.tsv"]
     run_pinned("features", "features", *inputs)

@@ -370,14 +370,30 @@ def _watched(items, seen):
 class TestCollectorPause:
     """Bulk stages pause the cyclic collector and restore its earlier state."""
 
-    def test_stages_run_with_the_collector_paused(self, small_world):
+    def test_stages_run_with_the_collector_paused(self, monkeypatch, small_world):
         records, _, stats, sessions = small_world
         lex = candidates.detect_facets(stats)
+        sst = candidates.build_session_stats(sessions)
+
+        def candidate_rows(seen):
+            # candidate_rows reads no iterable _watched could wrap; it calls
+            # candidates.strengths once per query, so that call is watched.
+            strengths = candidates.strengths
+
+            def watched(*args):
+                seen.append(gc.isenabled())
+                return strengths(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(candidates, "strengths", watched)
+                pipeline.candidate_rows(stats, sst, lex)
+
         calls = [
             lambda seen: clean_log(_watched(records, seen)),
             lambda seen: segment_sessions(_watched(records, seen)),
             lambda seen: pipeline.generate_candidates(stats, _watched(sessions, seen), lex),
             lambda seen: candidates.build_session_stats(_watched(sessions, seen)),
+            candidate_rows,
         ]
         for call in calls:
             seen = []

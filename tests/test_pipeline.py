@@ -19,6 +19,7 @@ import rows_reference
 from clickrec import candidates as cand
 from clickrec import features, gbdt, logs, pipeline, synth, taxonomy
 from conftest import assert_no_child_left, cli_env, random_records
+from test_features_equivalence import worlds
 
 
 SMALL = dict(n_topics=16, n_users=30, n_events=6000, seed=5)
@@ -52,10 +53,18 @@ def dataset(world):
     )
 
 
+def regroup(pairs):
+    """Candidate pairs as candidate rows: (q1, q2, {kind: strength}) in sorted order."""
+    grouped = {}
+    for p in pairs:
+        grouped.setdefault((p.q1, p.q2), {})[p.kind] = p.strength
+    return [(q1, q2, strengths) for (q1, q2), strengths in sorted(grouped.items())]
+
+
 def split_rows(args, neg_ratio=1.0, seed=0):
     """select_rows' keys and row_builder's step for build_dataset's arguments."""
     pairs, stats, sessions, lex, assignments, clusters = args
-    keys = pipeline.select_rows(pairs, stats, assignments, clusters, neg_ratio, seed)
+    keys = pipeline.select_rows(regroup(pairs), stats, assignments, clusters, neg_ratio, seed)
     return keys, pipeline.row_builder(stats, cand.build_session_stats(sessions), lex, assignments)
 
 
@@ -345,22 +354,39 @@ def row_worlds(draw):
 @given(row_worlds(), st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.integers(0, 3))
 def test_select_rows_matches_the_reference(world, neg_ratio, seed):
     """The reference's keys in its order, or its error type and message."""
-    args = (*world, neg_ratio, seed)
+    pairs, *rest = world
     try:
-        want = rows_reference.select_rows(*args)
+        want = rows_reference.select_rows(pairs, *rest, neg_ratio, seed)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            pipeline.select_rows(*args)
+            pipeline.select_rows(regroup(pairs), *rest, neg_ratio, seed)
     else:
-        assert pipeline.select_rows(*args) == want
+        assert pipeline.select_rows(regroup(pairs), *rest, neg_ratio, seed) == want
 
 
 @pytest.mark.parametrize("neg_ratio", [0.0, 1.0, 2.0])
 def test_select_rows_matches_the_reference_on_a_synthetic_log(world, neg_ratio):
     _, stats, sessions, lex, assignments, clusters = world
-    args = (pipeline.generate_candidates(stats, sessions, lex), stats, assignments, clusters)
-    want = rows_reference.select_rows(*args, neg_ratio, 3)
-    assert pipeline.select_rows(*args, neg_ratio, 3) == want
+    pairs = pipeline.generate_candidates(stats, sessions, lex)
+    rows = pipeline.candidate_rows(stats, cand.build_session_stats(sessions), lex)
+    assert rows == regroup(pairs)
+    want = rows_reference.select_rows(pairs, stats, assignments, clusters, neg_ratio, 3)
+    assert pipeline.select_rows(rows, stats, assignments, clusters, neg_ratio, 3) == want
+
+
+def exact(rows):
+    """Rows with each strength as float.hex, its kinds in their dict order."""
+    return [(q1, q2, [(k, s.hex()) for k, s in strengths.items()]) for q1, q2, strengths in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds())
+def test_candidate_rows_are_the_regrouped_pairs(world):
+    """Keys, kind order and every strength's bits, with all three kinds in play."""
+    stats, sst, _ = world
+    lex = cand.detect_facets(stats, min_distinct=1, min_query_freq=1)
+    want = regroup(pipeline.candidate_pairs(stats, sst, lex))
+    assert exact(pipeline.candidate_rows(stats, sst, lex)) == exact(want)
 
 
 @contextlib.contextmanager
@@ -474,7 +500,7 @@ class TestFeatureMatrix:
         """
         _, stats, sessions, lex, assignments, clusters = world
         pairs = pipeline.generate_candidates(stats, sessions, lex)
-        keys = pipeline.select_rows(pairs, stats, assignments, clusters, 1.0, 0)
+        keys = pipeline.select_rows(regroup(pairs), stats, assignments, clusters, 1.0, 0)
         first = {"parent": keys[0][:2], "child": keys[len(keys) // 2][:2]}
         failing = {first[half]: half for half in halves}
         similarity = pipeline.query_similarity

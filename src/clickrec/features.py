@@ -163,7 +163,9 @@ class _Query(NamedTuple):
     clen: int
     ent: float  # entropy (bits) of its URL clicks, 0.0 for a query without clicks
     next_ent: float  # entropy (bits) of its immediate-successor counts
-    successor_sum: int  # the first row sum of the LLR table
+    successors: dict  # its SessionStats.successors counts, shared: the LLR table's k11 row
+    successor_sum: int  # the LLR table's first row sum, with the query as q1
+    predecessor_sum: int  # the LLR table's first column sum, with the query as q2
     chunks: _Bag  # whitespace-separated chunks
     bigrams: _Bag  # character bigrams with the whitespace removed
     utf8: bytes
@@ -197,7 +199,9 @@ class FeatureContext:
             clen=len(chunks),
             ent=_entropy(stats.clicks.get(q, {}).values()),
             next_ent=_entropy([succ[k] for k in sorted(succ)]),
+            successors=succ,
             successor_sum=sum(succ.values()),
+            predecessor_sum=self.st.successor_totals.get(q, 0),
             # Plain dicts: Counter's == is a Python-level loop.
             chunks=_bag(dict(Counter(chunks))),
             bigrams=_bag(dict(Counter(compact[i : i + 2] for i in range(len(compact) - 1)))),
@@ -213,15 +217,12 @@ def build_features(
     strengths: dict[str, float],
     sim: float | None = None,
 ) -> FeatureVector:
-    """Assemble the full feature vector for a (q1, q2) pair.
-
-    strengths maps a candidate kind to the pair's strength in that relation,
-    as pipeline.candidate_rows gives it; a kind it lacks has strength 0.  The
+    """Assemble the full feature vector for a (q1, q2) pair from the two
+    queries' records in ctx; an unknown q1 raises KeyError.  strengths maps
+    a candidate kind to the pair's strength in that relation, as
+    pipeline.candidate_rows gives it; a kind it lacks has strength 0.  The
     other features are always populated.
     """
-    stats, st = ctx.stats, ctx.st
-    if q1 not in stats.clicks:
-        raise KeyError(f"unknown query: {q1!r}")
     a, b = ctx.queries[q1], ctx.queries.get(q2) or ctx.describe(q2)
 
     mb_leven = levenshtein(q1, q2)
@@ -229,12 +230,8 @@ def build_features(
     leven = mb_leven if a.isascii and b.isascii else levenshtein(a.utf8, b.utf8)
     # LLR: Dunning G-squared of q2 right after q1 over all session-adjacent
     # ordered pairs (rows: the predecessor is q1; columns: the successor is q2).
-    n = st.total_pairs
-    if n:
-        k11 = st.successors.get(q1, {}).get(q2, 0)
-        f_llr = _g2(k11, a.successor_sum, st.successor_totals.get(q2, 0), n)
-    else:
-        f_llr = 0.0
+    n = ctx.st.total_pairs
+    f_llr = _g2(a.successors.get(q2, 0), a.successor_sum, b.predecessor_sum, n) if n else 0.0
 
     return FeatureVector(
         p_cc=strengths.get(CO_CLICK, 0.0),

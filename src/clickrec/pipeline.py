@@ -125,19 +125,13 @@ def build_dataset(
     select_rows picks the rows from candidate_rows, so a row's P_cc, P_ct and
     P_cs are its strengths, 0 for a kind it lacks; it raises ValueError when
     too few pairs are free for the negatives.  row_builder's step builds every
-    row in this process; rows with equal kinds share one frozenset.  pairs is
-    unread: the benchmark's serve set-up passes generate_candidates' pairs.
+    row in this process.  pairs is unread: the benchmark's serve set-up
+    passes generate_candidates' pairs.
     """
     st = build_session_stats(sessions)
     keys = select_rows(candidate_rows(stats, st, lex), stats, assignments, clusters, neg_ratio, seed)
     build_row = row_builder(stats, st, lex, assignments)
-    kind_sets: dict[frozenset[str], frozenset[str]] = {}
-    rows = []
-    for q1, q2, strengths in keys:
-        kinds = frozenset(strengths)
-        fv = build_row(q1, q2, strengths)
-        rows.append(DatasetRow(q1, q2, kind_sets.setdefault(kinds, kinds), fv))
-    return Dataset(rows)
+    return Dataset([DatasetRow(q1, q2, frozenset(s), build_row(q1, q2, s)) for q1, q2, s in keys])
 
 
 def feature_matrix(keys: list[RowKey], build_row: RowStep) -> list[str]:

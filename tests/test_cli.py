@@ -104,6 +104,8 @@ class TestFeatureMatrixErrors:
             (set_field(3, 5, "abc"), "4: could not convert string to float: 'abc'"),
             (set_field(2, -1, "inf"), "3: non-finite value"),
             (set_field(2, 6, "5.5"), "3: Freq.q1 is not an integer: '5.5'"),
+            # A blank line is skipped, and the bad row after it keeps its file line.
+            ([*matrix_lines()[:2], "", *set_field(2, -1, None)[2:]], "4: expected 27 fields, got 26"),
         ],
     )
     def test_error_names_file_and_line(self, base, tmp_path, command, lines, where):
@@ -153,6 +155,7 @@ class TestConfigErrors:
             ("n_queries=3", "unknown config key 'n_queries'"),
             ("n_urls=6", "unknown config key 'n_urls'"),
             ("facet_vocab=a", "unknown config key 'facet_vocab'"),
+            ("min_leaf=0", "min_leaf must be >= 1"),
         ],
     )
     def test_train_config(self, base, tmp_path, line, reason):

@@ -75,6 +75,10 @@ class TestDCG:
     def test_empty(self):
         assert dcg_at(ranking([]), 5) == 0.0
 
+    def test_cutoff_below_one_rejected(self):
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            dcg_at(ranking([10.0]), 0)
+
     def test_grade_doubling_doubles_dcg(self):
         rng = random.Random(67)
         for _ in range(100):
@@ -198,6 +202,10 @@ class TestWilcoxon:
     def test_identical_samples_error(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0] * 10, [1.0] * 10)
+
+    def test_unequal_lengths_error(self):
+        with pytest.raises(ValueError, match="paired samples must have equal length"):
+            wilcoxon_signed_rank([1.0] * 10, [0.0] * 9)
 
     def test_n6_all_positive_exact(self):
         a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]

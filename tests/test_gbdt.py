@@ -154,6 +154,12 @@ class TestFit:
             TrainConfig(shrinkage=0.0)
         with pytest.raises(ValueError):
             fit([[np.nan], [1.0]], [1.0, 2.0])  # no split order for NaN
+        with pytest.raises(ValueError, match="min_leaf must be >= 1"):
+            TrainConfig(min_leaf=0)
+        with pytest.raises(ValueError, match="X and y length mismatch"):
+            fit([[1.0], [2.0]], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="feature_names length mismatch"):
+            fit([[1.0], [2.0]], [1.0, 2.0], feature_names=["a", "b"])
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_feature_rejected(self, value):
@@ -516,9 +522,13 @@ class TestMalformedModel:
             self.load(tmp_path, lines)
 
     def test_tree_count_differs_from_header(self, tmp_path, lines):
-        lines[0] = "n_trees\t4"
-        with pytest.raises(ValueError, match=self.differs(0, "n_trees\t3", "n_trees\t4")):
-            self.load(tmp_path, lines)
+        # "shrinkage\t0.10" spells the same float as save_model's 0.1: the
+        # n_trees line is refused first whether or not that line differs too.
+        assert lines[1] == "shrinkage\t0.1"
+        for shrinkage in ("shrinkage\t0.1", "shrinkage\t0.10"):
+            lines[:2] = ["n_trees\t4", shrinkage]
+            with pytest.raises(ValueError, match=self.differs(0, "n_trees\t3", "n_trees\t4")):
+                self.load(tmp_path, lines)
 
     def test_missing_importance_section(self, tmp_path, lines):
         lines = lines[: lines.index("importance")]

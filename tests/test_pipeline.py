@@ -164,16 +164,13 @@ class TestDataset:
         for r in dataset.rows:
             assert assignments[r.q1].votes and assignments[r.q2].votes
 
-    def test_equal_kinds_share_one_frozenset(self, world, dataset):
+    def test_kinds_are_the_candidate_kinds(self, world, dataset):
         _, stats, sessions, lex, _, _ = world
         strengths = {}
         for p in pipeline.generate_candidates(stats, sessions, lex):
             strengths.setdefault((p.q1, p.q2), {})[p.kind] = p.strength
-        shared = {}
         for r in dataset.rows:
             assert r.kinds == frozenset(strengths.get((r.q1, r.q2), {}))
-            assert shared.setdefault(r.kinds, r.kinds) is r.kinds
-        assert len(shared) > 2
 
     def test_neg_ratio_zero(self, world):
         _, stats, sessions, lex, assignments, clusters = world
@@ -788,9 +785,15 @@ class TestChildPlacement:
         def refuse(pid, cpus):
             raise AssertionError("sched_setaffinity called")
 
+        other_cpus = pipeline._other_cpus
         monkeypatch.setattr(pipeline, "_other_cpus", set)
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         # A call would end the child with status 1: a ChildProcessError here.
+        assert pipeline.run_crossval(*rows, self.CFG).lines() == expected
+        # Without sched_getaffinity, _other_cpus itself finds no other CPU.
+        monkeypatch.setattr(pipeline, "_other_cpus", other_cpus)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert pipeline._other_cpus() == set()
         assert pipeline.run_crossval(*rows, self.CFG).lines() == expected
 
     def test_a_refused_move_still_fits(self, monkeypatch, rows):

@@ -66,6 +66,10 @@ class TestSimSubstring:
     def test_duplicates_matched_to_min_multiplicity(self):
         assert sim_substring(("x", "x", "y"), ("x", "z", "w")) == 1 / 3
 
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError):
+            sim_substring(SPAIN, ())
+
     def test_symmetric_bounded_and_dominates_prefix(self):
         rng = random.Random(23)
         for _ in range(2000):

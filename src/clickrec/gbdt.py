@@ -357,20 +357,15 @@ def rank(
 ) -> list[tuple[str, float]]:
     """Score (q2, FeatureVector) candidates and sort best-first.
 
-    Candidates sharing q1's trivial-variant cluster are dropped before
-    ranking.  Ties break on q2 to keep the order total and deterministic.
+    Ties break on q2 to keep the order total and deterministic.  q1 and
+    clusters are unread (pipeline.select_rows drops variant mates); the
+    benchmark's serve pass passes them, so they stay until ROADMAP item 4.
     """
-    kept = []
-    c1 = clusters.get(q1) if clusters else None
-    for q2, fv in candidates:
-        if c1 is not None and clusters.get(q2) == c1:
-            continue
-        kept.append((q2, fv))
-    if not kept:
+    if not candidates:
         return []
-    X = np.array([fv.values() for _, fv in kept])
+    X = np.array([fv.values() for _, fv in candidates])
     scores = predict(model, X)
-    scored = [(q2, float(s)) for (q2, _), s in zip(kept, scores)]
+    scored = [(q2, float(s)) for (q2, _), s in zip(candidates, scores)]
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored
 

@@ -381,11 +381,14 @@ class TestRank:
         out = rank(self._model(), "q", cands)
         assert [q for q, _ in out] == ["high", "low"]
 
-    def test_variant_cluster_removed(self):
-        cands = [("variant", make_fv(bcos=0.9)), ("other", make_fv(bcos=0.9))]
+    def test_clusters_filter_nothing(self):
+        # select_rows alone drops variant mates; rank scores what it is given
+        cands = [("variant", make_fv(bcos=0.9)), ("other", make_fv(bcos=0.1))]
         clusters = {"q": 0, "variant": 0, "other": 1}
-        out = rank(self._model(), "q", cands, clusters)
-        assert [q for q, _ in out] == ["other"]
+        model = self._model()
+        out = rank(model, "q", cands, clusters)
+        assert out == rank(model, "q", cands)
+        assert [q for q, _ in out] == ["variant", "other"]
 
     def test_tie_breaks_lexicographic(self):
         cands = [("bb", make_fv(bcos=0.9)), ("aa", make_fv(bcos=0.9))]

@@ -172,42 +172,39 @@ class _Query(NamedTuple):
     isascii: bool
 
 
+def _describe(q: str, stats: ClickStats, st: SessionStats, lex: frozenset[str]) -> _Query:
+    succ = st.successors.get(q, {})
+    chunks = q.split()
+    compact = "".join(chunks)
+    return _Query(
+        cnt=stats.cnt_q[q],
+        freq_topic=freq_topic(q, ctq(q, lex, stats), stats),
+        len=len(q),
+        clen=len(chunks),
+        ent=_entropy(stats.clicks[q].values()),
+        next_ent=_entropy([succ[k] for k in sorted(succ)]),
+        successors=succ,
+        successor_sum=sum(succ.values()),
+        predecessor_sum=st.successor_totals.get(q, 0),
+        # Plain dicts: Counter's == is a Python-level loop.
+        chunks=_bag(dict(Counter(chunks))),
+        bigrams=_bag(dict(Counter(compact[i : i + 2] for i in range(len(compact) - 1)))),
+        utf8=q.encode("utf-8"),
+        isascii=q.isascii(),
+    )
+
+
 class FeatureContext:
     """Per-query feature inputs: ``queries`` describes every query of the
     click counts when the context is built, and is only read after that.
 
     One context serves every pair built over the same count tables, so
-    build_features does only the work that depends on both queries; it
-    describes a q2 outside the click counts on the spot, without storing it.
+    build_features does only the work that depends on both queries.
     """
 
     def __init__(self, stats: ClickStats, st: SessionStats, lex: frozenset[str]):
-        self.stats = stats
-        self.st = st
-        self.lex = lex
-        self.queries = {q: self.describe(q) for q in stats.cnt_q}
-
-    def describe(self, q: str) -> _Query:
-        stats = self.stats
-        succ = self.st.successors.get(q, {})
-        chunks = q.split()
-        compact = "".join(chunks)
-        return _Query(
-            cnt=stats.cnt_q.get(q, 0),
-            freq_topic=freq_topic(q, ctq(q, self.lex, stats), stats),
-            len=len(q),
-            clen=len(chunks),
-            ent=_entropy(stats.clicks.get(q, {}).values()),
-            next_ent=_entropy([succ[k] for k in sorted(succ)]),
-            successors=succ,
-            successor_sum=sum(succ.values()),
-            predecessor_sum=self.st.successor_totals.get(q, 0),
-            # Plain dicts: Counter's == is a Python-level loop.
-            chunks=_bag(dict(Counter(chunks))),
-            bigrams=_bag(dict(Counter(compact[i : i + 2] for i in range(len(compact) - 1)))),
-            utf8=q.encode("utf-8"),
-            isascii=q.isascii(),
-        )
+        self.queries = {q: _describe(q, stats, st, lex) for q in stats.cnt_q}
+        self.total_pairs = st.total_pairs
 
 
 def build_features(
@@ -218,19 +215,19 @@ def build_features(
     sim: float | None = None,
 ) -> FeatureVector:
     """Assemble the full feature vector for a (q1, q2) pair from the two
-    queries' records in ctx; an unknown q1 raises KeyError.  strengths maps
-    a candidate kind to the pair's strength in that relation, as
+    queries' records in ctx; an unknown q1 or q2 raises KeyError.  strengths
+    maps a candidate kind to the pair's strength in that relation, as
     pipeline.candidate_rows gives it; a kind it lacks has strength 0.  The
     other features are always populated.
     """
-    a, b = ctx.queries[q1], ctx.queries.get(q2) or ctx.describe(q2)
+    a, b = ctx.queries[q1], ctx.queries[q2]
 
     mb_leven = levenshtein(q1, q2)
     # An ASCII string's UTF-8 bytes are its code points.
     leven = mb_leven if a.isascii and b.isascii else levenshtein(a.utf8, b.utf8)
     # LLR: Dunning G-squared of q2 right after q1 over all session-adjacent
     # ordered pairs (rows: the predecessor is q1; columns: the successor is q2).
-    n = ctx.st.total_pairs
+    n = ctx.total_pairs
     f_llr = _g2(a.successors.get(q2, 0), a.successor_sum, b.predecessor_sum, n) if n else 0.0
 
     return FeatureVector(

@@ -4,6 +4,7 @@ Every bad input must give ``error: <path>:...`` on stderr and exit 1, never
 a traceback.  ``rank --q1`` also reads its query as the log parser would.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -488,6 +489,78 @@ def test_one_session_stats_per_run(monkeypatch, tmp_path):
         assert run(*pinned_run, tmp_path / command, command, *inputs) == (0, "")
         builds[command] = len(built)
     assert builds == {"features": 1, "crossval": 1, "candidates": 1}
+
+
+# Three users each click one shared URL for "curry", then search "curry
+# recipe" and click distinct URLs, so clean_log drops every "curry recipe"
+# click: a co-session q2 outside the click counts.
+SESSION_ONLY_LOG = "".join(
+    f"{t}\tu{u}\tcurry\thttp://a\t1\n{t + 10}\tu{u}\tcurry recipe\thttp://b{u}\t1\n"
+    for u, t in ((1, 100), (2, 200), (3, 300))
+)
+PHRASES = ["curry", "curry recipe", "beef", "beef stew", "pie", "pie crust"]
+
+
+@st.composite
+def session_only_logs(draw):
+    """(click log, taxonomy) in which some co-session q2s have no kept click.
+
+    Every user searches queries[0] and clicks its shared URL, then searches
+    queries[1] and clicks a URL of their own, so queries[1] is never in the
+    click counts; more searches follow, each on its query's shared URL or on
+    a URL of the user's own.  The first taxonomy site names every word, so
+    every query gets a vote; the others name a few."""
+    queries = draw(st.lists(st.sampled_from(PHRASES), min_size=2, max_size=5, unique=True))
+    later = [queries[0], *queries[2:]]
+    lines, t = [], 0
+    for u in range(draw(st.integers(2, 5))):
+        steps = [(queries[0], True), (queries[1], False)]
+        steps += draw(st.lists(st.tuples(st.sampled_from(later), st.booleans()), max_size=4))
+        for q, shared in steps:
+            t += 10
+            url = f"http://{q.replace(' ', '-')}" if shared else f"http://u{u}-{t}"
+            lines.append(f"{t}\tu{u}\t{q}\t{url}\t1\n")
+    words = sorted({w for q in PHRASES for w in q.split()})
+    sites = [words, *draw(st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=3), max_size=3))]
+    taxonomy = [f"http://t{i}\t{' '.join(ws)}\tpages\tFood/C{i % 2}\n" for i, ws in enumerate(sites)]
+    return "".join(lines), "".join(taxonomy)
+
+
+class TestSessionOnlyQueries:
+    """The CLI row path names only queries with a feature record: a
+    co-session q2 outside the click counts gets no category vote, so
+    select_rows drops it before build_features would raise KeyError."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(session_only_logs(), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_rows_name_only_clicked_queries(self, tmp_path_factory, world, neg_ratio):
+        d = tmp_path_factory.mktemp("session_only")
+        (d / "clicks.tsv").write_text(world[0])
+        (d / "taxonomy.tsv").write_text(world[1])
+        args = argparse.Namespace(
+            log=str(d / "clicks.tsv"), taxonomy=str(d / "taxonomy.tsv"), neg_ratio=neg_ratio, seed=0
+        )
+        stats, st_, lex = cli._prepare(args.log)
+        assert any(q2 not in stats.cnt_q for _, q2, _ in pipeline.candidate_rows(stats, st_, lex))
+        try:
+            keys, build_row = cli._rows(args)
+        except ValueError as exc:  # too few free pairs for the negatives
+            assert str(exc).startswith("could not draw"), exc
+            return
+        assert all(q1 in stats.cnt_q and q2 in stats.cnt_q for q1, q2, _ in keys)
+        assert len(pipeline.feature_matrix(keys, build_row)) == len(keys) + 1
+
+    def test_six_line_log(self, tmp_path):
+        log, tax = tmp_path / "clicks.tsv", tmp_path / "taxonomy.tsv"
+        log.write_text(SESSION_ONLY_LOG)
+        tax.write_text("http://a\tcurry recipes\tcurry recipe pages\tFood/Cooking\n")
+        stats, st_, lex = cli._prepare(str(log))
+        assert stats.queries == ["curry"]
+        assert pipeline.candidate_rows(stats, st_, lex) == [("curry", "curry recipe", {"co_session": 1.0})]
+        inputs = ["--log", log, "--taxonomy", tax]
+        assert run("--out", tmp_path / "f", "features", *inputs) == (0, "")
+        code, err = run("--out", tmp_path / "c", "crossval", *inputs)
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err, err
 
 
 class TestNoProcessLeft:

@@ -197,6 +197,19 @@ class TestPRCurve:
             for (_, p), w in zip(got, want):
                 assert abs(p - w) < 1e-12
 
+    @pytest.mark.parametrize("rankings", [[], [[0.0, 3.0], [0.5]]])
+    def test_no_relevant_item_all_zero(self, rankings):
+        assert precision_recall_curve(rankings) == [(k / 10, 0.0) for k in range(11)]
+
+    def test_query_without_relevant_item_skipped(self):
+        # Skipped, not averaged in as a row of zeros.
+        rng = random.Random(101)
+        for _ in range(50):
+            rs = [ranking([rng.choice(GRADES) for _ in range(rng.randint(1, 10))]) for _ in range(4)]
+            rs.append(ranking([10.0]))  # at least one query with a relevant item
+            with_irrelevant = rs + [ranking([0.0, 3.0, 0.5])]
+            assert precision_recall_curve(with_irrelevant) == precision_recall_curve(rs)
+
 
 class TestWilcoxon:
     def test_identical_samples_error(self):

@@ -94,8 +94,9 @@ def session_features(q1, q2, seqs):
 
 
 def text_features(q1, q2):
-    """build_features for a pair where only the two strings matter."""
-    return features(q1, q2, _stats({q1: {"u": 1}}))
+    """build_features for a pair where only the two strings matter; both
+    queries are clicked once, so both have records."""
+    return features(q1, q2, _stats({q1: {"u": 1}, q2: {"u": 1}}))
 
 
 class TestClickEntropy:
@@ -120,11 +121,11 @@ class TestClickEntropy:
         with pytest.raises(KeyError):
             features("nope", "q", _stats({"q": {"u": 2}}))
 
-    def test_query_seen_only_in_sessions_zero(self):
+    def test_query_seen_only_in_sessions_raises(self):
+        # A q2 outside the click counts has no record, like an unknown q1.
         stats = _stats({"q": {"u1": 3, "u2": 1}})
-        fv = features("q", "s", stats, _sessions([["q", "s"]]))
-        assert fv.ent_q2 == 0.0 and fv.freq_q2 == 0
-        assert fv.delta_ent == fv.ent_q1
+        with pytest.raises(KeyError):
+            features("q", "s", stats, _sessions([["q", "s"]]))
 
     def test_bounded_by_log_outcomes(self):
         rng = random.Random(31)
@@ -187,7 +188,7 @@ class TestLLR:
                     assert abs(got - expected) < 1e-9
 
     def test_no_pairs_zero(self):
-        fv = session_features("only", "b", [["only"]])
+        fv = session_features("only", "b", [["only"], ["b"]])
         assert fv.llr == 0.0 and fv.next_ent == 0.0
 
 
@@ -327,10 +328,11 @@ class TestBagCosine:
 
 
 class TestBuildFeatures:
-    def _context(self):
+    def _context(self, extra=()):
         vectors = {
             "curry": {"http://a": 3, "http://b": 1},
             "curry recipe": {"http://a": 2, "http://c": 2},
+            **dict(extra),
         }
         recs = []
         t = 0
@@ -383,10 +385,10 @@ class TestBuildFeatures:
         assert fv.p_cc > 0.0
 
     def test_unrelated_pair_strengths_zero(self):
-        stats, sessions, lex = self._context()
+        stats, sessions, lex = self._context({"totally different": {"http://z": 1}})
         fv = self._build("curry", "totally different", stats, sessions, lex)
         assert fv.p_cc == fv.p_ct == fv.p_cs == 0.0
-        assert fv.leven > 0 and fv.freq_q2 == 0
+        assert fv.leven > 0 and fv.freq_q2 == 1
 
     def test_matrix_round_trip(self):
         stats, sessions, lex = self._context()
@@ -402,7 +404,8 @@ class TestBuildFeatures:
 
 class TestFeatureContextBuiltWhole:
     """FeatureContext describes every query of the click counts when it is
-    built; build_features only reads that table afterwards."""
+    built; build_features only reads that table afterwards, and any other
+    query is a KeyError on either side."""
 
     @settings(max_examples=100, deadline=None)
     @given(worlds(), st.text(ALPHABET + " ", min_size=1, max_size=6))
@@ -413,9 +416,14 @@ class TestFeatureContextBuiltWhole:
         assert list(ctx.queries) == list(stats.cnt_q)
         before = dict(ctx.queries)
         for q1 in stats.cnt_q:
-            # names may hold queries outside the click counts; unknown may too.
-            for q2 in [*names, unknown]:
+            for q2 in stats.cnt_q:
                 build_features(q1, q2, ctx, {})
+        # names may hold queries outside the click counts; unknown may too.
+        for q in {*names, unknown} - stats.cnt_q.keys():
+            for k in stats.cnt_q:
+                for q1, q2 in ((q, k), (k, q)):
+                    with pytest.raises(KeyError):
+                        build_features(q1, q2, ctx, {})
         assert list(ctx.queries) == list(before)
         assert all(ctx.queries[q] is info for q, info in before.items())
 

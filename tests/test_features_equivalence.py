@@ -2,12 +2,13 @@
 
 Worlds are random click logs whose queries mix 1- to 4-byte UTF-8
 characters, double spaces, reordered chunks and facet expansions.  Every
-(q1, q2) pair, including q1 == q2 and a q2 that was never logged, must give
-the same ``repr`` of its FeatureVector as ``features_reference``, with and
-without session pairs, when build_features gets the strengths that
-``candidates.generate_all`` gives the pair.  Whole datasets, negatives
-included, must match too: on random worlds with random categories and
-variant clusters, and on the criterion-7 corpus.
+(q1, q2) pair of clicked queries, q1 == q2 included, must give the same
+``repr`` of its FeatureVector as ``features_reference``, with and without
+session pairs, when build_features gets the strengths that
+``candidates.generate_all`` gives the pair; a q2 outside the click counts
+raises KeyError.  Whole datasets, negatives included, must match too: on
+random worlds with random categories and variant clusters, and on the
+criterion-7 corpus.
 """
 
 import random
@@ -66,6 +67,10 @@ def test_every_pair_matches_reference(world, unknown):
         for p in cand.generate_all(q1, stats, sst, lex, postings):
             strengths.setdefault(p.q2, {})[p.kind] = p.strength
         for q2 in [*names, unknown]:
+            if q2 not in stats.cnt_q:
+                with pytest.raises(KeyError):
+                    build_features(q1, q2, ctx, {})
+                continue
             # A pair outside every relation gets {}; the reference computes
             # its strengths and must find them all 0.
             got = build_features(q1, q2, ctx, strengths.get(q2, {}), sim=0.5)
@@ -134,8 +139,11 @@ def test_whole_dataset_matches_reference(world, neg_ratio):
 def test_unknown_q1_raises():
     stats = logs.build_click_stats(random_records(random.Random(1), 50))
     ctx = FeatureContext(stats, cand.build_session_stats([]), frozenset())
+    assert "q1" in ctx.queries
     with pytest.raises(KeyError):
         build_features("never logged", "q1", ctx, {})
+    with pytest.raises(KeyError):
+        build_features("q1", "never logged", ctx, {})
 
 
 @pytest.mark.parametrize("seed", [42, 2026])

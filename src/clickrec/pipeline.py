@@ -2,24 +2,20 @@
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import math
-import os
 import pickle
 import random
-import signal
 import zlib
 from collections import Counter
 from collections.abc import Callable
 from itertools import groupby
-from typing import NamedTuple, NoReturn, TypeVar
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
 from . import candidates as cand
 from . import evaluation as ev
-from . import gbdt
+from . import gbdt, procs
 from .candidates import CandidatePair, SessionStats, build_session_stats
 from .features import FEATURE_NAMES, FeatureContext, FeatureVector, build_features
 from .features import feature_matrix_lines, matrix_row_lines
@@ -235,94 +231,40 @@ _U = TypeVar("_U")
 
 
 def _fork_halves(here: Callable[[], _T], there: Callable[[], _U]) -> tuple[_T, _U]:
-    """(here(), there()), with there() run in a forked child meanwhile.
+    """(here(), there()), with there() run in a forked helper meanwhile.
 
-    The child sends what there() returned, or the exception it raised, back
-    through a pipe as one pickle, which is loaded only once the child has
-    exited with status 0.  Errors are those of calling here(), then there(),
-    in one process: here()'s first (the child is killed), then there()'s
-    with its type and message; a child that exits another way raises
-    ChildProcessError.  The child is reaped on every path.  Where os.fork is
-    missing, or a pipe or a fork cannot be made, there() runs here after
-    here().
+    The helper (procs.fork_helper) sends what there() returned, or the
+    exception it raised, back through its pipe as one pickle, which is
+    loaded only once the helper has exited with status 0.  Errors are those
+    of calling here(), then there(), in one process: here()'s first (the
+    helper is killed), then there()'s with its type and message; a helper
+    that exits another way, as when its value or exception cannot be
+    pickled, raises ChildProcessError.  Where no helper can be forked,
+    there() runs here after here().
     """
-    pid, fds = -1, ()
-    if hasattr(os, "fork"):
-        others = _other_cpus()
-        try:
-            fds = read_fd, write_fd = os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-    if pid < 0:
+    helper = procs.fork_helper(lambda _, write_fd: _send(there, write_fd), procs.other_cpus())
+    if helper is None:
         return here(), there()
-    if pid == 0:
-        _child(there, read_fd, write_fd, others)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
-        try:
-            mine = here()
-            # Read to EOF before waitpid: what the child sends can outgrow
-            # the pipe buffer, so the child cannot exit until it is read.
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise ChildProcessError(f"the forked child process exited with status {code}")
+    with helper, open(helper.read_fd, "rb", closefd=False) as pipe:
+        mine = here()
+        # Read to EOF before reaping: what the helper sends can outgrow the
+        # pipe buffer, so it cannot exit until it is read.
+        data = pipe.read()
+    helper.check()
     raised, theirs = pickle.loads(data)
     if raised:
         raise theirs
     return mine, theirs
 
 
-def _other_cpus() -> set[int]:
-    """The CPUs this process may use besides the one it runs on now.
-
-    Empty where Linux's /proc/thread-self or sched_getaffinity is missing.
-    """
+def _send(there: Callable[[], object], write_fd: int) -> None:
+    """Pickle (False, there()), or (True, the exception it raised), to write_fd."""
     try:
-        with open("/proc/thread-self/stat", "rb") as fh:
-            # Field 39, "processor"; the fields after the name start at 3.
-            cpu = int(fh.read().rpartition(b")")[2].split()[36])
-        return os.sched_getaffinity(0) - {cpu}
-    except (OSError, AttributeError, IndexError, ValueError):
-        return set()
-
-
-def _child(there: Callable[[], object], read_fd: int, write_fd: int, others: set[int]) -> NoReturn:
-    """Pickle (False, there()), or (True, the exception it raised), to write_fd; exit.
-
-    It first moves to one of ``others``, the CPUs besides the parent's.
-    It leaves only through os._exit, so it never returns into the caller's
-    stack, runs no atexit handler and flushes no inherited buffer.  A value
-    or exception that cannot be pickled ends it with status 1.
-    """
-    status = 1
-    try:
-        os.close(read_fd)
-        gc.disable()  # one task, then exit: nothing to collect
-        if others:
-            # Fork can start the child on the parent's CPU, and the balancer
-            # can leave both processes there for half a task while a CPU idles.
-            # Move off once, then let the scheduler place the child freely.
-            with contextlib.suppress(OSError):
-                allowed = os.sched_getaffinity(0)
-                os.sched_setaffinity(0, others)
-                os.sched_setaffinity(0, allowed)
-        try:
-            sent = False, there()
-        except Exception as exc:
-            sent = True, exc
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
+        sent = False, there()
+    except Exception as exc:
+        sent = True, exc
+    with open(write_fd, "wb") as pipe:
+        pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
 
 
 def _min_max(col: np.ndarray) -> np.ndarray:
@@ -343,7 +285,8 @@ def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) 
     A fit holds the GIL, so only a second process overlaps the two: a forked
     child builds fold 1's rows and fits them while this process does fold 0
     (_fork_halves).  The child sends back its model and its candidate rows'
-    features and targets, and no row object.
+    features and targets, and no row object.  Each fold is fit in its own
+    process, without gbdt.fit's helper, so two busy processes share two CPUs.
     """
     folds = [[key for key in keys if fold_of(key[0]) == f] for f in (0, 1)]
     for f, fold in enumerate(folds):
@@ -357,7 +300,8 @@ def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) 
         y = np.array([fv.sim for fv in fvs])
         del fvs  # the fit needs only the matrix
         is_candidate = np.array([bool(key[2]) for key in fold])
-        return gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES), X[is_candidate], y[is_candidate]
+        model = gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES, in_process=True)
+        return model, X[is_candidate], y[is_candidate]
 
     fits = _fork_halves(lambda: fit_fold(folds[0]), lambda: fit_fold(folds[1]))
 

@@ -491,7 +491,12 @@ class TestMalformedModel:
             "0\tleaf\t1.0\t-\t-\t-", "1\tleaf\t2.0\t-\t-\t-", "2\tleaf\t3.0\t-\t-\t-",
             "importance", "f0\t0.0",
         ]
-        # The root closes the tree, so line 7 must start the importance section.
+        # The root closes the tree, so the tree has one node, not the 3 its
+        # line gives: that line is the first that differs.
+        with pytest.raises(ValueError, match=self.differs(4, "tree\t0\t0.5\t1", lines[4])):
+            self.load(tmp_path, lines)
+        # With the tree line right, line 7 must start the importance section.
+        lines[4] = "tree\t0\t0.5\t1"
         with pytest.raises(ValueError, match=r"model.txt:7: expected 'importance', found '1'"):
             self.load(tmp_path, lines)
 
@@ -532,6 +537,45 @@ class TestMalformedModel:
             lines[:2] = ["n_trees\t4", shrinkage]
             with pytest.raises(ValueError, match=self.differs(0, "n_trees\t3", "n_trees\t4")):
                 self.load(tmp_path, lines)
+
+    @pytest.fixture
+    def four_trees(self, tmp_path):
+        X, y = random_problem(np.random.default_rng(11))
+        save_model(fit(X, y, TrainConfig(n_trees=4)), str(tmp_path / "good.txt"))
+        return (tmp_path / "good.txt").read_text().splitlines()
+
+    def test_header_line_named_before_a_later_fault(self, tmp_path, four_trees):
+        # "0.10" spells save_model's 0.1 otherwise; the line of tree 1's
+        # node 1, lost, would be refused where node 2's line follows, but
+        # line 2 differs first.
+        lines = four_trees
+        i = lines.index("tree\t1\t0.1\t11") + 2
+        assert lines[i].startswith("1\t") and lines[i + 1].startswith("2\t")
+        lines[1] = "shrinkage\t0.10"
+        del lines[i]
+        with pytest.raises(ValueError, match=self.differs(1, "shrinkage\t0.1", "shrinkage\t0.10")):
+            self.load(tmp_path, lines)
+
+    def test_lost_tree_line_named_at_n_trees(self, tmp_path, four_trees):
+        # Without tree 1's line, the tree section ends after tree 0, so the
+        # file holds one tree, and its n_trees line is the first that differs.
+        lines = four_trees
+        i = [j for j, ln in enumerate(lines) if ln.startswith("tree\t")][1]
+        del lines[i]
+        with pytest.raises(ValueError, match=self.differs(0, "n_trees\t1", "n_trees\t4")):
+            self.load(tmp_path, lines)
+
+    def test_closed_tree_named_before_a_later_tree_fault(self, tmp_path, lines):
+        # Tree 0's first leaf value spelled with 20 digits, not repr's, and
+        # an unknown node kind at tree 1's root.
+        i = self.first(lines, "leaf")
+        parts = lines[i].split("\t")
+        parts[2] = format(float(parts[2]), ".20g")
+        want, lines[i] = lines[i], "\t".join(parts)
+        j = lines.index(next(ln for ln in lines if ln.startswith("tree\t1\t"))) + 1
+        lines[j] = lines[j].replace("\tsplit\t", "\tbush\t")
+        with pytest.raises(ValueError, match=self.differs(i, want, lines[i])):
+            self.load(tmp_path, lines)
 
     def test_missing_importance_section(self, tmp_path, lines):
         lines = lines[: lines.index("importance")]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import crossval_reference
 import rows_reference
 from clickrec import candidates as cand
-from clickrec import features, gbdt, logs, pipeline, synth, taxonomy
+from clickrec import features, gbdt, logs, pipeline, procs, synth, taxonomy
 from conftest import assert_no_child_left, cli_env, random_records
 from test_features_equivalence import worlds
 
@@ -746,7 +746,7 @@ class TestChildPlacement:
 
     def test_other_cpus_leave_out_exactly_this_one(self):
         allowed = os.sched_getaffinity(0)
-        others = pipeline._other_cpus()
+        others = procs.other_cpus()
         if len(allowed) > 1:
             assert others < allowed and len(allowed - others) == 1
         else:
@@ -770,7 +770,7 @@ class TestChildPlacement:
 
         parent = os.getpid()
         others = {min(allowed)}  # any CPU of the mask will do
-        monkeypatch.setattr(pipeline, "_other_cpus", lambda: others)
+        monkeypatch.setattr(procs, "other_cpus", lambda: others)
         monkeypatch.setattr(os, "sched_setaffinity", recording_set)
         monkeypatch.setattr(gbdt, "fit", report_calls)
         with pytest.raises(ValueError) as info:
@@ -785,15 +785,15 @@ class TestChildPlacement:
         def refuse(pid, cpus):
             raise AssertionError("sched_setaffinity called")
 
-        other_cpus = pipeline._other_cpus
-        monkeypatch.setattr(pipeline, "_other_cpus", set)
+        other_cpus = procs.other_cpus
+        monkeypatch.setattr(procs, "other_cpus", set)
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         # A call would end the child with status 1: a ChildProcessError here.
         assert pipeline.run_crossval(*rows, self.CFG).lines() == expected
-        # Without sched_getaffinity, _other_cpus itself finds no other CPU.
-        monkeypatch.setattr(pipeline, "_other_cpus", other_cpus)
+        # Without sched_getaffinity, other_cpus itself finds no other CPU.
+        monkeypatch.setattr(procs, "other_cpus", other_cpus)
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert pipeline._other_cpus() == set()
+        assert procs.other_cpus() == set()
         assert pipeline.run_crossval(*rows, self.CFG).lines() == expected
 
     def test_a_refused_move_still_fits(self, monkeypatch, rows):
@@ -802,7 +802,7 @@ class TestChildPlacement:
         def refuse(pid, cpus):
             raise OSError("not permitted")
 
-        monkeypatch.setattr(pipeline, "_other_cpus", lambda: {0})
+        monkeypatch.setattr(procs, "other_cpus", lambda: {0})
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         assert pipeline.run_crossval(*rows, self.CFG).lines() == expected
 

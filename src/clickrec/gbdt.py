@@ -336,8 +336,6 @@ def fit(
     y,
     cfg: TrainConfig | None = None,
     feature_names: list[str] | None = None,
-    *,
-    in_process: bool = False,
 ) -> Ensemble:
     """Train the boosted ensemble; records per-iteration training MSE.
 
@@ -345,9 +343,8 @@ def fit(
     one helper (procs.fork_helper) that searches the second half of the
     columns while this process searches the first; the two swap each node's
     best split, both grow every tree, and the model is the one a single
-    process fits.  The fit runs in this process alone when in_process is
-    set, X has one column, no other CPU is allowed or no helper can be
-    forked.
+    process fits.  The fit runs in this process alone when X has one column
+    or procs.fork_helper forks no helper.
 
     Raises ValueError when a stored number or training prediction is not
     finite, since load_model would refuse the saved model, and
@@ -371,16 +368,12 @@ def fit(
     base = float(y.mean())
     cols = list(range(X.shape[1]))
     h = (len(cols) + 1) // 2  # this process searches cols[:h], the helper cols[h:]
-    helper = None
+
+    def helper_fit(read_fd: int, write_fd: int) -> None:
+        _boost(_Grower(X, cfg, cols[h:], (read_fd, write_fd)), y, cfg, base)
+
     large = _HELPER_ROWS <= len(X) and _HELPER_WORK <= len(X) * cfg.n_trees
-    if not in_process and h < len(cols) and large:
-        others = procs.other_cpus()
-        if others:
-
-            def helper_fit(read_fd: int, write_fd: int) -> None:
-                _boost(_Grower(X, cfg, cols[h:], (read_fd, write_fd)), y, cfg, base)
-
-            helper = procs.fork_helper(helper_fit, others)
+    helper = procs.fork_helper(helper_fit) if h < len(cols) and large else None
     if helper is None:
         trees, gains, train_mse, pred = _boost(_Grower(X, cfg, cols), y, cfg, base)
     else:
@@ -391,7 +384,6 @@ def fit(
             except (EOFError, BrokenPipeError):  # the helper has exited
                 helper.check()  # raises ChildProcessError with its status
                 raise
-        helper.check()
 
     raw = dict.fromkeys(names, 0.0)
     for tree, node_gains in zip(trees, gains):

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import pickle
 import random
 import zlib
 from collections import Counter
 from collections.abc import Callable
 from itertools import groupby
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,7 +133,7 @@ def feature_matrix(keys: list[RowKey], build_row: RowStep) -> list[str]:
     """feature_matrix_lines of the rows build_row builds for keys, in key order.
 
     A forked child builds and formats the second half of the rows while
-    this process does the first (_fork_halves), and sends back only their
+    this process does the first (procs.halves), and sends back only their
     lines, so its rows never exist here as objects.
     """
     h = len(keys) // 2
@@ -143,7 +142,7 @@ def feature_matrix(keys: list[RowKey], build_row: RowStep) -> list[str]:
         for q1, q2, strengths in part:
             yield q1, q2, "+".join(sorted(strengths)) or "-", build_row(q1, q2, strengths)
 
-    head, tail = _fork_halves(
+    head, tail = procs.halves(
         lambda: feature_matrix_lines(matrix_rows(keys[:h])),
         lambda: matrix_row_lines(matrix_rows(keys[h:])),
     )
@@ -226,47 +225,6 @@ def row_builder(
     return build_row
 
 
-_T = TypeVar("_T")
-_U = TypeVar("_U")
-
-
-def _fork_halves(here: Callable[[], _T], there: Callable[[], _U]) -> tuple[_T, _U]:
-    """(here(), there()), with there() run in a forked helper meanwhile.
-
-    The helper (procs.fork_helper) sends what there() returned, or the
-    exception it raised, back through its pipe as one pickle, which is
-    loaded only once the helper has exited with status 0.  Errors are those
-    of calling here(), then there(), in one process: here()'s first (the
-    helper is killed), then there()'s with its type and message; a helper
-    that exits another way, as when its value or exception cannot be
-    pickled, raises ChildProcessError.  Where no helper can be forked,
-    there() runs here after here().
-    """
-    helper = procs.fork_helper(lambda _, write_fd: _send(there, write_fd), procs.other_cpus())
-    if helper is None:
-        return here(), there()
-    with helper, open(helper.read_fd, "rb", closefd=False) as pipe:
-        mine = here()
-        # Read to EOF before reaping: what the helper sends can outgrow the
-        # pipe buffer, so it cannot exit until it is read.
-        data = pipe.read()
-    helper.check()
-    raised, theirs = pickle.loads(data)
-    if raised:
-        raise theirs
-    return mine, theirs
-
-
-def _send(there: Callable[[], object], write_fd: int) -> None:
-    """Pickle (False, there()), or (True, the exception it raised), to write_fd."""
-    try:
-        sent = False, there()
-    except Exception as exc:
-        sent = True, exc
-    with open(write_fd, "wb") as pipe:
-        pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
-
-
 def _min_max(col: np.ndarray) -> np.ndarray:
     """col scaled by its minimum and maximum to [0, 1]; zeros when they are equal."""
     lo, hi = (col.min(), col.max()) if len(col) else (0.0, 0.0)
@@ -284,9 +242,9 @@ def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) 
 
     A fit holds the GIL, so only a second process overlaps the two: a forked
     child builds fold 1's rows and fits them while this process does fold 0
-    (_fork_halves).  The child sends back its model and its candidate rows'
-    features and targets, and no row object.  Each fold is fit in its own
-    process, without gbdt.fit's helper, so two busy processes share two CPUs.
+    (procs.halves).  The child sends back its model and its candidate rows'
+    features and targets, and no row object.  With the child forked, neither
+    fold's fit forks a helper of its own (procs.fork_helper).
     """
     folds = [[key for key in keys if fold_of(key[0]) == f] for f in (0, 1)]
     for f, fold in enumerate(folds):
@@ -300,10 +258,10 @@ def run_crossval(keys: list[RowKey], build_row: RowStep, cfg: gbdt.TrainConfig) 
         y = np.array([fv.sim for fv in fvs])
         del fvs  # the fit needs only the matrix
         is_candidate = np.array([bool(key[2]) for key in fold])
-        model = gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES, in_process=True)
+        model = gbdt.fit(X, y, cfg, feature_names=FEATURE_NAMES)
         return model, X[is_candidate], y[is_candidate]
 
-    fits = _fork_halves(lambda: fit_fold(folds[0]), lambda: fit_fold(folds[1]))
+    fits = procs.halves(lambda: fit_fold(folds[0]), lambda: fit_fold(folds[1]))
 
     rankings: dict[str, list[list[float]]] = {m: [] for m in ALL_METHODS}
     raw_importance = {n: 0.0 for n in FEATURE_NAMES}

@@ -1,10 +1,16 @@
-"""Forked helper processes, as ``pipeline._fork_halves`` and ``gbdt.fit`` start them.
+"""Forked helper processes, and the one rule for when clickrec forks one.
 
-A helper is forked with two pipes, one each way.  It first moves off the
-parent's CPU once, then runs its task, and it leaves only through
-``os._exit``.  The parent kills it if the parent raises, and reaps it on
-every path; a helper that exits with a status other than 0 is a
-``ChildProcessError``.
+``fork_helper`` forks only where ``os.fork`` exists, another CPU is allowed
+and this process is neither a helper nor holds one not yet reaped, so
+clickrec runs at most two processes; otherwise the caller does the work.
+A helper has two pipes, one each way.  It moves off the parent's CPU once,
+runs its task and leaves only through ``os._exit``.  The parent kills it if
+the parent raises and reaps it on every path; a status other than 0 is a
+``ChildProcessError``.  ``halves`` runs two halves of a job in the two
+processes, and ``gbdt.fit`` swaps split searches with its helper.
+
+Forking while OpenBLAS's threads are alive is accepted: no clickrec helper
+calls BLAS, and ``tests/test_procs.py`` shows that a helper can.
 """
 
 from __future__ import annotations
@@ -12,9 +18,16 @@ from __future__ import annotations
 import contextlib
 import gc
 import os
+import pickle
 import signal
 from collections.abc import Callable
-from typing import NoReturn
+from typing import NoReturn, TypeVar
+
+_T = TypeVar("_T")
+_U = TypeVar("_U")
+
+# This process is a helper, or the parent of a helper not yet reaped.
+_paired = False
 
 
 def other_cpus() -> set[int]:
@@ -36,7 +49,8 @@ class Helper:
 
     ``read_fd`` reads what the helper writes, and ``write_fd`` writes what it
     reads.  As a context manager it closes both ends and reaps the helper on
-    exit, after killing it if the block raised.
+    exit, after killing it if the block raised; after a block that did not
+    raise, it checks the helper's exit status.
     """
 
     def __init__(self, pid: int, read_fd: int, write_fd: int):
@@ -45,9 +59,11 @@ class Helper:
 
     def wait(self) -> int:
         """Reap the helper, once, and return its exit code."""
+        global _paired
         if self.code is None:
             _, status = os.waitpid(self.pid, 0)
             self.code = os.waitstatus_to_exitcode(status)
+            _paired = False
         return self.code
 
     def check(self) -> None:
@@ -67,16 +83,20 @@ class Helper:
             os.close(self.read_fd)
             os.close(self.write_fd)
             self.wait()
+        if exc_type is None:
+            self.check()
 
 
-def fork_helper(task: Callable[[int, int], object], others: set[int]) -> Helper | None:
+def fork_helper(task: Callable[[int, int], object]) -> Helper | None:
     """Fork a helper that runs task(read_fd, write_fd) and exits.
 
-    It moves to one of ``others``, the CPUs besides the parent's, before the
-    task starts.  None where os.fork is missing or a pipe or a fork cannot
-    be made.
+    None where the module's rule refuses a helper or a pipe or a fork fails.
     """
-    if not hasattr(os, "fork"):
+    global _paired
+    if _paired or not hasattr(os, "fork"):
+        return None
+    others = other_cpus()
+    if not others:
         return None
     fds: list[int] = []
     try:
@@ -87,6 +107,7 @@ def fork_helper(task: Callable[[int, int], object], others: set[int]) -> Helper 
         for fd in fds:
             os.close(fd)
         return None
+    _paired = True
     if pid == 0:
         _run(task, fds, others)
     from_helper, to_parent, from_parent, to_helper = fds
@@ -108,15 +129,49 @@ def _run(task: Callable[[int, int], object], fds: list[int], others: set[int]) -
         os.close(from_helper)
         os.close(to_helper)
         gc.disable()  # one task, then exit: nothing to collect
-        if others:
-            # Fork can start the helper on the parent's CPU, and the balancer
-            # can leave both processes there for half a task while a CPU idles.
-            # Move off once, then let the scheduler place the helper freely.
-            with contextlib.suppress(OSError):
-                allowed = os.sched_getaffinity(0)
-                os.sched_setaffinity(0, others)
-                os.sched_setaffinity(0, allowed)
+        # Fork can start the helper on the parent's CPU, and the balancer can
+        # leave both processes there for half a task while a CPU idles.  Move
+        # off once, then let the scheduler place the helper freely.
+        with contextlib.suppress(OSError):
+            allowed = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, others)
+            os.sched_setaffinity(0, allowed)
         task(from_parent, to_parent)
         status = 0
     finally:
         os._exit(status)
+
+
+def halves(here: Callable[[], _T], there: Callable[[], _U]) -> tuple[_T, _U]:
+    """(here(), there()), with there() run in a forked helper meanwhile.
+
+    The helper sends what there() returned, or the exception it raised, as
+    one pickle, loaded only once the helper has exited with status 0.
+    Errors are those of calling here(), then there(), in one process:
+    here()'s first (the helper is killed), then there()'s with its type and
+    message; a helper that exits another way, as when its value or
+    exception cannot be pickled, raises ChildProcessError.  Without a
+    helper (fork_helper), there() runs here after here().
+    """
+    helper = fork_helper(lambda _, write_fd: _send(there, write_fd))
+    if helper is None:
+        return here(), there()
+    with helper, open(helper.read_fd, "rb", closefd=False) as pipe:
+        mine = here()
+        # Read to EOF before reaping: what the helper sends can outgrow the
+        # pipe buffer, so it cannot exit until it is read.
+        data = pipe.read()
+    raised, theirs = pickle.loads(data)
+    if raised:
+        raise theirs
+    return mine, theirs
+
+
+def _send(there: Callable[[], object], write_fd: int) -> None:
+    """Pickle (False, there()), or (True, the exception it raised), to write_fd."""
+    try:
+        sent = False, there()
+    except Exception as exc:
+        sent = True, exc
+    with open(write_fd, "wb") as pipe:
+        pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from clickrec import procs
 from clickrec.logs import ClickRecord, build_click_stats, clean_log, segment_sessions
 
 
@@ -31,6 +32,17 @@ def child_left_unreaped():
     """Fail any test that leaves a child process unreaped."""
     yield
     assert_no_child_left()
+
+
+@pytest.fixture(scope="class")
+def every_cpu():
+    """Let procs.fork_helper fork on any host: every allowed CPU counts as another."""
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no CPU mask")
+    allowed = os.sched_getaffinity(0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(procs, "other_cpus", lambda: allowed)
+        yield
 
 
 def cli_env() -> dict[str, str]:

@@ -563,6 +563,7 @@ class TestSessionOnlyQueries:
         assert code == 1 and err.startswith("error: ") and "Traceback" not in err, err
 
 
+@pytest.mark.usefixtures("every_cpu")
 class TestNoProcessLeft:
     """features and crossval reap the child they fork, whatever it does."""
 

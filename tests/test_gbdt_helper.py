@@ -31,8 +31,8 @@ def forced_helper():
     helpers = []
     fork_helper = procs.fork_helper
 
-    def recording(task, others):
-        helpers.append(fork_helper(task, others))
+    def recording(task):
+        helpers.append(fork_helper(task))
         return helpers[-1]
 
     allowed = os.sched_getaffinity(0)
@@ -44,13 +44,19 @@ def forced_helper():
         yield helpers
 
 
-def outcome(X, y, cfg, **kw):
+def outcome(X, y, cfg):
     """The fitted model's lines, train_mse and importances, or the ValueError's text."""
     try:
-        model = gbdt.fit(X, y, cfg, **kw)
+        model = gbdt.fit(X, y, cfg)
     except ValueError as exc:
         return str(exc)
     return gbdt._model_lines(model), repr(model.train_mse), model.importance
+
+
+def here_outcome(X, y, cfg):
+    """outcome of the fit in this process alone: with no other CPU, no helper."""
+    with mock.patch.object(procs, "other_cpus", set):
+        return outcome(X, y, cfg)
 
 
 def reference_outcome(X, y, cfg, path):
@@ -101,7 +107,7 @@ def test_helper_fits_the_same_model(tmp_path_factory, world):
     with forced_helper() as helpers:
         got = outcome(X, y, cfg)
     assert [helper.code for helper in helpers] == [0]
-    assert got == outcome(X, y, cfg, in_process=True)
+    assert got == here_outcome(X, y, cfg)
     if not huge:  # the reference lets a NaN gain split a node; fit makes a leaf
         assert got == reference_outcome(X, y, cfg, tmp_path_factory.mktemp("ref") / "model.txt")
     assert_no_child_left()
@@ -118,7 +124,7 @@ def test_a_nan_gain_in_either_half_makes_a_leaf(target_col):
     with forced_helper() as helpers:
         got = outcome(X, y, cfg)
     assert len(helpers) == 1
-    assert got == outcome(X, y, cfg, in_process=True)
+    assert got == here_outcome(X, y, cfg)
 
 
 def test_helper_fits_the_same_model_on_a_larger_problem():
@@ -131,7 +137,7 @@ def test_helper_fits_the_same_model_on_a_larger_problem():
     with forced_helper() as helpers:
         got = outcome(X, y, cfg)
     assert len(helpers) == 1
-    assert got == outcome(X, y, cfg, in_process=True)
+    assert got == here_outcome(X, y, cfg)
 
 
 class TestHelperProcess:
@@ -187,7 +193,7 @@ class TestHelperProcess:
 
     @pytest.mark.parametrize("missing", ["fork", "pipe"])
     def test_without_a_helper_fits_here(self, monkeypatch, missing):
-        want = outcome(self.X, self.Y, self.CFG, in_process=True)
+        want = here_outcome(self.X, self.Y, self.CFG)
         if missing == "fork":
             monkeypatch.delattr(os, "fork")
         else:
@@ -199,13 +205,15 @@ class TestHelperProcess:
         assert_no_child_left()
 
     @pytest.mark.parametrize(
-        "case", ["few rows", "little work", "in_process", "one column", "one CPU"]
+        "case", ["few rows", "little work", "beside a helper", "one column", "one CPU"]
     )
     def test_no_helper_forked(self, case):
         X = self.X[:, :1] if case == "one column" else self.X
-        kw = {"in_process": True} if case == "in_process" else {}
-        want = outcome(X, self.Y, self.CFG, in_process=True)
-        with forced_helper(), contextlib.ExitStack() as patches:
+        want = here_outcome(X, self.Y, self.CFG)
+        with forced_helper() as helpers, contextlib.ExitStack() as patches:
+            if case == "beside a helper":
+                # The helper waits for EOF, so it lives until the stack closes.
+                patches.enter_context(procs.fork_helper(lambda read_fd, _: os.read(read_fd, 1)))
             if case == "few rows":
                 patches.enter_context(mock.patch.object(gbdt, "_HELPER_ROWS", len(X) + 1))
             if case == "little work":
@@ -213,7 +221,8 @@ class TestHelperProcess:
                 patches.enter_context(mock.patch.object(gbdt, "_HELPER_WORK", work + 1))
             if case == "one CPU":
                 patches.enter_context(mock.patch.object(procs, "other_cpus", set))
-            patches.enter_context(
-                mock.patch.object(procs, "fork_helper", side_effect=AssertionError("forked"))
-            )
-            assert outcome(X, self.Y, self.CFG, **kw) == want
+            patches.enter_context(mock.patch.object(os, "fork", side_effect=AssertionError("forked")))
+            assert outcome(X, self.Y, self.CFG) == want
+        # A large fit of two or more columns asks fork_helper, which refuses.
+        asked = {"beside a helper": [False, True], "one CPU": [True]}.get(case, [])
+        assert [helper is None for helper in helpers] == asked

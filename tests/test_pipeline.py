@@ -460,6 +460,7 @@ def matrix_worlds(draw):
     return pairs, stats, sessions, lex, assignments, clusters
 
 
+@pytest.mark.usefixtures("every_cpu")
 class TestFeatureMatrix:
     """feature_matrix builds its second half of the rows in a forked child."""
 
@@ -607,8 +608,9 @@ class TestCrossval:
         assert_no_child_left()
 
 
+@pytest.mark.usefixtures("every_cpu")
 class TestForkHalves:
-    """_fork_halves sends what the child's half returns back as one pickle."""
+    """procs.halves sends what the child's half returns back as one pickle."""
 
     @pytest.mark.parametrize("forked", [True, False])
     def test_a_value_larger_than_the_pipe_buffer(self, forked):
@@ -616,7 +618,7 @@ class TestForkHalves:
         value = [str(i).rjust(100, "x") for i in range(2000)]
         assert len(pickle.dumps(value, pickle.HIGHEST_PROTOCOL)) > 65536
         with deadline(60), contextlib.nullcontext() if forked else no_fork():
-            mine, theirs = pipeline._fork_halves(os.getpid, lambda: (os.getpid(), value))
+            mine, theirs = procs.halves(os.getpid, lambda: (os.getpid(), value))
         assert mine == os.getpid()
         assert (theirs[0] != mine) == forked
         assert theirs[1] == value
@@ -627,10 +629,10 @@ class TestForkHalves:
             return lambda: None
 
         with pytest.raises(ChildProcessError, match="exited with status 1"):
-            pipeline._fork_halves(lambda: None, there)
+            procs.halves(lambda: None, there)
         assert_no_child_left()
         with no_fork():
-            assert pipeline._fork_halves(lambda: None, there)[1]() is None
+            assert procs.halves(lambda: None, there)[1]() is None
 
     def test_an_unpicklable_exception_is_an_error(self):
         class LocalError(Exception):
@@ -640,12 +642,13 @@ class TestForkHalves:
             raise LocalError("raised by there()")
 
         with pytest.raises(ChildProcessError, match="exited with status 1"):
-            pipeline._fork_halves(lambda: None, there)
+            procs.halves(lambda: None, there)
         assert_no_child_left()
         with no_fork(), pytest.raises(LocalError, match=r"^raised by there\(\)$"):
-            pipeline._fork_halves(lambda: None, there)
+            procs.halves(lambda: None, there)
 
 
+@pytest.mark.usefixtures("every_cpu")
 class TestFoldFits:
     """run_crossval fits fold 1 in a forked child while it fits fold 0."""
 
@@ -715,6 +718,25 @@ class TestFoldFits:
         with no_fork():
             assert pipeline.run_crossval(*rows, cfg).lines() == forked.lines()
         assert pids == [os.getpid()] * 2
+
+    def test_one_fork_when_the_fold_fits_are_large(self, monkeypatch, rows):
+        """Fold fits above gbdt's size rule fork no helper beside the fold child."""
+        want = pipeline.run_crossval(*rows, self.CFG).lines()
+        parent, forks = os.getpid(), []
+        fork = os.fork
+
+        def counted_fork():
+            # Raised in the child, this comes back as the child's error.
+            if os.getpid() != parent:
+                raise AssertionError(f"os.fork called in process {os.getpid()}")
+            forks.append(parent)
+            return fork()
+
+        for name in ("_HELPER_ROWS", "_HELPER_WORK"):
+            monkeypatch.setattr(gbdt, name, 0)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert pipeline.run_crossval(*rows, self.CFG).lines() == want
+        assert forks == [parent]
 
 
 @pytest.mark.parametrize("run", ["feature_matrix", "run_crossval"])
@@ -788,7 +810,8 @@ class TestChildPlacement:
         other_cpus = procs.other_cpus
         monkeypatch.setattr(procs, "other_cpus", set)
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
-        # A call would end the child with status 1: a ChildProcessError here.
+        # No other CPU means no helper: both folds are fit here.
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
         assert pipeline.run_crossval(*rows, self.CFG).lines() == expected
         # Without sched_getaffinity, other_cpus itself finds no other CPU.
         monkeypatch.setattr(procs, "other_cpus", other_cpus)

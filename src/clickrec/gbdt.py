@@ -132,6 +132,11 @@ def split_gain(w_l: float, mean_l: float, w_r: float, mean_r: float) -> float:
 
 _NO_SPLIT = (-math.inf, -1, 0.0)  # (gain, feature, threshold) of a node no position splits
 _SPLIT = struct.Struct("dqd")  # a process's best split, sent bit-exact to its partner
+_OVERFLOW = "the fit overflows: y is too large for a finite model"
+
+
+class _NanGain(ValueError):
+    """A sum of residuals overflowed into the NaN gain that won a node's search."""
 
 
 class _Grower:
@@ -192,9 +197,9 @@ class _Grower:
         Gains are scored only where the value changes and both sides keep
         min_leaf rows.  np.argmax picks the first maximum in (feature,
         position) order, the lowest feature, then the smallest threshold,
-        and a NaN gain before any: the caller makes a leaf unless the gain
-        is > 0.  The threshold lies between the last left value and the
-        first right one.
+        and a NaN gain before any: the caller refuses a NaN and makes a leaf
+        unless the gain is > 0.  The threshold lies between the last left
+        value and the first right one.
         """
         k, m = seg.shape[0] - 1, seg.shape[1]
         lo, hi = self.cfg.min_leaf - 1, m - self.cfg.min_leaf  # positions [lo, hi)
@@ -267,6 +272,8 @@ class _Grower:
                 if self.partner is not None:
                     g, f, thr = self._swap((g, f, thr))
             if not g > 0.0:
+                if math.isnan(g):  # both processes see the same winner
+                    raise _NanGain(_OVERFLOW)
                 rows, v = leaf or (seg[k], float(r[seg[k]].mean()))
                 leaf_of[rows] = node
                 feature.append(-1)
@@ -347,7 +354,9 @@ def fit(
     or procs.fork_helper forks no helper.
 
     Raises ValueError when a stored number or training prediction is not
-    finite, since load_model would refuse the saved model, and
+    finite, since load_model would refuse the saved model, or when a sum of
+    residuals overflows into the NaN gain that wins a node's search (both
+    processes see the same winner, so a helper refuses it too), and
     ChildProcessError when the helper exits before the fit ends.
     """
     cfg = cfg or TrainConfig()
@@ -384,6 +393,9 @@ def fit(
             except (EOFError, BrokenPipeError):  # the helper has exited
                 helper.check()  # raises ChildProcessError with its status
                 raise
+            except _NanGain:  # the helper refuses the same node and exits 1
+                helper.wait()
+                raise
 
     raw = dict.fromkeys(names, 0.0)
     for tree, node_gains in zip(trees, gains):
@@ -393,7 +405,7 @@ def fit(
     importance = percent_of_peak(raw)
     # A non-finite base or leaf makes its rows' predictions non-finite.
     if not (np.isfinite(pred).all() and np.isfinite(list(importance.values())).all()):
-        raise ValueError("the fit overflows: y is too large for a finite model")
+        raise ValueError(_OVERFLOW)
     return Ensemble.from_trees(base, trees, names, importance, tuple(train_mse), cfg.shrinkage)
 
 

@@ -60,32 +60,57 @@ def _siblings(i: int, n_topics: int) -> list[int]:
 
 
 def synth_logs(cfg: SynthConfig) -> tuple[list[str], list[str]]:
-    """Generate (click log lines, taxonomy lines), deterministic in the seed."""
+    r"""Generate (click log lines, taxonomy lines), deterministic in the seed.
+
+    Every integer draw is ``below(n)``: ``getrandbits(n.bit_length())``,
+    drawn again until it is below n.  That is the loop CPython 3.10-3.13's
+    ``randrange(n)``, ``randint(a, b)`` (a + below(b - a + 1)) and
+    ``choice(seq)`` (seq[below(len(seq))]) end in, so the corpus is the one
+    they drew, draw for draw.  Python documents only ``random()`` as
+    reproducible across versions; the corpus depends on ``getrandbits``,
+    ``random()`` and this loop, not on ``randrange``'s internals.
+    ``tests/synth_reference.py`` is the generator written with those calls.
+
+    A click line is ``f"{ts}\t{user}{tail}"``: user ids are formatted once,
+    and each ``"\t{query}\t{url}\t{rank}"`` tail once per call.
+    """
     rng = random.Random(cfg.seed)
+    getrandbits, rand = rng.getrandbits, rng.random
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     topics = [_topic_name(i) for i in range(cfg.n_topics)]
-    pools = {
-        i: [f"http://{t}.example.com/p{j}" for j in range(URLS_PER_TOPIC)]
-        for i, t in enumerate(topics)
-    }
     # Facet subset per topic, rotated so every facet word ends enough queries.
-    topic_facets = {
-        i: [FACETS[(i + k) % len(FACETS)] for k in range(FACETS_PER_TOPIC)]
+    topic_facets = [
+        [FACETS[(i + k) % len(FACETS)] for k in range(FACETS_PER_TOPIC)]
         for i in range(cfg.n_topics)
-    }
-    # Expansion k prefers URLs 2k and 2k + 1 of the topic pool, which
-    # holds them since FACETS_PER_TOPIC * 2 <= URLS_PER_TOPIC.
-    pref = {
-        (i, f): [pools[i][k * 2], pools[i][k * 2 + 1]]
-        for i in range(cfg.n_topics)
-        for k, f in enumerate(topic_facets[i])
-    }
-    hub = {
-        g: f"http://group{g:02d}.example.com/hub"
-        for g in range((cfg.n_topics + SIBLINGS_PER_GROUP - 1) // SIBLINGS_PER_GROUP)
-    }
+    ]
     portal = "http://portal.example.com/"
-    junk = [f"junk{i}" for i in range(6)]
-    junk_urls = [f"http://junk{i}.example.com/" for i in range(6)]
+    # Per topic: pool URL j at rank j + 1, the group's hub at ranks 2-6, the
+    # portal at ranks 1-10, and per expansion its three clicks.
+    pool_tails, hub_tails, portal_tails, expansion_tails = [], [], [], []
+    for i, t in enumerate(topics):
+        pool = [f"http://{t}.example.com/p{j}" for j in range(URLS_PER_TOPIC)]
+        hub = f"http://group{i // SIBLINGS_PER_GROUP:02d}.example.com/hub"
+        pool_tails.append([f"\t{t}\t{url}\t{j + 1}" for j, url in enumerate(pool)])
+        hub_tails.append([f"\t{t}\t{hub}\t{rank}" for rank in range(2, 7)])
+        portal_tails.append([f"\t{t}\t{portal}\t{rank}" for rank in range(1, 11)])
+        # Expansion k prefers URLs 2k and 2k + 1 of the topic pool, which
+        # holds them since FACETS_PER_TOPIC * 2 <= URLS_PER_TOPIC: its first
+        # click is on either at rank 1, a second one on 2k + 1 at rank 2.
+        expansion_tails.append(
+            [
+                (f"\t{t} {f}\t{a}\t1", f"\t{t} {f}\t{b}\t1", f"\t{t} {f}\t{b}\t2")
+                for f, a, b in zip(topic_facets[i], pool[0::2], pool[1::2])
+            ]
+        )
+    junk_tails = [f"\tjunk{k}\thttp://junk{k}.example.com/\t1" for k in range(6)]
+    siblings = [_siblings(i, cfg.n_topics) for i in range(cfg.n_topics)]
 
     taxonomy: list[str] = []
     for i, t in enumerate(topics):
@@ -100,48 +125,53 @@ def synth_logs(cfg: SynthConfig) -> tuple[list[str], list[str]]:
             )
 
     lines: list[str] = []
-    user_clock = {u: 1_000_000 + 37 * _clock_offset(u) for u in range(cfg.n_users)}
+    append = lines.append
+    users = [f"u{u:03d}" for u in range(cfg.n_users)]
+    user_clock = [1_000_000 + 37 * _clock_offset(u) for u in range(cfg.n_users)]
 
-    def click(user: int, query: str, url: str, rank: int):
-        ts = user_clock[user]
-        lines.append(f"{ts}\tu{user:03d}\t{query}\t{url}\t{rank}")
-        user_clock[user] += rng.randint(5, 30)
+    # Each click appends its line at the user's clock ts, then moves the
+    # clock 5-30 s on; both helpers return the clock after their clicks.
+    def click_topic(user: str, ts: int, i: int) -> int:
+        j = min(below(URLS_PER_TOPIC), below(URLS_PER_TOPIC))
+        append(f"{ts}\t{user}{pool_tails[i][j]}")
+        ts += 5 + below(26)
+        if rand() < 0.25:
+            append(f"{ts}\t{user}{hub_tails[i][below(5)]}")
+            ts += 5 + below(26)
+        if rand() < 0.10:
+            append(f"{ts}\t{user}{portal_tails[i][below(10)]}")
+            ts += 5 + below(26)
+        return ts
 
-    def click_topic(user: int, i: int):
-        j = min(rng.randrange(URLS_PER_TOPIC), rng.randrange(URLS_PER_TOPIC))
-        click(user, topics[i], pools[i][j], j + 1)
-        if rng.random() < 0.25:
-            click(user, topics[i], hub[i // SIBLINGS_PER_GROUP], rng.randint(2, 6))
-        if rng.random() < 0.10:
-            click(user, topics[i], portal, rng.randint(1, 10))
-
-    def click_expansion(user: int, i: int, f: str):
-        q = f"{topics[i]} {f}"
-        urls = pref[(i, f)]
-        click(user, q, urls[0] if rng.random() < 0.7 else urls[1], 1)
-        if rng.random() < 0.3:
-            click(user, q, urls[1], 2)
+    def click_expansion(user: str, ts: int, tails: tuple[str, str, str]) -> int:
+        append(f"{ts}\t{user}{tails[0] if rand() < 0.7 else tails[1]}")
+        ts += 5 + below(26)
+        if rand() < 0.3:
+            append(f"{ts}\t{user}{tails[2]}")
+            ts += 5 + below(26)
+        return ts
 
     while len(lines) < cfg.n_events:
-        user = rng.randrange(cfg.n_users)
-        i = rng.randrange(cfg.n_topics)
-        user_clock[user] += SESSION_TIMEOUT_S * 4 + rng.randint(60, 600)
+        u = below(cfg.n_users)
+        i = below(cfg.n_topics)
+        user = users[u]
+        ts = user_clock[u] + SESSION_TIMEOUT_S * 4 + 60 + below(541)
 
-        click_topic(user, i)
-        if rng.random() < 0.6:
-            click_expansion(user, i, rng.choice(topic_facets[i]))
-        sibs = _siblings(i, cfg.n_topics)
-        if sibs and rng.random() < 0.7:
-            s = rng.choice(sibs)
-            click_topic(user, s)
-            if rng.random() < 0.4:
-                click_expansion(user, s, rng.choice(topic_facets[s]))
-        if rng.random() < 0.3:
-            other = rng.randrange(cfg.n_topics)
-            click_topic(user, other)
-        if rng.random() < 0.15:
-            k = rng.randrange(len(junk))
-            click(user, junk[k], junk_urls[k], 1)
+        ts = click_topic(user, ts, i)
+        if rand() < 0.6:
+            ts = click_expansion(user, ts, expansion_tails[i][below(FACETS_PER_TOPIC)])
+        sibs = siblings[i]
+        if sibs and rand() < 0.7:
+            s = sibs[below(len(sibs))]
+            ts = click_topic(user, ts, s)
+            if rand() < 0.4:
+                ts = click_expansion(user, ts, expansion_tails[s][below(FACETS_PER_TOPIC)])
+        if rand() < 0.3:
+            ts = click_topic(user, ts, below(cfg.n_topics))
+        if rand() < 0.15:
+            append(f"{ts}\t{user}{junk_tails[below(len(junk_tails))]}")
+            ts += 5 + below(26)
+        user_clock[u] = ts
 
     return lines, taxonomy
 

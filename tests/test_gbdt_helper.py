@@ -6,6 +6,7 @@ allows the helper any CPU, so small worlds fork it on any machine.
 """
 
 import contextlib
+import math
 import os
 import signal
 from unittest import mock
@@ -60,7 +61,8 @@ def here_outcome(X, y, cfg):
 
 
 def reference_outcome(X, y, cfg, path):
-    model = ref.fit(X, y, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in gbdt.fit; huge targets overflow
+        model = ref.fit(X, y, cfg)
     ref.save_model(model, str(path))
     return path.read_text().splitlines(), repr(model.train_mse), model.importance
 
@@ -106,25 +108,46 @@ def test_helper_fits_the_same_model(tmp_path_factory, world):
     X, y, cfg, huge = world
     with forced_helper() as helpers:
         got = outcome(X, y, cfg)
-    assert [helper.code for helper in helpers] == [0]
     assert got == here_outcome(X, y, cfg)
-    if not huge:  # the reference lets a NaN gain split a node; fit makes a leaf
+    codes = [helper.code for helper in helpers]
+    if isinstance(got, str):  # refused after the fit, or by both processes at a NaN gain
+        assert huge and codes in ([0], [1])
+    else:  # no gain was NaN, so the reference's NaN rule never applied
+        assert codes == [0]
         assert got == reference_outcome(X, y, cfg, tmp_path_factory.mktemp("ref") / "model.txt")
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("target_col", [0, 1])
-def test_a_nan_gain_in_either_half_makes_a_leaf(target_col):
+def test_a_nan_gain_in_either_half_is_refused(target_col):
     # In row order the sums of y stay finite, so the index column scores
     # finite gains; sorted by y they overflow, so the target column's gains
-    # are NaN, and np.argmax over all gains makes the node a leaf.
+    # are NaN, np.argmax over all gains picks one, and the fit is refused.
     y = np.array([-1e308, 8.9e307, 1e308, 8.9e307, 1.0, -1e308])
     X = np.column_stack([np.arange(6.0), y][:: 1 if target_col else -1])
     cfg = gbdt.TrainConfig(n_trees=3, max_depth=3, min_leaf=1)
     with forced_helper() as helpers:
         got = outcome(X, y, cfg)
-    assert len(helpers) == 1
-    assert got == here_outcome(X, y, cfg)
+    assert [helper.code for helper in helpers] == [1]  # the helper refused it too
+    assert got == here_outcome(X, y, cfg) == gbdt._OVERFLOW
+    assert_no_child_left()
+
+
+def test_a_nan_gain_from_the_partner_is_refused():
+    # This process's own best gain is finite; the NaN its partner sends wins
+    # the swap, so the process that does not search the NaN column refuses too.
+    X = np.arange(6.0)[:, None]
+    r = np.array([3.0, -1.0, 2.0, 0.0, 1.0, -2.0])
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, gbdt._SPLIT.pack(math.nan, 1, 0.0))  # read before its own best
+        grower = gbdt._Grower(X, gbdt.TrainConfig(min_leaf=1), [0], (read_fd, write_fd))
+        assert grower._best_split(grower.order, r)[0] > 0.0
+        with pytest.raises(ValueError, match=f"^{gbdt._OVERFLOW}$"):
+            grower.grow(r)
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
 
 
 def test_helper_fits_the_same_model_on_a_larger_problem():
